@@ -4,20 +4,15 @@ Subcommands run the verification suites and print human-readable or JSON
 reports.  Exit codes are a stable contract: 0 success, 1 verification
 failure, 2 usage error.  JSON output carries ``schema_version`` and
 round-trips every number shown in text mode; item ordering is deterministic
-(sorted identity names, ascending degrees).
-
-The only environment variable consumed is ``COSYM3_THREADS``: when set above
-1, the aggregate ``report`` command runs its independent suites in a thread
-pool; output assembly stays single-threaded and deterministic.
+(sorted identity names, ascending degrees).  No environment variable is
+read; the aggregate ``report`` command runs its suites in sequence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__, betti, cellular, identities, so41
@@ -296,15 +291,6 @@ def _homology_text(report: Report) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("COSYM3_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def run_report(n: int) -> Report:
     dims = ModelDims(n)
     jobs = {
@@ -315,16 +301,7 @@ def run_report(n: int) -> Report:
         ),
         "homology": lambda: run_homology(),
     }
-    threads = _thread_count()
-    results: dict[str, Report] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(job) for name, job in jobs.items()}
-            for name, future in futures.items():
-                results[name] = future.result()
-    else:
-        for name, job in jobs.items():
-            results[name] = job()
+    results = {name: job() for name, job in jobs.items()}
     ranks = [betti.s_k_rank(n, k) for k in range(0, n + 1)]
     rank_failures = [f"power product rank k={r.k}" for r in ranks if not r.passed]
 
@@ -392,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_so41 = sub.add_parser("so41-check", help="verify the so(4,1) module structure")
-    add_common(p_so41, (1, 2))
+    add_common(p_so41, (1, 2, 3))
     p_so41.add_argument(
         "--inject-sign-error",
         action="store_true",

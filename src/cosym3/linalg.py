@@ -67,25 +67,48 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     return result
 
 
+def _subtract(vec: dict, factor: Fraction, other: Mapping) -> None:
+    """``vec -= factor * other`` in place, dropping entries that become zero."""
+    for key, val in other.items():
+        new = vec.get(key, 0) - factor * val
+        if new:
+            vec[key] = new
+        else:
+            vec.pop(key, None)
+
+
+def _reduce(cur: dict, combo: dict, pivots: dict) -> Hashable | None:
+    """Reduce ``cur`` in place against ``pivots`` (lead -> (vector, combo)).
+
+    Every step is repeated on ``combo``.  Returns the new leading key of
+    ``cur``, or None once it is zero.
+    """
+    while cur:
+        lead = max(cur)
+        if lead not in pivots:
+            return lead
+        basis, basis_combo = pivots[lead]
+        factor = cur[lead] / basis[lead]
+        _subtract(cur, factor, basis)
+        _subtract(combo, factor, basis_combo)
+    return None
+
+
+def _echelon(vectors: Sequence[Mapping[Hashable, Fraction]]) -> dict:
+    """Pivots of the vectors in order; one in the span of earlier ones adds none."""
+    pivots: dict = {}
+    for i, vec in enumerate(vectors):
+        cur = {k: Fraction(v) for k, v in vec.items() if v}
+        combo = {i: Fraction(1)}
+        lead = _reduce(cur, combo, pivots)
+        if lead is not None:
+            pivots[lead] = (cur, combo)
+    return pivots
+
+
 def sparse_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Rank of a family of sparse vectors (dicts with mutually comparable keys)."""
-    pivots: dict = {}
-    for vec in vectors:
-        cur = {k: Fraction(v) for k, v in vec.items() if v}
-        while cur:
-            lead = max(cur)
-            if lead not in pivots:
-                pivots[lead] = cur
-                break
-            basis = pivots[lead]
-            factor = cur[lead] / basis[lead]
-            for key, val in basis.items():
-                new = cur.get(key, Fraction(0)) - factor * val
-                if new:
-                    cur[key] = new
-                else:
-                    cur.pop(key, None)
-    return len(pivots)
+    return len(_echelon(vectors))
 
 
 def solve_in_span(
@@ -95,39 +118,15 @@ def solve_in_span(
     """Express ``target`` as an exact linear combination of ``vectors``.
 
     Returns the coefficient list, or None when the target lies outside the
-    span.  When the vectors are dependent an arbitrary valid solution is
-    returned; callers that need uniqueness should check independence first.
+    span.  The solution is deterministic: the vectors are taken in order, a
+    vector that lies in the span of the earlier ones gets coefficient 0, and
+    the target is written uniquely over the remaining independent ones.
     """
-    keys = sorted({k for v in vectors for k in v} | set(target))
-    width = len(vectors)
-    # Rows of the augmented system, one per coordinate.
-    rows = [
-        [Fraction(v.get(key, 0)) for v in vectors] + [Fraction(target.get(key, 0))]
-        for key in keys
-    ]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    # Any leftover nonzero row is an inconsistency.
-    for i in range(r, len(rows)):
-        if rows[i][width]:
-            return None
-    coeffs = [Fraction(0)] * width
-    for row_idx, col in enumerate(pivots):
-        coeffs[col] = rows[row_idx][width]
-    return coeffs
+    cur = {k: Fraction(v) for k, v in target.items() if v}
+    combo: dict = {}
+    if _reduce(cur, combo, _echelon(vectors)) is not None:
+        return None
+    return [-combo.get(i, Fraction(0)) for i in range(len(vectors))]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -256,8 +256,8 @@ def verify_module(
     coefficients must reproduce the matrix bracket of the images.
     ``corrupt_generator`` negates one operator first (negative-control hook).
     """
-    if n not in (1, 2):
-        raise ValueError("module verification supports n in {1, 2}")
+    if n not in (1, 2, 3):
+        raise ValueError("module verification supports n in {1, 2, 3}")
     defining_ok = all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
     defining_ok = defining_ok and all(
         satisfies_defining_relation(bracket(basis_t(*p), basis_t(*q)))

@@ -132,6 +132,18 @@ class TestModule:
         # Every failure involves K3 directly or through its span expansion.
         assert all("K3" in p.name or "K3" in p.detail for p in failing)
 
+    @pytest.mark.parametrize("name", GENERATOR_NAMES)
+    def test_every_negated_generator_fails_with_detail(self, name):
+        report = verify_module(1, corrupt_generator=name)
+        assert not report.passed
+        assert any(p.detail for p in report.pairs if not p.ok)
+
+    @pytest.mark.slow
+    def test_rank_three_module(self):
+        report = verify_module(3)
+        assert report.passed
+        assert report.operator_span_rank == 10
+
     def test_unsupported_rank(self):
         with pytest.raises(ValueError):
-            verify_module(3)
+            verify_module(4)
