@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 from . import contact
 from .exterior import Blade, ModelDims, Multivector, leading_blade, wedge_all
@@ -36,13 +35,6 @@ class HorizontalBettiSequence:
             )
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers are nonnegative")
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "HorizontalBettiSequence":
-        vals = tuple(int(v) for v in values)
-        if (len(vals) - 1) % 4:
-            raise ValueError("horizontal sequence length must be 4n + 1")
-        return cls((len(vals) - 1) // 4, vals)
 
     @classmethod
     def from_sector_counts(cls, dims: ModelDims) -> "HorizontalBettiSequence":
@@ -87,39 +79,6 @@ def betti_from_horizontal(bh: HorizontalBettiSequence) -> BettiSequence:
         sum(REEB_KERNEL[i] * bh.get(k - i) for i in range(4)) for k in range(length)
     )
     return BettiSequence(values)
-
-
-@dataclass(frozen=True)
-class PoincareSeries:
-    """Integer polynomial in t, as a coefficient tuple."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "PoincareSeries":
-        vals = list(int(c) for c in coeffs)
-        while len(vals) > 1 and vals[-1] == 0:
-            vals.pop()
-        return cls(tuple(vals) or (0,))
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def series_product(a: PoincareSeries, b: PoincareSeries) -> PoincareSeries:
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] += ca * cb
-    return PoincareSeries.from_coeffs(out)
-
-
-REEB_SERIES = PoincareSeries.from_coeffs((1, 3, 3, 1))  # (1 + t)^3
 
 
 @dataclass

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
-from .linalg import det, integer_rank, smith_normal_form
+from .linalg import det, rank, smith_normal_form
 
 Cell = tuple[int, ...]
 
@@ -71,22 +71,6 @@ class TwistMap:
             img, s2 = self.apply(mid)
             out.append((img, s1 * s2))
         return TwistMap(tuple(out))
-
-    def power(self, k: int) -> "TwistMap":
-        result = TwistMap(((1, 1), (2, 1), (3, 1), (4, 1)))
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = base.compose(result)
-        return result
-
-    def order(self) -> int:
-        identity = TwistMap(((1, 1), (2, 1), (3, 1), (4, 1)))
-        current = self
-        for k in range(1, 9):
-            if current == identity:
-                return k
-            current = self.compose(current)
-        raise ValueError("signed permutation of order > 8?")
 
     def matrix(self) -> list[list[int]]:
         rows = [[0] * 4 for _ in range(4)]
@@ -179,10 +163,6 @@ class ChainComplexZ:
 
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.cells)
-
-    def boundary_matrix(self, k: int) -> list[list[int]]:
-        """Matrix of the boundary map into degree k-1; empty shapes are []"""
-        return self.boundaries[k]
 
     def triples(self, k: int) -> list[tuple[int, int, int]]:
         """Sparse (row, col, value) triples of the k-th boundary matrix."""
@@ -282,7 +262,7 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
             if k >= 1:
                 torsion[k - 1] = tuple(f for f in factors if f > 1)
         else:
-            ranks[k] = integer_rank(matrix)
+            ranks[k] = rank(matrix)
     betti = tuple(
         counts[k] - ranks[k] - ranks[k + 1] for k in range(TOTAL_DIM + 1)
     )
@@ -334,7 +314,7 @@ def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBett
         shifted = [
             [m[i][j] - (1 if i == j else 0) for j in range(size)] for i in range(size)
         ]
-        values.append(size - integer_rank(shifted))
+        values.append(size - rank(shifted))
     return HorizontalBettiSequence(1, tuple(values))
 
 

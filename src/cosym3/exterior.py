@@ -95,15 +95,6 @@ class Multivector:
             raise ValueError(f"form is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def graded_parts(self) -> dict[int, "Multivector"]:
-        parts: dict[int, dict[Blade, Fraction]] = {}
-        for blade, coeff in self.terms.items():
-            parts.setdefault(len(blade), {})[blade] = coeff
-        return {k: Multivector(v) for k, v in sorted(parts.items())}
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -263,8 +254,3 @@ def leading_blade(omega: Multivector) -> Blade | None:
     if not omega.terms:
         return None
     return min(omega.terms)
-
-
-def lex_sorted(blades: Iterable[Blade]) -> list[Blade]:
-    """Blades in the lexicographic order induced by the coframe order."""
-    return sorted(blades)

@@ -186,8 +186,3 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
                     diag[i], diag[j] = g, lcm
                     changed = True
     return diag
-
-
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix (over the rationals)."""
-    return rank(matrix)

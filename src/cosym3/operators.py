@@ -13,6 +13,7 @@ is what lets the degree-weight and substitution operators live there.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -48,9 +49,6 @@ class Basis:
     def position(self, blade: Blade) -> int:
         return self._positions[len(blade)][blade]
 
-    def contains(self, blade: Blade) -> bool:
-        return blade in self._positions.get(len(blade), {})
-
 
 def full_basis(dims: ModelDims) -> Basis:
     return Basis(range(dims.dim))
@@ -58,13 +56,6 @@ def full_basis(dims: ModelDims) -> Basis:
 
 def horizontal_basis(dims: ModelDims) -> Basis:
     return Basis(range(dims.horizontal_dim))
-
-
-def sector_000(dims: ModelDims, k: int) -> tuple[Blade, ...]:
-    """Basis of the eta-free sector in degree k (dimension C(4n, k))."""
-    if not 0 <= k <= dims.horizontal_dim:
-        raise ValueError(f"degree {k} outside 0..{dims.horizontal_dim}")
-    return tuple(combinations(range(dims.horizontal_dim), k))
 
 
 class GradedOperator:
@@ -203,12 +194,6 @@ def op_lambda(dims: ModelDims, alpha: int, basis: Basis | None = None) -> Graded
     return GradedOperator.from_function(
         f"lambda{alpha}", -1, basis, lambda mv: interior(idx, mv)
     )
-
-
-def op_e(dims: ModelDims, alpha: int, basis: Basis | None = None) -> GradedOperator:
-    """Projection onto blades containing eta_alpha (l after lambda)."""
-    basis = basis or full_basis(dims)
-    return op_l(dims, alpha, basis).compose(op_lambda(dims, alpha, basis))
 
 
 def op_L(
@@ -394,3 +379,83 @@ def op_I(
         return out
 
     return GradedOperator.from_function(f"I{alpha}", 0, basis, fn)
+
+
+class OperatorSet:
+    """Lazily built cache of the operators of one model.
+
+    Each operator is materialized once, on first use; the identity suite and
+    the so(4,1) module check both take theirs from here.
+    """
+
+    def __init__(self, dims: ModelDims, table: PhiStarTable | None = None):
+        self.dims = dims
+        self.table = table if table is not None else PhiStarTable.build(dims)
+        self._cache: dict = {}
+
+    @cached_property
+    def full(self) -> Basis:
+        return full_basis(self.dims)
+
+    @cached_property
+    def hor(self) -> Basis:
+        return horizontal_basis(self.dims)
+
+    def _get(self, key, builder):
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
+
+    def l(self, a):
+        return self._get(("l", a), lambda: op_l(self.dims, a, self.full))
+
+    def lam(self, a):
+        return self._get(("lam", a), lambda: op_lambda(self.dims, a, self.full))
+
+    def e(self, a):
+        """Projection onto blades containing eta_a (l_a after lambda_a)."""
+        return self._get(("e", a), lambda: self.l(a).compose(self.lam(a)))
+
+    def L_full(self, a):
+        return self._get(("Lf", a), lambda: op_L(self.dims, a, self.full, self.table))
+
+    def Lambda_star(self, a):
+        return self._get(
+            ("Lsf", a), lambda: op_Lambda_star(self.dims, a, self.full, self.table)
+        )
+
+    def Lambda_full(self, a):
+        return self._get(("Lcf", a), lambda: op_Lambda(self.dims, a, self.full))
+
+    def L(self, a):
+        return self._get(("L", a), lambda: op_L(self.dims, a, self.hor, self.table))
+
+    def Lam(self, a):
+        return self._get(("Lam", a), lambda: op_Lambda(self.dims, a, self.hor))
+
+    def K(self, a):
+        return self._get(("K", a), lambda: op_K(self.dims, a, self.hor))
+
+    def K_s(self, a, s):
+        return self._get(("Ks", a, s), lambda: op_K_s(self.dims, a, s, self.hor, self.table))
+
+    def I(self, a):
+        return self._get(("I", a), lambda: op_I(self.dims, a, self.hor, self.table))
+
+    @property
+    def H(self):
+        return self._get("H", lambda: op_H(self.dims, self.hor))
+
+    @property
+    def id_full(self):
+        return self._get("idf", lambda: GradedOperator.identity(self.full))
+
+    @property
+    def id_hor(self):
+        return self._get("idh", lambda: GradedOperator.identity(self.hor))
+
+    def zero_full(self, shift=0):
+        return self._get(("0f", shift), lambda: GradedOperator.zero(self.full, shift))
+
+    def zero_hor(self, shift=0):
+        return self._get(("0h", shift), lambda: GradedOperator.zero(self.hor, shift))

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import operators
 from .contact import ALPHAS, PhiStarTable, cyclic
 from .exterior import ModelDims
 from .linalg import solve_in_span, sparse_rank
-from .operators import GradedOperator
+from .operators import GradedOperator, OperatorSet, commutator
 
 Mat5 = tuple[tuple[Fraction, ...], ...]
 
@@ -186,13 +185,12 @@ def build_generators(
     n: int, table: PhiStarTable | None = None
 ) -> dict[str, GradedOperator]:
     """The ten span generators materialized on the eta-free sector."""
-    dims = ModelDims(n)
-    basis = operators.horizontal_basis(dims)
-    gens: dict[str, GradedOperator] = {"H": operators.op_H(dims, basis)}
+    ops = OperatorSet(ModelDims(n), table)
+    gens: dict[str, GradedOperator] = {"H": ops.H}
     for a in ALPHAS:
-        gens[f"L{a}"] = operators.op_L(dims, a, basis, table)
-        gens[f"Lambda{a}"] = operators.op_Lambda(dims, a, basis)
-        gens[f"K{a}"] = operators.op_K(dims, a, basis)
+        gens[f"L{a}"] = ops.L(a)
+        gens[f"Lambda{a}"] = ops.Lam(a)
+        gens[f"K{a}"] = ops.K(a)
     return gens
 
 
@@ -277,9 +275,9 @@ def verify_module(
     pairs: list[PairCheck] = []
     for idx, left in enumerate(GENERATOR_NAMES):
         for right in GENERATOR_NAMES[idx + 1 :]:
-            op_bracket = gens[left].compose(gens[right]) - gens[right].compose(gens[left])
             coeffs = solve_in_span(
-                [flat[name] for name in GENERATOR_NAMES], _flatten(op_bracket)
+                [flat[name] for name in GENERATOR_NAMES],
+                _flatten(commutator(gens[left], gens[right])),
             )
             if coeffs is None:
                 pairs.append(

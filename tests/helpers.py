@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and recorded fault fingerprints for the tests."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -31,3 +34,14 @@ def homogeneous(dim: int = 7, degree: int = 2, max_terms: int = 4):
     return st.dictionaries(
         blades(dim, degree), coefficients(), max_size=max_terms
     ).map(Multivector)
+
+
+FAULT_FINGERPRINTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "fingerprints.json").read_text()
+)["faults-n1"]
+
+
+def fingerprint(obj) -> str:
+    """First 16 hex digits of the sha256 of the compact sorted JSON of obj."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from cosym3.betti import (
     BettiSequence,
     HorizontalBettiSequence,
-    PoincareSeries,
     PowerProductRank,
     betti_from_horizontal,
     check_bounds,
     check_divisibility,
     check_horizontal_constraints,
     s_k_rank,
-    series_product,
 )
 from cosym3.exterior import ModelDims
 
@@ -122,34 +120,6 @@ class TestHorizontalConstraints:
         assert report.passed()
         assert not report.passed(strict=True)
         assert report.warnings()
-
-
-class TestSeries:
-    def test_binomial_product(self):
-        quartic = PoincareSeries.from_coeffs((1, 4, 6, 4, 1))
-        cubic = PoincareSeries.from_coeffs((1, 3, 3, 1))
-        product = series_product(quartic, cubic)
-        assert product.coeffs == tuple(comb(7, p) for p in range(8))
-        assert product.coefficient(2) == 21
-
-    def test_k3_coefficient(self):
-        k3 = PoincareSeries.from_coeffs((1, 0, 22, 0, 1))
-        cubic = PoincareSeries.from_coeffs((1, 3, 3, 1))
-        assert series_product(k3, cubic).coefficient(2) == 25
-
-    @given(coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=6))
-    def test_unit(self, coeffs):
-        series = PoincareSeries.from_coeffs(coeffs)
-        one = PoincareSeries.from_coeffs((1,))
-        assert series_product(series, one) == series
-
-    @given(
-        a=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-        b=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-    )
-    def test_commutative(self, a, b):
-        sa, sb = PoincareSeries.from_coeffs(a), PoincareSeries.from_coeffs(b)
-        assert series_product(sa, sb) == series_product(sb, sa)
 
 
 class TestPowerProductRank:

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, JSON schema, text/JSON round-trip."""
 
 import json
+from pathlib import Path
 
 from cosym3.cli import (
     EXIT_OK,
@@ -9,6 +10,8 @@ from cosym3.cli import (
     SCHEMA_VERSION,
     main,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -154,6 +157,13 @@ class TestJsonSchema:
 
 
 class TestReport:
+    def test_default_json_is_byte_stable(self, capsys):
+        # Recorded once with `cosym3 report --n 1 --json`; never re-record it
+        # to make a change pass.
+        code, out, _ = run(capsys, ["report", "--n", "1", "--json"])
+        assert code == EXIT_OK
+        assert out.encode() == (GOLDEN / "report_n1.json").read_bytes()
+
     def test_aggregate_passes(self, capsys):
         code, payload = run_json(capsys, ["report", "--n", "1", "--json"])
         assert code == EXIT_OK

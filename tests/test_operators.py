@@ -10,6 +10,7 @@ from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import verify_identities
 from cosym3.operators import (
     GradedOperator,
+    OperatorSet,
     anticommutator,
     commutator,
     full_basis,
@@ -21,15 +22,21 @@ from cosym3.operators import (
     op_L,
     op_Lambda,
     op_Lambda_star,
-    op_e,
     op_l,
     op_lambda,
-    sector_000,
 )
+from helpers import FAULT_FINGERPRINTS, fingerprint
 
 D1 = ModelDims(1)
 FULL = full_basis(D1)
 HOR = horizontal_basis(D1)
+OPS = OperatorSet(D1)
+TABLE_FLIPS = [
+    (alpha, index)
+    for alpha, entries in sorted(PhiStarTable.build(D1).entries.items())
+    for index, entry in enumerate(entries)
+    if entry is not None
+]
 
 
 def blade(*idx):
@@ -52,27 +59,27 @@ class TestWedgeContractionPairs:
 
 class TestProjections:
     def test_action_on_blades(self):
-        e1 = op_e(D1, 1, FULL)
+        e1 = OPS.e(1)
         eta1 = blade(contact.eta_index(D1, 1))
         assert e1.apply(eta1) == eta1
         assert not e1.apply(blade(0))
 
     def test_idempotent_and_commuting(self):
-        e1, e2 = op_e(D1, 1, FULL), op_e(D1, 2, FULL)
+        e1, e2 = OPS.e(1), OPS.e(2)
         assert e1.compose(e1) == e1
         assert commutator(e1, e2).is_zero()
 
 
 class TestSector:
+    # The eta-free sector is the horizontal basis: C(4n, k) blades in degree k.
     def test_degree_zero(self):
-        assert sector_000(D1, 0) == ((),)
+        assert HOR.blades(0) == ((),)
 
     def test_binomial_dimension(self):
-        assert len(sector_000(D1, 2)) == 6
+        assert len(HOR.blades(2)) == 6
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sector_000(D1, 5)
+        assert HOR.blades(5) == ()
 
     def test_cube_inverse_isomorphisms(self):
         l1, lam1 = op_l(D1, 1, FULL), op_lambda(D1, 1, FULL)
@@ -91,7 +98,7 @@ class TestLefschetzPair:
         assert op_Lambda_star(D1, 1, FULL) == op_Lambda(D1, 1, FULL)
 
     def test_commutes_with_projections(self):
-        assert commutator(op_L(D1, 1, FULL), op_e(D1, 2, FULL)).is_zero()
+        assert commutator(op_L(D1, 1, FULL), OPS.e(2)).is_zero()
 
     def test_adjoint_on_xi_gives_twice_rank(self):
         # Direct contraction of the explicit two-form: the value is 2n
@@ -235,12 +242,20 @@ class TestVerifySuite:
         }
         assert required <= names
 
-    def test_corrupted_table_fails_with_witness(self):
-        table = PhiStarTable.build(D1).with_sign_flip(1, 0)
+    @pytest.mark.parametrize(
+        "alpha, index", TABLE_FLIPS, ids=[f"phi{a}[{i}]" for a, i in TABLE_FLIPS]
+    )
+    def test_corrupted_table_fails_with_witness(self, alpha, index):
+        table = PhiStarTable.build(D1).with_sign_flip(alpha, index)
         reports = verify_identities(1, table)
         failed = [r for r in reports if not r.passed]
         assert failed
         assert all(r.witness is not None for r in failed)
+        # The whole report list, witness text included, is pinned.
+        assert (
+            fingerprint([r.to_dict() for r in reports])
+            == FAULT_FINGERPRINTS[f"phi{alpha}[{index}]"]
+        )
 
     def test_unsupported_rank_rejected(self):
         with pytest.raises(ValueError):

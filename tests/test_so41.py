@@ -22,6 +22,7 @@ from cosym3.so41 import (
     t,
     verify_module,
 )
+from helpers import FAULT_FINGERPRINTS, fingerprint
 
 
 class TestDefiningRelation:
@@ -137,6 +138,7 @@ class TestModule:
         report = verify_module(1, corrupt_generator=name)
         assert not report.passed
         assert any(p.detail for p in report.pairs if not p.ok)
+        assert fingerprint(report.to_dict()) == FAULT_FINGERPRINTS[f"neg {name}"]
 
     @pytest.mark.slow
     def test_rank_three_module(self):
