@@ -241,10 +241,10 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     """Homology of the chain complex.
 
     With integer coefficients the ranks and torsion come from Smith normal
-    forms; with rational coefficients the ranks come from independent
-    fraction-exact elimination and there is no torsion.  The two routes must
-    agree on the free ranks (rank over Q equals the count of nonzero
-    invariant factors), which the tests pin down.
+    forms over Z; with rational coefficients the ranks come from the exact
+    sparse elimination over Q (``linalg.rank``) and there is no torsion.  The
+    two routes must agree on the free ranks (rank over Q equals the count of
+    nonzero invariant factors), which the tests pin down.
     """
     if coefficients not in ("integer", "rational"):
         raise ValueError("coefficients must be 'integer' or 'rational'")
@@ -253,21 +253,15 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     torsion: list[tuple[int, ...]] = [()] * (TOTAL_DIM + 1)
     for k in range(1, TOTAL_DIM + 1):
         matrix = complex_.boundaries[k]
-        if not matrix or not matrix[0]:
-            ranks[k] = 0
-            continue
         if coefficients == "integer":
             factors = smith_normal_form(matrix)
             ranks[k] = len(factors)
-            if k >= 1:
-                torsion[k - 1] = tuple(f for f in factors if f > 1)
+            torsion[k - 1] = tuple(f for f in factors if f > 1)
         else:
             ranks[k] = rank(matrix)
     betti = tuple(
         counts[k] - ranks[k] - ranks[k + 1] for k in range(TOTAL_DIM + 1)
     )
-    if coefficients == "rational":
-        torsion = [()] * (TOTAL_DIM + 1)
     return HomologyResult(
         betti=betti,
         torsion=tuple(torsion),

@@ -1,70 +1,15 @@
 """Exact linear algebra helpers.
 
-Everything here works over exact numbers: rational Gaussian elimination for
-ranks, determinants and span membership, and an integer Smith normal form for
-integral homology.  No floating point anywhere.
+Everything here works over exact numbers.  Over the rationals there is one
+sparse elimination loop (``_reduce``), behind ranks, determinants and span
+membership; over the integers a Smith normal form gives integral homology.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
-
-Matrix = list[list[Fraction]]
-
-
-def _to_fraction_rows(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix over the rationals."""
-    m = _to_fraction_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix over the rationals.
-
-    The empty matrix has determinant 1.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant requires a square matrix")
-    m = _to_fraction_rows(rows)
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                factor = m[i][col] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return result
 
 
 def _subtract(vec: dict, factor: Fraction, other: Mapping) -> None:
@@ -109,6 +54,37 @@ def _echelon(vectors: Sequence[Mapping[Hashable, Fraction]]) -> dict:
 def sparse_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Rank of a family of sparse vectors (dicts with mutually comparable keys)."""
     return len(_echelon(vectors))
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix over the rationals."""
+    return len(_echelon([dict(enumerate(row)) for row in rows]))
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix over the rationals.
+
+    The empty matrix has determinant 1.  The rows are echelonized in order:
+    the pivot from row i has combination i plus earlier rows (unit lower
+    triangular, so the determinant is unchanged) and entries only at columns
+    up to its lead, so the determinant is the sign of the permutation
+    row -> lead times the product of the pivot entries.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant requires a square matrix")
+    pivots = _echelon([dict(enumerate(row)) for row in rows])
+    if len(pivots) < n:
+        return Fraction(0)
+    lead_of = [0] * n
+    result = Fraction(1)
+    for lead, (vec, combo) in pivots.items():
+        lead_of[max(combo)] = lead
+        result *= vec[lead]
+    inversions = sum(
+        1 for i in range(n) for j in range(i + 1, n) if lead_of[i] > lead_of[j]
+    )
+    return -result if inversions % 2 else result
 
 
 def solve_in_span(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .contact import ALPHAS, PhiStarTable, cyclic
 from .exterior import ModelDims
@@ -181,6 +182,24 @@ def _mat_to_vec(m: Mat5) -> dict:
     return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
 
 
+@cache
+def _matrix_side_checks() -> tuple[bool, int, bool]:
+    """Defining relations, basis rank and bracket table of the t_ij basis.
+
+    They depend on neither n nor the table, so one process computes them once,
+    on first use.
+    """
+    defining_ok = all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
+    defining_ok = defining_ok and all(
+        satisfies_defining_relation(bracket(basis_t(*p), basis_t(*q)))
+        for p in BASIS_PAIRS
+        for q in BASIS_PAIRS
+    )
+    basis_rank = sparse_rank([_mat_to_vec(basis_t(i, j)) for i, j in BASIS_PAIRS])
+    table_ok = all(ok for _, ok in bracket_table_checks())
+    return defining_ok, basis_rank, table_ok
+
+
 def build_generators(
     n: int, table: PhiStarTable | None = None
 ) -> dict[str, GradedOperator]:
@@ -256,14 +275,7 @@ def verify_module(
     """
     if n not in (1, 2, 3):
         raise ValueError("module verification supports n in {1, 2, 3}")
-    defining_ok = all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
-    defining_ok = defining_ok and all(
-        satisfies_defining_relation(bracket(basis_t(*p), basis_t(*q)))
-        for p in BASIS_PAIRS
-        for q in BASIS_PAIRS
-    )
-    basis_rank = sparse_rank([_mat_to_vec(basis_t(i, j)) for i, j in BASIS_PAIRS])
-    table_ok = all(ok for _, ok in bracket_table_checks())
+    defining_ok, basis_rank, table_ok = _matrix_side_checks()
 
     gens = build_generators(n, table)
     if corrupt_generator is not None:

@@ -1,5 +1,7 @@
 """The twisted seven-torus quotient: cells, boundaries, homology, oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +204,27 @@ class TestOracle:
         oracle = invariant_cohomology_oracle()
         cellular_betti = homology(build_complex(), "integer").betti
         assert betti_from_horizontal(oracle).values == cellular_betti
+
+
+class TestRouteAgreement:
+    def test_every_b4_twist(self):
+        """Integer, rational and oracle routes agree on all 384 signed axis permutations.
+
+        This is route agreement only: the paper-example claims (b2 = 7, a
+        palindromic sequence) hold for the paper's twist, not for every one.
+        """
+        twists = [
+            TwistMap(tuple(zip(perm, signs)))
+            for perm in itertools.permutations((1, 2, 3, 4))
+            for signs in itertools.product((1, -1), repeat=4)
+        ]
+        assert len(set(twists)) == 384
+        for twist in twists:
+            cx = build_complex(twist)
+            integral = homology(cx, "integer").betti
+            assert homology(cx, "rational").betti == integral, twist
+            oracle = betti_from_horizontal(invariant_cohomology_oracle(twist)).values
+            assert oracle == integral, twist
 
 
 class TestCrossCheck:

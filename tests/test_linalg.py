@@ -1,11 +1,77 @@
-"""Sparse span solve and rank against the dense Gauss-Jordan reference."""
+"""The sparse elimination core against dense and Leibniz references."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosym3.linalg import rank, solve_in_span, sparse_rank
+from cosym3.linalg import det, rank, solve_in_span, sparse_rank
+
+
+def dense_rank(rows):
+    """The dense Gauss-Jordan ``rank`` used before the sparse core."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def dense_det(rows):
+    """The dense Gaussian ``det`` used before the sparse core."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col]:
+                factor = m[i][col] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return result
+
+
+def permutation_sign(perm):
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(rows):
+    """Sum over permutations of signed products, with no elimination at all."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(permutation_sign(perm))
+        for row, col in enumerate(perm):
+            term *= rows[row][col]
+        total += term
+    return total
 
 
 def dense_solve_in_span(vectors, target):
@@ -104,4 +170,71 @@ class TestSparseRank:
     @given(st.lists(sparse_vectors, max_size=6))
     def test_matches_dense_rank(self, vectors):
         dense = [[vec.get(k, 0) for k in range(6)] for vec in vectors]
-        assert sparse_rank(vectors) == rank(dense)
+        assert sparse_rank(vectors) == dense_rank(dense)
+
+
+@st.composite
+def dense_matrices(draw, square=False):
+    """Small dense matrices with dependent, duplicate and zero rows mixed in."""
+    size = draw(st.integers(0, 5))
+    ncols = size if square else draw(st.integers(0, 5))
+    nrows = size if square else draw(st.integers(0, 5))
+    entries = st.one_of(st.integers(-3, 3), values)
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "duplicate", "dependent"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "duplicate":
+            rows[i] = list(draw(st.sampled_from(rows)))
+        elif kind == "dependent":
+            coeffs = draw(weights(len(rows)))
+            rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    return rows
+
+
+class TestRank:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_matrices())
+    def test_matches_dense_reference(self, rows):
+        assert rank(rows) == dense_rank(rows)
+
+    def test_empty_and_zero_column_matrices(self):
+        assert rank([]) == 0
+        assert rank([[], []]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
+
+    def test_fraction_entries(self):
+        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]) == 2
+
+
+class TestDet:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_matrices(square=True))
+    def test_matches_dense_and_leibniz(self, rows):
+        expected = leibniz_det(rows)
+        assert det(rows) == expected
+        assert dense_det(rows) == expected
+        assert isinstance(det(rows), Fraction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_matrices(square=True), st.data())
+    def test_row_permutation_multiplies_by_sign(self, rows, data):
+        perm = data.draw(st.permutations(range(len(rows))))
+        permuted = [rows[i] for i in perm]
+        assert det(permuted) == permutation_sign(perm) * det(rows)
+        assert det(permuted) == leibniz_det(permuted)
+
+    def test_singular(self):
+        assert det([[1, 2], [2, 4]]) == 0
+        assert det([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == 0
+
+    def test_empty_is_one(self):
+        assert det([]) == 1
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            det([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            det([[1, 2], [3]])
