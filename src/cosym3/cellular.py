@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
-from .linalg import det, rank, smith_normal_form
+from .linalg import det, rank, smith_normal_form, sort_with_sign
 
 Cell = tuple[int, ...]
 
@@ -112,15 +112,8 @@ def twist_cell(cell: Cell, twist: TwistMap) -> tuple[Cell, int]:
             sign *= s
         else:
             labels.append(axis)
-    inversions = sum(
-        1
-        for a in range(len(labels))
-        for b in range(a + 1, len(labels))
-        if labels[a] > labels[b]
-    )
-    if inversions % 2:
-        sign = -sign
-    return tuple(sorted(labels)), sign
+    parity, image = sort_with_sign(labels)
+    return image, sign * parity
 
 
 def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:

@@ -99,19 +99,7 @@ def run_so41(n: int, inject_sign_error: bool = False) -> Report:
     module = so41.verify_module(
         n, corrupt_generator="K3" if inject_sign_error else None
     )
-    failures = []
-    if not module.defining_relations_ok:
-        failures.append("defining relations")
-    if module.basis_rank != 10:
-        failures.append("basis rank")
-    if not module.bracket_table_ok:
-        failures.append("bracket table")
-    if module.operator_span_rank != 10:
-        failures.append("operator span rank")
-    if module.image_rank != 10:
-        failures.append("image rank")
-    failures.extend(p.name for p in module.pairs if not p.ok)
-    return Report("so41-check", n, {"module": module.to_dict()}, failures)
+    return Report("so41-check", n, {"module": module.to_dict()}, module.failures())
 
 
 def _so41_text(report: Report) -> list[str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exterior import ModelDims, Multivector, interior, pairing, wedge
+from .exterior import ModelDims, Multivector, combine, interior, pairing, wedge
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -237,12 +237,12 @@ def xi_form(dims: ModelDims, alpha: int, table: PhiStarTable | None = None) -> M
     zeta_s ^ phi_a*zeta_s - phi_b*zeta_s ^ phi_c*zeta_s for cyclic (a, b, c)."""
     table = _default_table(dims, table)
     _, beta, gamma = cyclic(alpha)
-    total = Multivector.zero()
+    pieces = []
     for s in range(1, dims.n + 1):
         z = Multivector.blade((zeta_index(dims, s),))
-        total = total + wedge(z, phi_star(table, alpha, z))
-        total = total - wedge(phi_star(table, beta, z), phi_star(table, gamma, z))
-    return total
+        pieces.append((1, wedge(z, phi_star(table, alpha, z))))
+        pieces.append((-1, wedge(phi_star(table, beta, z), phi_star(table, gamma, z))))
+    return combine(*pieces)
 
 
 def xi_form_from_fundamental(dims: ModelDims, alpha: int) -> Multivector:

@@ -80,15 +80,9 @@ class Multivector:
     def blade(cls, indices: Iterable[int], coeff: Fraction | int = 1) -> "Multivector":
         return cls({tuple(indices): Fraction(coeff)})
 
-    def coefficient(self, blade: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(blade), Fraction(0))
-
-    def degrees(self) -> set[int]:
-        return {len(b) for b in self.terms}
-
     def degree(self) -> int | None:
         """Degree of a homogeneous form, None for zero, error when mixed."""
-        degs = self.degrees()
+        degs = {len(b) for b in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -104,13 +98,10 @@ class Multivector:
         return self.terms == other.terms
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        acc = dict(self.terms)
-        for blade, coeff in other.terms.items():
-            acc[blade] = acc.get(blade, Fraction(0)) + coeff
-        return Multivector(acc)
+        return combine((1, self), (1, other))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
+        return combine((1, self), (-1, other))
 
     def __neg__(self) -> "Multivector":
         return Multivector({b: -c for b, c in self.terms.items()})
@@ -130,6 +121,17 @@ class Multivector:
             name = "^".join(str(i) for i in blade) if blade else "1"
             bits.append(f"{coeff}*{name}")
         return " + ".join(bits)
+
+
+def combine(*pairs: tuple[Fraction | int, Multivector]) -> Multivector:
+    """The linear combination ``sum(scalar * form)``, accumulated in one pass."""
+    acc: dict[Blade, Fraction] = {}
+    for scalar, form in pairs:
+        for blade, coeff in form.terms.items():
+            if scalar != 1:
+                coeff = scalar * coeff
+            acc[blade] = acc[blade] + coeff if blade in acc else coeff
+    return Multivector(acc)
 
 
 def _merge_sign(a: Blade, b: Blade) -> tuple[int, Blade]:

@@ -18,7 +18,7 @@ from math import comb
 
 from . import contact
 from .contact import ALPHAS, PhiStarTable, cyclic, epsilon
-from .exterior import ModelDims, Multivector, wedge
+from .exterior import ModelDims, Multivector, combine, wedge
 from .operators import OperatorSet, anticommutator, commutator
 
 SUPPORTED_RANKS = (1, 2, 3)
@@ -84,7 +84,7 @@ def _operator_family(members):
 def _lambda_l(ops: OperatorSet):
     for a in ALPHAS:
         for b in ALPHAS:
-            target = ops.id_full if a == b else ops.zero_full()
+            target = ops.id_full if a == b else ops.zero_full(0)
             yield f"{{lambda_{a}, l_{b}}}", anticommutator(ops.lam(a), ops.l(b)), target
 
 
@@ -106,7 +106,7 @@ def _projections(ops: OperatorSet):
         yield f"e_{a}^2 = e_{a}", ops.e(a).compose(ops.e(a)), ops.e(a)
         for b in ALPHAS:
             if a < b:
-                yield f"[e_{a}, e_{b}]", commutator(ops.e(a), ops.e(b)), ops.zero_full()
+                yield f"[e_{a}, e_{b}]", commutator(ops.e(a), ops.e(b)), ops.zero_full(0)
 
 
 def _cube_isomorphisms(ops: OperatorSet):
@@ -204,7 +204,7 @@ def _l_lambda_k(ops: OperatorSet):
 @_operator_family
 def _h_weights(ops: OperatorSet):
     for a in ALPHAS:
-        yield f"[K_{a}, H]", commutator(ops.K(a), ops.H), ops.zero_hor()
+        yield f"[K_{a}, H]", commutator(ops.K(a), ops.H), ops.zero_hor(0)
         yield f"[L_{a}, H]", commutator(ops.L(a), ops.H), ops.L(a).scale(2)
         yield f"[Lambda_{a}, H]", commutator(ops.Lam(a), ops.H), ops.Lam(a).scale(-2)
 
@@ -399,13 +399,10 @@ def _pullback_composition(ops: OperatorSet):
         for b in ALPHAS:
             eta_a = Multivector.blade((contact.eta_index(dims, a),))
             got = contact.phi_star(table, b, eta_a)
-            expected = Multivector.zero()
-            for g in ALPHAS:
-                sign = epsilon(a, b, g)
-                if sign:
-                    expected = expected + Multivector.blade(
-                        (contact.eta_index(dims, g),), sign
-                    )
+            expected = combine(*(
+                (epsilon(a, b, g), Multivector.blade((contact.eta_index(dims, g),)))
+                for g in ALPHAS
+            ))
             if got != expected:
                 yield f"phi_{b}* eta_{a}", 1, f"eta{a}", got, expected
 

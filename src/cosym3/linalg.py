@@ -8,8 +8,25 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
+
+
+def sort_with_sign(items: Sequence) -> tuple[int, tuple]:
+    """Sign of the permutation that sorts the distinct ``items``, and the sorted tuple.
+
+    The inversions are counted by taking the items out in sorted order: the
+    ones still in front of the next smallest are exactly those larger than it.
+    """
+    ordered = sorted(items)
+    rest = list(items)
+    inversions = 0
+    for item in ordered:
+        i = rest.index(item)
+        inversions += i
+        del rest[i]
+    return (-1 if inversions % 2 else 1), tuple(ordered)
 
 
 def _subtract(vec: dict, factor: Fraction, other: Mapping) -> None:
@@ -81,10 +98,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     for lead, (vec, combo) in pivots.items():
         lead_of[max(combo)] = lead
         result *= vec[lead]
-    inversions = sum(
-        1 for i in range(n) for j in range(i + 1, n) if lead_of[i] > lead_of[j]
-    )
-    return -result if inversions % 2 else result
+    return sort_with_sign(lead_of)[0] * result
 
 
 def solve_in_span(
@@ -149,8 +163,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
             t += 1
     # Normalize the diagonal into a divisibility chain: diag(a, b) and
     # diag(gcd, lcm) are equivalent under unimodular operations.
-    import math
-
     changed = True
     while changed:
         changed = False

@@ -13,13 +13,14 @@ is what lets the degree-weight and substitution operators live there.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from typing import Callable, Iterable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
-from .exterior import Blade, ModelDims, Multivector, hodge_star, interior, wedge
+from .exterior import Blade, ModelDims, Multivector, combine, hodge_star, interior, wedge
+from .linalg import sort_with_sign
 
 
 class Basis:
@@ -48,14 +49,6 @@ class Basis:
 
     def position(self, blade: Blade) -> int:
         return self._positions[len(blade)][blade]
-
-
-def full_basis(dims: ModelDims) -> Basis:
-    return Basis(range(dims.dim))
-
-
-def horizontal_basis(dims: ModelDims) -> Basis:
-    return Basis(range(dims.horizontal_dim))
 
 
 class GradedOperator:
@@ -101,15 +94,10 @@ class GradedOperator:
         return cls.from_function(name, shift, basis, lambda mv: Multivector.zero())
 
     def apply(self, mv: Multivector) -> Multivector:
-        out = Multivector.zero()
-        for blade, coeff in mv.terms.items():
-            column = self.blocks[len(blade)][self.basis.position(blade)]
-            if column:
-                out = out + coeff * column
-        return out
-
-    def column(self, blade: Blade) -> Multivector:
-        return self.blocks[len(blade)][self.basis.position(blade)]
+        return combine(*(
+            (coeff, self.blocks[len(blade)][self.basis.position(blade)])
+            for blade, coeff in mv.terms.items()
+        ))
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other."""
@@ -173,123 +161,6 @@ def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return a.compose(b) + b.compose(a)
 
 
-# ---------------------------------------------------------------------------
-# Operator constructors
-# ---------------------------------------------------------------------------
-
-
-def op_l(dims: ModelDims, alpha: int, basis: Basis | None = None) -> GradedOperator:
-    """Wedge with eta_alpha (degree +1)."""
-    basis = basis or full_basis(dims)
-    eta = Multivector.blade((contact.eta_index(dims, alpha),))
-    return GradedOperator.from_function(
-        f"l{alpha}", +1, basis, lambda mv: wedge(eta, mv)
-    )
-
-
-def op_lambda(dims: ModelDims, alpha: int, basis: Basis | None = None) -> GradedOperator:
-    """Contraction with the Reeb vector xi_alpha (degree -1)."""
-    basis = basis or full_basis(dims)
-    idx = contact.eta_index(dims, alpha)
-    return GradedOperator.from_function(
-        f"lambda{alpha}", -1, basis, lambda mv: interior(idx, mv)
-    )
-
-
-def op_L(
-    dims: ModelDims,
-    alpha: int,
-    basis: Basis | None = None,
-    table: PhiStarTable | None = None,
-) -> GradedOperator:
-    """Wedge with the horizontal two-form (degree +2)."""
-    basis = basis or full_basis(dims)
-    xi = contact.xi_form(dims, alpha, table)
-    return GradedOperator.from_function(f"L{alpha}", +2, basis, lambda mv: wedge(xi, mv))
-
-
-def op_Lambda_star(
-    dims: ModelDims,
-    alpha: int,
-    basis: Basis | None = None,
-    table: PhiStarTable | None = None,
-) -> GradedOperator:
-    """Adjoint of L_alpha obtained by star conjugation (degree -2).
-
-    Only defined on the full basis: the star needs the whole coframe.
-    """
-    basis = basis or full_basis(dims)
-    if basis.indices != tuple(range(dims.dim)):
-        raise ValueError("star conjugation requires the full blade basis")
-    xi = contact.xi_form(dims, alpha, table)
-
-    def fn(mv: Multivector) -> Multivector:
-        return hodge_star(wedge(xi, hodge_star(mv, dims)), dims)
-
-    return GradedOperator.from_function(f"Lambda{alpha}*", -2, basis, fn)
-
-
-def op_Lambda(
-    dims: ModelDims, alpha: int, basis: Basis | None = None
-) -> GradedOperator:
-    """Adjoint of L_alpha as the explicit double-contraction sum (degree -2)."""
-    basis = basis or full_basis(dims)
-    _, beta, gamma = cyclic(alpha)
-    pairs = []
-    for s in range(1, dims.n + 1):
-        pairs.append((zeta_index(dims, s), phi_zeta_index(dims, alpha, s)))
-        pairs.append((phi_zeta_index(dims, beta, s), phi_zeta_index(dims, gamma, s)))
-
-    def fn(mv: Multivector) -> Multivector:
-        out = Multivector.zero()
-        for first, second in pairs:
-            out = out + contact.frame_interior(
-                dims, first, contact.frame_interior(dims, second, mv)
-            )
-        return out
-
-    return GradedOperator.from_function(f"Lambda{alpha}", -2, basis, fn)
-
-
-def op_K(dims: ModelDims, alpha: int, basis: Basis | None = None) -> GradedOperator:
-    """Degree-0 wedge/contraction sum arising as [L_alpha, Lambda_beta] pieces."""
-    basis = basis or horizontal_basis(dims)
-    _, beta, gamma = cyclic(alpha)
-    terms = []  # (wedge slot, contraction slot, scalar)
-    for s in range(1, dims.n + 1):
-        z = zeta_index(dims, s)
-        pa = phi_zeta_index(dims, alpha, s)
-        pb = phi_zeta_index(dims, beta, s)
-        pg = phi_zeta_index(dims, gamma, s)
-        terms.append((pa, z, 1))
-        terms.append((z, pa, 1))
-        terms.append((pg, pb, 1))
-        terms.append((pb, pg, -1))
-
-    def fn(mv: Multivector) -> Multivector:
-        out = Multivector.zero()
-        for wslot, cslot, scalar in terms:
-            contracted = contact.frame_interior(dims, cslot, mv)
-            if contracted:
-                out = out + scalar * wedge(Multivector.blade((wslot,)), contracted)
-        return out
-
-    return GradedOperator.from_function(f"K{alpha}", 0, basis, fn)
-
-
-def op_H(dims: ModelDims, basis: Basis | None = None) -> GradedOperator:
-    """Degree weight 2n - k on the eta-free sector."""
-    basis = basis or horizontal_basis(dims)
-
-    def fn(mv: Multivector) -> Multivector:
-        k = mv.degree()
-        if k is None:
-            return mv
-        return Fraction(2 * dims.n - k) * mv
-
-    return GradedOperator.from_function("H", 0, basis, fn)
-
-
 def substitute_blade(
     dims: ModelDims,
     table: PhiStarTable,
@@ -317,75 +188,32 @@ def substitute_blade(
             indices.append(idx)
     if len(set(indices)) != len(indices):
         return Multivector.zero()
-    # Parity of the sort permutation.
-    inversions = sum(
-        1
-        for a in range(len(indices))
-        for b in range(a + 1, len(indices))
-        if indices[a] > indices[b]
-    )
-    if inversions % 2:
-        sign = -sign
-    return Multivector.blade(tuple(sorted(indices)), sign)
+    parity, image = sort_with_sign(indices)
+    return Multivector.blade(image, sign * parity)
 
 
-def op_K_s(
-    dims: ModelDims,
-    alpha: int,
-    s: int,
-    basis: Basis | None = None,
-    table: PhiStarTable | None = None,
-) -> GradedOperator:
-    """s-fold substitution operator on the eta-free sector.
+def _cached(build):
+    """Method decorator: one entry per operator, keyed by name and arguments,
+    in the instance's own cache (so a dropped model frees its operators)."""
+    name = build.__name__
 
-    Sends a blade to the sum over all s-subsets of its factors of the blade
-    with those factors replaced by their pullback images.  Substituting zero
-    factors is the identity; one factor gives the derivation extension of the
-    pullback; substituting more factors than the degree gives zero.
-    """
-    if s < 0:
-        raise ValueError("substitution count must be nonnegative")
-    basis = basis or horizontal_basis(dims)
-    table = table if table is not None else PhiStarTable.build(dims)
+    @wraps(build)
+    def get(self, *args):
+        key = (name, *args)
+        if key not in self._cache:
+            self._cache[key] = build(self, *args)
+        return self._cache[key]
 
-    def fn(mv: Multivector) -> Multivector:
-        out = Multivector.zero()
-        for blade, coeff in mv.terms.items():
-            for positions in combinations(range(len(blade)), s):
-                piece = substitute_blade(dims, table, alpha, blade, positions)
-                if piece:
-                    out = out + coeff * piece
-        return out
-
-    return GradedOperator.from_function(f"K{alpha},{s}", 0, basis, fn)
-
-
-def op_I(
-    dims: ModelDims,
-    alpha: int,
-    basis: Basis | None = None,
-    table: PhiStarTable | None = None,
-) -> GradedOperator:
-    """Full substitution: the pullback applied to every factor of a blade."""
-    basis = basis or horizontal_basis(dims)
-    table = table if table is not None else PhiStarTable.build(dims)
-
-    def fn(mv: Multivector) -> Multivector:
-        out = Multivector.zero()
-        for blade, coeff in mv.terms.items():
-            piece = substitute_blade(dims, table, alpha, blade, tuple(range(len(blade))))
-            if piece:
-                out = out + coeff * piece
-        return out
-
-    return GradedOperator.from_function(f"I{alpha}", 0, basis, fn)
+    return get
 
 
 class OperatorSet:
-    """Lazily built cache of the operators of one model.
+    """The operators of one model, each built on first use and then cached.
 
-    Each operator is materialized once, on first use; the identity suite and
-    the so(4,1) module check both take theirs from here.
+    This is the only constructor of the model's operators: the identity suite
+    and the so(4,1) module check both take theirs from here.  Operators live
+    on the full blade basis (``full``) or on the eta-free sector (``hor``);
+    both bases are built on first use.
     """
 
     def __init__(self, dims: ModelDims, table: PhiStarTable | None = None):
@@ -395,67 +223,167 @@ class OperatorSet:
 
     @cached_property
     def full(self) -> Basis:
-        return full_basis(self.dims)
+        return Basis(range(self.dims.dim))
 
     @cached_property
     def hor(self) -> Basis:
-        return horizontal_basis(self.dims)
+        return Basis(range(self.dims.horizontal_dim))
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    @_cached
+    def l(self, a: int) -> GradedOperator:
+        """Wedge with eta_a (degree +1)."""
+        eta = Multivector.blade((contact.eta_index(self.dims, a),))
+        return GradedOperator.from_function(f"l{a}", +1, self.full, lambda mv: wedge(eta, mv))
 
-    def l(self, a):
-        return self._get(("l", a), lambda: op_l(self.dims, a, self.full))
-
-    def lam(self, a):
-        return self._get(("lam", a), lambda: op_lambda(self.dims, a, self.full))
-
-    def e(self, a):
-        """Projection onto blades containing eta_a (l_a after lambda_a)."""
-        return self._get(("e", a), lambda: self.l(a).compose(self.lam(a)))
-
-    def L_full(self, a):
-        return self._get(("Lf", a), lambda: op_L(self.dims, a, self.full, self.table))
-
-    def Lambda_star(self, a):
-        return self._get(
-            ("Lsf", a), lambda: op_Lambda_star(self.dims, a, self.full, self.table)
+    @_cached
+    def lam(self, a: int) -> GradedOperator:
+        """Contraction with the Reeb vector xi_a (degree -1)."""
+        idx = contact.eta_index(self.dims, a)
+        return GradedOperator.from_function(
+            f"lambda{a}", -1, self.full, lambda mv: interior(idx, mv)
         )
 
-    def Lambda_full(self, a):
-        return self._get(("Lcf", a), lambda: op_Lambda(self.dims, a, self.full))
+    @_cached
+    def e(self, a: int) -> GradedOperator:
+        """Projection onto blades containing eta_a (l_a after lambda_a)."""
+        return self.l(a).compose(self.lam(a))
 
-    def L(self, a):
-        return self._get(("L", a), lambda: op_L(self.dims, a, self.hor, self.table))
+    def _wedge_xi(self, a: int, basis: Basis) -> GradedOperator:
+        xi = contact.xi_form(self.dims, a, self.table)
+        return GradedOperator.from_function(f"L{a}", +2, basis, lambda mv: wedge(xi, mv))
 
-    def Lam(self, a):
-        return self._get(("Lam", a), lambda: op_Lambda(self.dims, a, self.hor))
+    @_cached
+    def L_full(self, a: int) -> GradedOperator:
+        """Wedge with the horizontal two-form Xi_a (degree +2)."""
+        return self._wedge_xi(a, self.full)
 
-    def K(self, a):
-        return self._get(("K", a), lambda: op_K(self.dims, a, self.hor))
+    @_cached
+    def L(self, a: int) -> GradedOperator:
+        """L_a on the eta-free sector, which it preserves."""
+        return self._wedge_xi(a, self.hor)
 
-    def K_s(self, a, s):
-        return self._get(("Ks", a, s), lambda: op_K_s(self.dims, a, s, self.hor, self.table))
+    @_cached
+    def Lambda_star(self, a: int) -> GradedOperator:
+        """Adjoint of L_a by star conjugation (degree -2); the star needs the
+        whole coframe, so this one lives on the full basis only."""
+        dims = self.dims
+        xi = contact.xi_form(dims, a, self.table)
+        return GradedOperator.from_function(
+            f"Lambda{a}*", -2, self.full,
+            lambda mv: hodge_star(wedge(xi, hodge_star(mv, dims)), dims),
+        )
 
-    def I(self, a):
-        return self._get(("I", a), lambda: op_I(self.dims, a, self.hor, self.table))
+    def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
+        dims = self.dims
+        _, b, c = cyclic(a)
+        pairs = []
+        for s in range(1, dims.n + 1):
+            pairs.append((zeta_index(dims, s), phi_zeta_index(dims, a, s)))
+            pairs.append((phi_zeta_index(dims, b, s), phi_zeta_index(dims, c, s)))
+
+        def column(mv: Multivector) -> Multivector:
+            return combine(*(
+                (1, contact.frame_interior(dims, first, contact.frame_interior(dims, second, mv)))
+                for first, second in pairs
+            ))
+
+        return GradedOperator.from_function(f"Lambda{a}", -2, basis, column)
+
+    @_cached
+    def Lambda_full(self, a: int) -> GradedOperator:
+        """Adjoint of L_a as the explicit double-contraction sum (degree -2)."""
+        return self._double_contraction(a, self.full)
+
+    @_cached
+    def Lam(self, a: int) -> GradedOperator:
+        """Lambda_a on the eta-free sector, which it preserves."""
+        return self._double_contraction(a, self.hor)
+
+    @_cached
+    def K(self, a: int) -> GradedOperator:
+        """Degree-0 wedge/contraction sum on the eta-free sector, arising as
+        [L_a, Lambda_b] pieces."""
+        dims = self.dims
+        _, b, c = cyclic(a)
+        terms = []  # (wedge factor, contraction slot, scalar)
+        for s in range(1, dims.n + 1):
+            z = zeta_index(dims, s)
+            pa = phi_zeta_index(dims, a, s)
+            pb = phi_zeta_index(dims, b, s)
+            pc = phi_zeta_index(dims, c, s)
+            terms.append((Multivector.blade((pa,)), z, 1))
+            terms.append((Multivector.blade((z,)), pa, 1))
+            terms.append((Multivector.blade((pc,)), pb, 1))
+            terms.append((Multivector.blade((pb,)), pc, -1))
+
+        def column(mv: Multivector) -> Multivector:
+            return combine(*(
+                (scalar, wedge(factor, contracted))
+                for factor, slot, scalar in terms
+                if (contracted := contact.frame_interior(dims, slot, mv))
+            ))
+
+        return GradedOperator.from_function(f"K{a}", 0, self.hor, column)
 
     @property
-    def H(self):
-        return self._get("H", lambda: op_H(self.dims, self.hor))
+    @_cached
+    def H(self) -> GradedOperator:
+        """Degree weight 2n - k on the eta-free sector."""
+        n = self.dims.n
+        return GradedOperator.from_function(
+            "H", 0, self.hor, lambda mv: Fraction(2 * n - mv.degree()) * mv
+        )
+
+    @_cached
+    def K_s(self, a: int, s: int) -> GradedOperator:
+        """s-fold substitution operator on the eta-free sector.
+
+        Sends a blade to the sum over all s-subsets of its factors of the
+        blade with those factors replaced by their pullback images.
+        Substituting zero factors is the identity; one factor gives the
+        derivation extension of the pullback; substituting more factors than
+        the degree gives zero.
+        """
+        if s < 0:
+            raise ValueError("substitution count must be nonnegative")
+        dims, table = self.dims, self.table
+
+        def column(mv: Multivector) -> Multivector:
+            return combine(*(
+                (coeff, substitute_blade(dims, table, a, blade, positions))
+                for blade, coeff in mv.terms.items()
+                for positions in combinations(range(len(blade)), s)
+            ))
+
+        return GradedOperator.from_function(f"K{a},{s}", 0, self.hor, column)
+
+    @_cached
+    def I(self, a: int) -> GradedOperator:
+        """Full substitution: the pullback applied to every factor of a blade."""
+        dims, table = self.dims, self.table
+
+        def column(mv: Multivector) -> Multivector:
+            return combine(*(
+                (coeff, substitute_blade(dims, table, a, blade, tuple(range(len(blade)))))
+                for blade, coeff in mv.terms.items()
+            ))
+
+        return GradedOperator.from_function(f"I{a}", 0, self.hor, column)
 
     @property
-    def id_full(self):
-        return self._get("idf", lambda: GradedOperator.identity(self.full))
+    @_cached
+    def id_full(self) -> GradedOperator:
+        return GradedOperator.identity(self.full)
 
     @property
-    def id_hor(self):
-        return self._get("idh", lambda: GradedOperator.identity(self.hor))
+    @_cached
+    def id_hor(self) -> GradedOperator:
+        return GradedOperator.identity(self.hor)
 
-    def zero_full(self, shift=0):
-        return self._get(("0f", shift), lambda: GradedOperator.zero(self.full, shift))
+    @_cached
+    def zero_full(self, shift: int) -> GradedOperator:
+        return GradedOperator.zero(self.full, shift)
 
-    def zero_hor(self, shift=0):
-        return self._get(("0h", shift), lambda: GradedOperator.zero(self.hor, shift))
+    @_cached
+    def zero_hor(self, shift: int) -> GradedOperator:
+        return GradedOperator.zero(self.hor, shift)

@@ -235,16 +235,22 @@ class ModuleReport:
     image_rank: int
     pairs: list[PairCheck]
 
+    def failures(self) -> list[str]:
+        """Names of the failed checks: the rank and table conditions in a
+        fixed order, then every failing bracket pair."""
+        conditions = [
+            ("defining relations", self.defining_relations_ok),
+            ("basis rank", self.basis_rank == 10),
+            ("bracket table", self.bracket_table_ok),
+            ("operator span rank", self.operator_span_rank == 10),
+            ("image rank", self.image_rank == 10),
+        ]
+        failed = [name for name, ok in conditions if not ok]
+        return failed + [p.name for p in self.pairs if not p.ok]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.defining_relations_ok
-            and self.basis_rank == 10
-            and self.bracket_table_ok
-            and self.operator_span_rank == 10
-            and self.image_rank == 10
-            and all(p.ok for p in self.pairs)
-        )
+        return not self.failures()
 
     def to_dict(self) -> dict:
         return {

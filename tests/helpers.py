@@ -36,9 +36,11 @@ def homogeneous(dim: int = 7, degree: int = 2, max_terms: int = 4):
     ).map(Multivector)
 
 
-FAULT_FINGERPRINTS = json.loads(
+# Read only: the benchmark's recorded verdict fingerprints.
+FINGERPRINTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "fingerprints.json").read_text()
-)["faults-n1"]
+)
+FAULT_FINGERPRINTS = FINGERPRINTS["faults-n1"]
 
 
 def fingerprint(obj) -> str:

@@ -32,6 +32,7 @@ from cosym3.contact import ALPHAS, PhiStarTable, cyclic
 from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import structure_pairs, verify_identities
 from cosym3.so41 import bracket_table_checks, verify_module
+from helpers import FINGERPRINTS, fingerprint
 
 QUOTIENT_BETTI = (1, 3, 7, 13, 13, 7, 3, 1)
 
@@ -60,6 +61,10 @@ def test_criterion_1_operator_identity_suite(n):
         "quaternion_relations",
     }
     assert required <= {r.name for r in reports}
+    if n == 2:
+        # Each family's report, statement included, is pinned.
+        pinned = {r.name: fingerprint(r.to_dict()) for r in reports}
+        assert pinned == FINGERPRINTS["identities-n2"]
     announce(1, f"operator identity suite, n = {n}")
 
 

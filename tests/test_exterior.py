@@ -10,13 +10,14 @@ from cosym3 import contact
 from cosym3.exterior import (
     ModelDims,
     Multivector,
+    combine,
     hodge_star,
     interior,
     leading_blade,
     pairing,
     wedge,
 )
-from helpers import homogeneous, multivectors
+from helpers import coefficients, homogeneous, multivectors
 
 D1 = ModelDims(1)
 D2 = ModelDims(2)
@@ -30,7 +31,7 @@ class TestWedge:
     def test_transposition_sign(self):
         e1, e2 = Multivector.blade((0,)), Multivector.blade((1,))
         assert wedge(e2, e1) == -wedge(e1, e2)
-        assert wedge(e2, e1).coefficient((0, 1)) == -1
+        assert wedge(e2, e1).terms == {(0, 1): -1}
 
     def test_disjoint_ordered_factors(self):
         eta2 = Multivector.blade((contact.eta_index(D1, 2),))
@@ -58,6 +59,31 @@ class TestWedge:
     @settings(deadline=None)
     def test_associative(self, a, b, c):
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+scalars = st.integers(-3, 3).map(Fraction) | st.just(1)
+
+
+class TestCombine:
+    @given(pairs=st.lists(st.tuples(scalars, multivectors()), max_size=5))
+    def test_matches_term_by_term_sum(self, pairs):
+        reference = {}
+        for scalar, form in pairs:
+            for b, coeff in form.terms.items():
+                reference[b] = reference.get(b, 0) + scalar * coeff
+        result = combine(*pairs)
+        assert result.terms == {b: c for b, c in reference.items() if c}
+        assert all(type(c) is Fraction for c in result.terms.values())
+
+    @given(a=multivectors(), b=multivectors(), c=coefficients())
+    def test_cancellation_to_zero(self, a, b, c):
+        assert combine((c, a), (1, b), (-c, a)) == b
+        assert combine((c, a), (-c, a)) == Multivector.zero()
+        assert a - a == Multivector.zero()
+
+    def test_empty_is_zero(self):
+        assert combine() == Multivector.zero()
+        assert combine((5, Multivector.zero())) == Multivector.zero()
 
 
 class TestInterior:

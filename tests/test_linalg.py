@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosym3.linalg import det, rank, solve_in_span, sparse_rank
+from cosym3.linalg import det, rank, solve_in_span, sort_with_sign, sparse_rank
 
 
 def dense_rank(rows):
@@ -238,3 +238,18 @@ class TestDet:
             det([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             det([[1, 2], [3]])
+
+
+class TestSortWithSign:
+    @given(st.lists(st.integers(-20, 20), unique=True, max_size=8))
+    def test_matches_permutation_sign(self, items):
+        sign, ordered = sort_with_sign(items)
+        assert ordered == tuple(sorted(items))
+        # items[i] lands at position perm[i] of the sorted tuple.
+        perm = [ordered.index(x) for x in items]
+        assert sign == permutation_sign(perm)
+
+    def test_fixed_cases(self):
+        assert sort_with_sign(()) == (1, ())
+        assert sort_with_sign((3, 1, 2)) == (1, (1, 2, 3))
+        assert sort_with_sign([2, 1]) == (-1, (1, 2))

@@ -3,34 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosym3 import contact, operators
-from cosym3.contact import PhiStarTable
+from cosym3 import contact
+from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import verify_identities
-from cosym3.operators import (
-    GradedOperator,
-    OperatorSet,
-    anticommutator,
-    commutator,
-    full_basis,
-    horizontal_basis,
-    op_H,
-    op_I,
-    op_K,
-    op_K_s,
-    op_L,
-    op_Lambda,
-    op_Lambda_star,
-    op_l,
-    op_lambda,
-)
-from helpers import FAULT_FINGERPRINTS, fingerprint
+from cosym3.operators import GradedOperator, OperatorSet, anticommutator, commutator
+from helpers import FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors
 
 D1 = ModelDims(1)
-FULL = full_basis(D1)
-HOR = horizontal_basis(D1)
 OPS = OperatorSet(D1)
+FULL = OPS.full
+HOR = OPS.hor
 TABLE_FLIPS = [
     (alpha, index)
     for alpha, entries in sorted(PhiStarTable.build(D1).entries.items())
@@ -43,17 +29,38 @@ def blade(*idx):
     return Multivector.blade(tuple(idx))
 
 
+def every_operator(ops):
+    """(label, operator) for every operator an OperatorSet builds."""
+    out = [
+        ("H", ops.H),
+        ("id_full", ops.id_full),
+        ("id_hor", ops.id_hor),
+        ("zero_full", ops.zero_full(0)),
+        ("zero_hor", ops.zero_hor(0)),
+    ]
+    for a in ALPHAS:
+        for name in (
+            "l", "lam", "e", "L_full", "L", "Lambda_star", "Lambda_full", "Lam", "K", "I"
+        ):
+            out.append((f"{name}{a}", getattr(ops, name)(a)))
+        out += [(f"K_s{a},{s}", ops.K_s(a, s)) for s in range(ops.hor.max_degree + 2)]
+    return out
+
+
+EVERY_OPERATOR = every_operator(OPS)
+
+
 class TestWedgeContractionPairs:
     def test_anticommutator_same_index_is_identity(self):
-        result = anticommutator(op_lambda(D1, 1, FULL), op_l(D1, 1, FULL))
+        result = anticommutator(OPS.lam(1), OPS.l(1))
         assert result == GradedOperator.identity(FULL)
 
     def test_anticommutator_mixed_indices_vanishes(self):
-        result = anticommutator(op_lambda(D1, 1, FULL), op_l(D1, 2, FULL))
+        result = anticommutator(OPS.lam(1), OPS.l(2))
         assert result.is_zero()
 
     def test_wedge_squares_to_zero(self):
-        result = anticommutator(op_l(D1, 1, FULL), op_l(D1, 1, FULL))
+        result = anticommutator(OPS.l(1), OPS.l(1))
         assert result.is_zero()
 
 
@@ -82,7 +89,7 @@ class TestSector:
         assert HOR.blades(5) == ()
 
     def test_cube_inverse_isomorphisms(self):
-        l1, lam1 = op_l(D1, 1, FULL), op_lambda(D1, 1, FULL)
+        l1, lam1 = OPS.l(1), OPS.lam(1)
         eta1 = contact.eta_index(D1, 1)
         for k in FULL.degrees():
             for b in FULL.blades(k):
@@ -95,47 +102,47 @@ class TestSector:
 
 class TestLefschetzPair:
     def test_star_route_equals_contraction_route(self):
-        assert op_Lambda_star(D1, 1, FULL) == op_Lambda(D1, 1, FULL)
+        assert OPS.Lambda_star(1) == OPS.Lambda_full(1)
 
     def test_commutes_with_projections(self):
-        assert commutator(op_L(D1, 1, FULL), OPS.e(2)).is_zero()
+        assert commutator(OPS.L_full(1), OPS.e(2)).is_zero()
 
     def test_adjoint_on_xi_gives_twice_rank(self):
         # Direct contraction of the explicit two-form: the value is 2n
         # (matching [L, Lambda] = -H in degree zero), here 2.
-        lam = op_Lambda(D1, 1, FULL)
+        lam = OPS.Lambda_full(1)
         assert lam.apply(contact.xi_form(D1, 1)) == Multivector.scalar(2)
 
     def test_adjoint_on_xi_rank_two(self):
         dims = ModelDims(2)
-        lam = operators.op_Lambda(dims, 1, full_basis(dims))
+        lam = OperatorSet(dims).Lambda_full(1)
         assert lam.apply(contact.xi_form(dims, 1)) == Multivector.scalar(4)
 
     def test_weight_operator(self):
-        H = op_H(D1, HOR)
+        H = OPS.H
         assert H.apply(Multivector.scalar(1)) == Multivector.scalar(2)
         assert not H.apply(blade(0, 1))  # weight 2n - k vanishes at k = 2n
         top = Multivector.blade(tuple(range(4)))
         assert H.apply(top) == Fraction(-2) * top
 
     def test_weight_commutator(self):
-        L = op_L(D1, 1, HOR)
-        Lam = op_Lambda(D1, 1, HOR)
-        H = op_H(D1, HOR)
+        L = OPS.L(1)
+        Lam = OPS.Lam(1)
+        H = OPS.H
         assert commutator(L, Lam) == -H
 
 
 class TestK:
     def test_single_factor_action(self):
-        K1 = op_K(D1, 1, HOR)
+        K1 = OPS.K(1)
         assert K1.apply(blade(0)) == blade(1)
 
     def test_mixed_commutators(self):
-        L1 = op_L(D1, 1, HOR)
-        Lam2 = op_Lambda(D1, 2, HOR)
-        Lam3 = op_Lambda(D1, 3, HOR)
-        assert commutator(L1, Lam2) == op_K(D1, 3, HOR)
-        assert commutator(L1, Lam3) == -op_K(D1, 2, HOR)
+        L1 = OPS.L(1)
+        Lam2 = OPS.Lam(2)
+        Lam3 = OPS.Lam(3)
+        assert commutator(L1, Lam2) == OPS.K(3)
+        assert commutator(L1, Lam3) == -OPS.K(2)
 
     def test_zeta_x_anticommutators(self):
         # {zeta_s ^ -, i_X_s} = 1 and the four companion identities fixing
@@ -164,17 +171,17 @@ class TestK:
 
 class TestSubstitutionOperators:
     def test_zero_substitutions_is_identity(self):
-        assert op_K_s(D1, 1, 0, HOR) == GradedOperator.identity(HOR)
+        assert OPS.K_s(1, 0) == GradedOperator.identity(HOR)
 
     def test_one_substitution_is_k(self):
-        assert op_K_s(D1, 1, 1, HOR) == op_K(D1, 1, HOR)
+        assert OPS.K_s(1, 1) == OPS.K(1)
 
     def test_recursion_on_degree_two(self):
         # K_1 K_{1,1} = 2 K_{1,2} - 2 K_{1,0} on two-forms (k = 2).
-        K = op_K(D1, 1, HOR)
-        K0 = op_K_s(D1, 1, 0, HOR)
-        K1 = op_K_s(D1, 1, 1, HOR)
-        K2 = op_K_s(D1, 1, 2, HOR)
+        K = OPS.K(1)
+        K0 = OPS.K_s(1, 0)
+        K1 = OPS.K_s(1, 1)
+        K2 = OPS.K_s(1, 2)
         for b in HOR.blades(2):
             mv = Multivector.blade(b)
             lhs = K.apply(K1.apply(mv))
@@ -182,21 +189,21 @@ class TestSubstitutionOperators:
             assert lhs == rhs
 
     def test_top_substitution_is_full_pullback(self):
-        I1 = op_I(D1, 1, HOR)
+        I1 = OPS.I(1)
         for k in HOR.degrees():
-            top = op_K_s(D1, 1, k, HOR)
+            top = OPS.K_s(1, k)
             for b in HOR.blades(k):
                 mv = Multivector.blade(b)
                 assert top.apply(mv) == I1.apply(mv)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            op_K_s(D1, 1, -1, HOR)
+            OPS.K_s(1, -1)
 
 
 class TestQuaternionAction:
     def test_square_on_one_forms(self):
-        I1 = op_I(D1, 1, HOR)
+        I1 = OPS.I(1)
         for b in HOR.blades(1):
             mv = Multivector.blade(b)
             assert I1.apply(I1.apply(mv)) == -mv
@@ -204,14 +211,14 @@ class TestQuaternionAction:
     def test_product_rule_apply_first_then_second(self):
         # Doing I_1 and then I_2 realizes I_3 on one-forms; the reverse
         # order flips the sign.
-        I1, I2, I3 = (op_I(D1, a, HOR) for a in (1, 2, 3))
+        I1, I2, I3 = (OPS.I(a) for a in (1, 2, 3))
         for b in HOR.blades(1):
             mv = Multivector.blade(b)
             assert I2.apply(I1.apply(mv)) == I3.apply(mv)
             assert I1.apply(I2.apply(mv)) == -I3.apply(mv)
 
     def test_square_on_two_forms(self):
-        I1 = op_I(D1, 1, HOR)
+        I1 = OPS.I(1)
         for b in HOR.blades(2):
             mv = Multivector.blade(b)
             assert I1.apply(I1.apply(mv)) == mv
@@ -262,10 +269,31 @@ class TestVerifySuite:
             verify_identities(9)
 
 
+class TestOperatorSet:
+    @settings(deadline=None)
+    @given(
+        full=st.tuples(multivectors(FULL.max_degree), multivectors(FULL.max_degree)),
+        hor=st.tuples(multivectors(HOR.max_degree), multivectors(HOR.max_degree)),
+        c=coefficients(),
+    )
+    def test_apply_is_linear(self, full, hor, c):
+        for label, op in EVERY_OPERATOR:
+            x, y = full if op.basis is FULL else hor
+            assert op.apply(c * x + y) == c * op.apply(x) + op.apply(y), label
+
+    def test_each_operator_is_built_once(self):
+        ops = OperatorSet(D1)
+        assert ops.K_s(2, 1) is ops.K_s(2, 1)
+        assert ops.H is ops.H
+        assert ops.zero_hor(2) is ops.zero_hor(2)
+        assert ops.L(1) is not ops.L_full(1)
+        assert ops.L(1).basis is ops.hor and ops.L_full(1).basis is ops.full
+
+
 class TestGradedOperatorPlumbing:
     def test_shift_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            op_l(D1, 1, FULL) + op_lambda(D1, 1, FULL)
+            OPS.l(1) + OPS.lam(1)
 
     def test_from_function_degree_validation(self):
         with pytest.raises(ValueError):
@@ -278,7 +306,3 @@ class TestGradedOperatorPlumbing:
         diff = ident.first_difference(GradedOperator.zero(FULL))
         assert diff is not None
         assert diff[0] == 0
-
-    def test_star_conjugation_requires_full_basis(self):
-        with pytest.raises(ValueError):
-            op_Lambda_star(D1, 1, HOR)

@@ -9,6 +9,8 @@ from cosym3.so41 import (
     BASIS_PAIRS,
     E1,
     GENERATOR_NAMES,
+    ModuleReport,
+    PairCheck,
     basis_t,
     bracket,
     bracket_table_checks,
@@ -22,7 +24,7 @@ from cosym3.so41 import (
     t,
     verify_module,
 )
-from helpers import FAULT_FINGERPRINTS, fingerprint
+from helpers import FAULT_FINGERPRINTS, FINGERPRINTS, fingerprint
 
 
 class TestDefiningRelation:
@@ -123,6 +125,11 @@ class TestModule:
         report = verify_module(2)
         assert report.passed
         assert report.operator_span_rank == 10
+        # Every pair and the module summary are pinned.
+        module = report.to_dict()
+        pinned = {p["pair"]: fingerprint(p) for p in module.pop("pairs")}
+        pinned["module"] = fingerprint(module)
+        assert pinned == FINGERPRINTS["so41-n2"]
 
     def test_corrupted_k3_fails_naming_k3(self):
         report = verify_module(1, corrupt_generator="K3")
@@ -149,3 +156,14 @@ class TestModule:
     def test_unsupported_rank(self):
         with pytest.raises(ValueError):
             verify_module(4)
+
+    def test_failures_list_conditions_then_pairs(self):
+        pairs = [PairCheck("H", "K1", False, "escapes"), PairCheck("H", "K2", True)]
+        report = ModuleReport(1, False, 9, False, 9, 9, pairs)
+        assert report.failures() == [
+            "defining relations", "basis rank", "bracket table",
+            "operator span rank", "image rank", "[H, K1]",
+        ]
+        assert not report.passed
+        clean = ModuleReport(1, True, 10, True, 10, 10, pairs[1:])
+        assert clean.failures() == [] and clean.passed
