@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON schema, text/JSON round-trip."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,29 @@ from cosym3.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# sha256 of stdout and the exit code, recorded once per command; never
+# re-record them to make a change pass.
+PINNED_OUTPUTS = {
+    "homology": ("8f145708a5fe0880521834236f783ff588707cdfc2d9736471d700dbd5bf2351", 0),
+    "homology --json": ("2d23dc3695822612626bcae8a6fdbbe7faeba30644f40745c92f28f01de10e76", 0),
+    "homology --json --integer --boundaries json": (
+        "165697b4fbce86f1483d600095e8e1c149e778e7c33ea0f255c835c826675ca1", 0),
+    "homology --integer --boundaries text": (
+        "53118f253bbdbcfbc61b6e4e0ec3042acf782104841bf0e11c6497a72b6717d1", 0),
+    "homology --json --inject-sign-error": (
+        "f6f305b555e6409168fd33d0aadbe613557d508b5721b91bb0a4b33f1f8a4731", 1),
+    "verify-identities --n 1": (
+        "4c68bd41f228c4879c69b36131c41ca7cd239bde5c4218811181256d6a256b3c", 0),
+    "verify-identities --n 1 --inject-sign-error --json": (
+        "db80bb02e068c4b51b8ea66912c689768d5b7ca48c6a3af03a368fc66e8b7a09", 1),
+    "so41-check --n 1 --inject-sign-error": (
+        "d365814818c9de7e102e4a52ec2a6c985b272c1effe15c2c67e46de3ed2b06fc", 1),
+    "so41-check --n 1 --inject-sign-error --json": (
+        "1ffce29d3d7abf539bd735d7e33e3caafab1d0411aeca524893e31a1f40f0ca6", 1),
+    "betti --n 1 --bh 1,0,4,0,2 --json --strict": (
+        "70be8f59afc8f3fff0162606023c6f86c32686c0ad99d578f604d00ed23074b0", 1),
+}
 
 
 def run(capsys, argv):
@@ -163,6 +187,15 @@ class TestReport:
         code, out, _ = run(capsys, ["report", "--n", "1", "--json"])
         assert code == EXIT_OK
         assert out.encode() == (GOLDEN / "report_n1.json").read_bytes()
+
+    def test_pinned_outputs_are_byte_stable(self, capsys):
+        changed = {}
+        for command, pinned in PINNED_OUTPUTS.items():
+            code, out, _ = run(capsys, command.split())
+            got = (hashlib.sha256(out.encode()).hexdigest(), code)
+            if got != pinned:
+                changed[command] = got
+        assert not changed
 
     def test_aggregate_passes(self, capsys):
         code, payload = run_json(capsys, ["report", "--n", "1", "--json"])
