@@ -62,15 +62,6 @@ class BettiSequence:
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers are nonnegative")
 
-    @property
-    def n(self) -> int:
-        return len(self.values) // 4 - 1
-
-    def get(self, k: int) -> int:
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return 0
-
 
 def betti_from_horizontal(bh: HorizontalBettiSequence) -> BettiSequence:
     """Convolve the horizontal sequence with (1, 3, 3, 1)."""
@@ -104,11 +95,8 @@ class ConstraintReport:
     name: str
     items: list[ConstraintItem]
 
-    def passed(self, strict: bool = False) -> bool:
-        return all(item.ok for item in self.items if strict or not item.warning)
-
-    def warnings(self) -> list[ConstraintItem]:
-        return [item for item in self.items if item.warning and not item.ok]
+    def passed(self) -> bool:
+        return all(item.ok for item in self.items if not item.warning)
 
     def to_dict(self) -> dict:
         return {

@@ -54,11 +54,6 @@ class Report:
         }
 
 
-def _print_text_items(lines: list[str]) -> None:
-    for line in lines:
-        print(line)
-
-
 # ---------------------------------------------------------------------------
 # verify-identities
 # ---------------------------------------------------------------------------
@@ -280,27 +275,24 @@ def _homology_text(report: Report) -> list[str]:
 
 
 def run_report(n: int) -> Report:
-    dims = ModelDims(n)
-    jobs = {
-        "identities": lambda: run_identities(n),
-        "so41": lambda: run_so41(n),
-        "betti_torus": lambda: run_betti(
-            n, list(HorizontalBettiSequence.from_sector_counts(dims).values)
-        ),
-        "homology": lambda: run_homology(),
+    torus = HorizontalBettiSequence.from_sector_counts(ModelDims(n))
+    results = {
+        "identities": run_identities(n),
+        "so41": run_so41(n),
+        "betti_torus": run_betti(n, list(torus.values)),
+        "homology": run_homology(),
     }
-    results = {name: job() for name, job in jobs.items()}
     ranks = [betti.s_k_rank(n, k) for k in range(0, n + 1)]
     rank_failures = [f"power product rank k={r.k}" for r in ranks if not r.passed]
 
     failures = list(rank_failures)
     warnings: list[str] = []
-    for name in sorted(jobs):
+    for name in sorted(results):
         sub = results[name]
         failures.extend(f"{name}: {f}" for f in sub.failures)
         warnings.extend(f"{name}: {w}" for w in sub.warnings)
     payload = {
-        "suites": {name: results[name].to_dict() for name in sorted(jobs)},
+        "suites": {name: results[name].to_dict() for name in sorted(results)},
         "power_product_ranks": [r.to_dict() for r in ranks],
     }
     return Report("report", n, payload, failures, warnings)
@@ -402,7 +394,7 @@ def _emit(report: Report, as_json: bool, strict: bool, text_lines) -> int:
     if as_json:
         print(json.dumps(report.to_dict(strict), indent=2, sort_keys=True))
     else:
-        _print_text_items(text_lines(report))
+        print("\n".join(text_lines(report)))
     return EXIT_OK if report.status(strict) == "pass" else EXIT_VERIFICATION_FAILURE
 
 

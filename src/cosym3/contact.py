@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from math import prod
 
 from .exterior import ModelDims, Multivector, combine, interior, pairing, wedge
 
@@ -86,18 +86,16 @@ def eval_diag(dims: ModelDims) -> tuple[int, ...]:
     return (1,) * n + (-1,) * (3 * n) + (1, 1, 1)
 
 
-def frame_evaluation(dims: ModelDims) -> Callable[[int, int], Fraction]:
-    diag = eval_diag(dims)
-
-    def evaluate(i: int, j: int) -> Fraction:
-        return Fraction(diag[i]) if i == j else Fraction(0)
-
-    return evaluate
-
-
 def pair_frame(dims: ModelDims, omega: Multivector, kvector: Multivector) -> Fraction:
-    """Pair a form with a k-vector written in the frame basis."""
-    return pairing(omega, kvector, frame_evaluation(dims))
+    """Pair a form with a k-vector written in the frame basis.
+
+    The frame evaluation is diagonal, so a frame blade pairs like its coframe
+    blade times the product of its ``eval_diag`` signs.
+    """
+    diag = eval_diag(dims)
+    return pairing(omega, Multivector({
+        blade: coeff * prod(diag[i] for i in blade) for blade, coeff in kvector.terms.items()
+    }))
 
 
 def frame_interior(dims: ModelDims, slot: int, omega: Multivector) -> Multivector:

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
-
-from .linalg import det
+from math import factorial
+from typing import Iterable, Iterator, Mapping
 
 Blade = tuple[int, ...]
-Evaluation = Callable[[int, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ def interior(v: int, omega: Multivector) -> Multivector:
     return Multivector(acc)
 
 
-def complement_sign(blade: Blade, dim: int) -> int:
+def complement_sign(blade: Blade) -> int:
     """Parity of the shuffle placing ``blade`` before its complement."""
     inversions = sum(a - pos for pos, a in enumerate(blade))
     return -1 if inversions % 2 else 1
@@ -213,42 +211,26 @@ def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:
             raise ValueError(f"blade {blade} exceeds coframe size {dim}")
         in_blade = set(blade)
         comp = tuple(i for i in range(dim) if i not in in_blade)
-        acc[comp] = acc.get(comp, Fraction(0)) + complement_sign(blade, dim) * coeff
+        acc[comp] = acc.get(comp, Fraction(0)) + complement_sign(blade) * coeff
     return Multivector(acc)
 
 
-def kronecker_evaluation(i: int, j: int) -> Fraction:
-    return Fraction(1) if i == j else Fraction(0)
+def pairing(omega: Multivector, kvector: Multivector) -> Fraction:
+    """Natural pairing of a k-form with a k-vector in the dual frame.
 
-
-def pairing(
-    omega: Multivector,
-    kvector: Multivector,
-    evaluation: Evaluation = kronecker_evaluation,
-) -> Fraction:
-    """Natural pairing of a k-form with a k-vector.
-
-    For decomposables this is ``det[rho_i(V_j)] / k!`` where the slotwise
-    evaluation ``rho_i(V_j)`` is supplied by ``evaluation``; the 1/k! weight
-    is the normalization that makes the unit coframe/frame pairs evaluate to
-    1/2 in degree two.
+    For decomposables this is ``det[rho_i(V_j)] / k!``.  The evaluation
+    matrix of the dual frame is the identity, so the determinant is 1 on
+    equal blades and 0 otherwise, and the pairing is ``sum_b omega_b V_b / k!``.
+    The 1/k! weight is the normalization that makes the unit coframe/frame
+    pairs evaluate to 1/2 in degree two.
     """
     if not omega or not kvector:
         return Fraction(0)
     k = omega.degree()
     if k != kvector.degree():
         raise ValueError("pairing requires equal degrees")
-    k_factorial = 1
-    for i in range(2, k + 1):
-        k_factorial *= i
-    total = Fraction(0)
-    for fb, fc in omega.terms.items():
-        for vb, vc in kvector.terms.items():
-            matrix = [[evaluation(i, j) for j in vb] for i in fb]
-            d = det(matrix)
-            if d:
-                total += fc * vc * d / k_factorial
-    return total
+    total = sum(c * kvector.terms.get(b, 0) for b, c in omega.terms.items())
+    return Fraction(total, factorial(k))
 
 
 def leading_blade(omega: Multivector) -> Blade | None:

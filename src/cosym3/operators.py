@@ -54,22 +54,16 @@ class Basis:
 class GradedOperator:
     """A degree-homogeneous linear operator stored as per-degree columns."""
 
-    __slots__ = ("name", "shift", "basis", "blocks")
+    __slots__ = ("shift", "basis", "blocks")
 
-    def __init__(self, name: str, shift: int, basis: Basis,
-                 blocks: dict[int, list[Multivector]]):
-        self.name = name
+    def __init__(self, shift: int, basis: Basis, blocks: dict[int, list[Multivector]]):
         self.shift = shift
         self.basis = basis
         self.blocks = blocks
 
     @classmethod
     def from_function(
-        cls,
-        name: str,
-        shift: int,
-        basis: Basis,
-        fn: Callable[[Multivector], Multivector],
+        cls, shift: int, basis: Basis, fn: Callable[[Multivector], Multivector]
     ) -> "GradedOperator":
         blocks: dict[int, list[Multivector]] = {}
         for k in basis.degrees():
@@ -78,20 +72,20 @@ class GradedOperator:
                 image = fn(Multivector.blade(blade))
                 if image and image.degree() != k + shift:
                     raise ValueError(
-                        f"{name}: image of degree-{k} blade has degree "
+                        f"image of degree-{k} blade has degree "
                         f"{image.degree()}, expected {k + shift}"
                     )
                 cols.append(image)
             blocks[k] = cols
-        return cls(name, shift, basis, blocks)
+        return cls(shift, basis, blocks)
 
     @classmethod
-    def identity(cls, basis: Basis, name: str = "id") -> "GradedOperator":
-        return cls.from_function(name, 0, basis, lambda mv: mv)
+    def identity(cls, basis: Basis) -> "GradedOperator":
+        return cls.from_function(0, basis, lambda mv: mv)
 
     @classmethod
-    def zero(cls, basis: Basis, shift: int = 0, name: str = "0") -> "GradedOperator":
-        return cls.from_function(name, shift, basis, lambda mv: Multivector.zero())
+    def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
+        return cls.from_function(shift, basis, lambda mv: Multivector.zero())
 
     def apply(self, mv: Multivector) -> Multivector:
         return combine(*(
@@ -105,24 +99,22 @@ class GradedOperator:
             k: [self.apply(col) for col in cols]
             for k, cols in other.blocks.items()
         }
-        return GradedOperator(
-            f"{self.name}*{other.name}", self.shift + other.shift, self.basis, blocks
-        )
+        return GradedOperator(self.shift + other.shift, self.basis, blocks)
 
-    def _binary(self, other: "GradedOperator", op, sym: str) -> "GradedOperator":
+    def _binary(self, other: "GradedOperator", op) -> "GradedOperator":
         if self.shift != other.shift:
             raise ValueError(f"shift mismatch: {self.shift} vs {other.shift}")
         blocks = {
             k: [op(a, b) for a, b in zip(cols, other.blocks[k])]
             for k, cols in self.blocks.items()
         }
-        return GradedOperator(f"{self.name}{sym}{other.name}", self.shift, self.basis, blocks)
+        return GradedOperator(self.shift, self.basis, blocks)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._binary(other, lambda a, b: a + b, "+")
+        return self._binary(other, lambda a, b: a + b)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._binary(other, lambda a, b: a - b, "-")
+        return self._binary(other, lambda a, b: a - b)
 
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
@@ -130,10 +122,7 @@ class GradedOperator:
     def scale(self, scalar) -> "GradedOperator":
         c = Fraction(scalar)
         blocks = {k: [c * col for col in cols] for k, cols in self.blocks.items()}
-        return GradedOperator(f"{scalar}*{self.name}", self.shift, self.basis, blocks)
-
-    def is_zero(self) -> bool:
-        return all(not col for cols in self.blocks.values() for col in cols)
+        return GradedOperator(self.shift, self.basis, blocks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedOperator):
@@ -233,15 +222,13 @@ class OperatorSet:
     def l(self, a: int) -> GradedOperator:
         """Wedge with eta_a (degree +1)."""
         eta = Multivector.blade((contact.eta_index(self.dims, a),))
-        return GradedOperator.from_function(f"l{a}", +1, self.full, lambda mv: wedge(eta, mv))
+        return GradedOperator.from_function(+1, self.full, lambda mv: wedge(eta, mv))
 
     @_cached
     def lam(self, a: int) -> GradedOperator:
         """Contraction with the Reeb vector xi_a (degree -1)."""
         idx = contact.eta_index(self.dims, a)
-        return GradedOperator.from_function(
-            f"lambda{a}", -1, self.full, lambda mv: interior(idx, mv)
-        )
+        return GradedOperator.from_function(-1, self.full, lambda mv: interior(idx, mv))
 
     @_cached
     def e(self, a: int) -> GradedOperator:
@@ -250,7 +237,7 @@ class OperatorSet:
 
     def _wedge_xi(self, a: int, basis: Basis) -> GradedOperator:
         xi = contact.xi_form(self.dims, a, self.table)
-        return GradedOperator.from_function(f"L{a}", +2, basis, lambda mv: wedge(xi, mv))
+        return GradedOperator.from_function(+2, basis, lambda mv: wedge(xi, mv))
 
     @_cached
     def L_full(self, a: int) -> GradedOperator:
@@ -269,8 +256,7 @@ class OperatorSet:
         dims = self.dims
         xi = contact.xi_form(dims, a, self.table)
         return GradedOperator.from_function(
-            f"Lambda{a}*", -2, self.full,
-            lambda mv: hodge_star(wedge(xi, hodge_star(mv, dims)), dims),
+            -2, self.full, lambda mv: hodge_star(wedge(xi, hodge_star(mv, dims)), dims)
         )
 
     def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
@@ -287,7 +273,7 @@ class OperatorSet:
                 for first, second in pairs
             ))
 
-        return GradedOperator.from_function(f"Lambda{a}", -2, basis, column)
+        return GradedOperator.from_function(-2, basis, column)
 
     @_cached
     def Lambda_full(self, a: int) -> GradedOperator:
@@ -323,7 +309,7 @@ class OperatorSet:
                 if (contracted := contact.frame_interior(dims, slot, mv))
             ))
 
-        return GradedOperator.from_function(f"K{a}", 0, self.hor, column)
+        return GradedOperator.from_function(0, self.hor, column)
 
     @property
     @_cached
@@ -331,7 +317,7 @@ class OperatorSet:
         """Degree weight 2n - k on the eta-free sector."""
         n = self.dims.n
         return GradedOperator.from_function(
-            "H", 0, self.hor, lambda mv: Fraction(2 * n - mv.degree()) * mv
+            0, self.hor, lambda mv: Fraction(2 * n - mv.degree()) * mv
         )
 
     @_cached
@@ -355,7 +341,7 @@ class OperatorSet:
                 for positions in combinations(range(len(blade)), s)
             ))
 
-        return GradedOperator.from_function(f"K{a},{s}", 0, self.hor, column)
+        return GradedOperator.from_function(0, self.hor, column)
 
     @_cached
     def I(self, a: int) -> GradedOperator:
@@ -368,7 +354,7 @@ class OperatorSet:
                 for blade, coeff in mv.terms.items()
             ))
 
-        return GradedOperator.from_function(f"I{a}", 0, self.hor, column)
+        return GradedOperator.from_function(0, self.hor, column)
 
     @property
     @_cached

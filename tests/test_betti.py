@@ -118,8 +118,8 @@ class TestHorizontalConstraints:
     def test_palindromy_is_warning_only(self):
         report = check_horizontal_constraints(HorizontalBettiSequence(1, (1, 0, 4, 0, 2)))
         assert report.passed()
-        assert not report.passed(strict=True)
-        assert report.warnings()
+        palindromy = next(i for i in report.items if i.name == "bh palindromic")
+        assert palindromy.warning and not palindromy.ok
 
 
 class TestPowerProductRank:
@@ -162,4 +162,6 @@ class TestTorusConsistencyLoop:
         assert b.values == tuple(comb(4 * n + 3, p) for p in range(4 * n + 4))
         assert check_divisibility(b).passed()
         assert check_bounds(b, n).passed()
-        assert check_horizontal_constraints(bh).passed(strict=True)
+        report = check_horizontal_constraints(bh)
+        assert report.passed()
+        assert next(i for i in report.items if i.name == "bh palindromic").ok

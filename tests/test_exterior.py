@@ -1,6 +1,7 @@
 """Exterior algebra core: wedge, contraction, star, pairing, blade order."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from cosym3.exterior import (
     pairing,
     wedge,
 )
+from cosym3.linalg import det
 from helpers import coefficients, homogeneous, multivectors
 
 D1 = ModelDims(1)
@@ -165,7 +167,29 @@ class TestHodgeStar:
             hodge_star(mixed, D1)
 
 
+def det_pairing(omega, kvector, diag):
+    """Reference pairing: the sum of det[rho_i(V_j)] / k! over blade pairs,
+    for the diagonal evaluation rho_i(V_j) = diag[i] if i == j else 0."""
+    total = Fraction(0)
+    for fb, fc in omega.terms.items():
+        for vb, vc in kvector.terms.items():
+            matrix = [[diag[i] if i == j else 0 for j in vb] for i in fb]
+            total += fc * vc * det(matrix) / factorial(len(fb))
+    return total
+
+
 class TestPairing:
+    @given(st.integers(0, 4).flatmap(
+        lambda k: st.tuples(homogeneous(degree=k), homogeneous(degree=k))
+    ))
+    def test_equals_determinant_definition(self, forms):
+        omega, other = forms
+        kvec = omega + other  # shares blades with omega, so most pairings are nonzero
+        assert pairing(omega, kvec) == det_pairing(omega, kvec, [1] * D1.dim)
+        got = contact.pair_frame(D1, omega, kvec)
+        assert got == det_pairing(omega, kvec, contact.eval_diag(D1))
+        assert isinstance(got, Fraction)
+
     def test_frame_pair_minus_half(self):
         omega = Multivector.blade((0, 1))  # zeta_1 ^ phi_1* zeta_1
         kvec = wedge(Multivector.blade((0,)), Multivector.blade((1,)))
