@@ -33,6 +33,10 @@ PINNED_OUTPUTS = {
         "d365814818c9de7e102e4a52ec2a6c985b272c1effe15c2c67e46de3ed2b06fc", 1),
     "so41-check --n 1 --inject-sign-error --json": (
         "1ffce29d3d7abf539bd735d7e33e3caafab1d0411aeca524893e31a1f40f0ca6", 1),
+    "verify-identities --n 2 --inject-sign-error --json": (
+        "ca62159f453c1b5556b7bd158d5e99609442320e83d4f0a8ced08c75de75c3d0", 1),
+    "so41-check --n 2 --inject-sign-error --json": (
+        "6aa61b7af363da16cbe37e993e6146349afd9058595308c9fadbac12ec7c10b1", 1),
     "betti --n 1 --bh 1,0,4,0,2 --json --strict": (
         "70be8f59afc8f3fff0162606023c6f86c32686c0ad99d578f604d00ed23074b0", 1),
 }
