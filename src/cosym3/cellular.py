@@ -49,6 +49,20 @@ class TwistMap:
 
     images: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        if len(self.images) != len(QUATERNION_AXES):
+            raise ValueError(f"a twist has 4 images, got {len(self.images)}")
+        seen = set()
+        for axis, entry in enumerate(self.images, start=1):
+            img, sign = entry
+            if img not in QUATERNION_AXES:
+                raise ValueError(f"image {entry} of axis {axis} is not on an axis 1-4")
+            if img in seen:
+                raise ValueError(f"image {entry} of axis {axis} repeats axis {img}")
+            if sign not in (1, -1):
+                raise ValueError(f"image {entry} of axis {axis} has a sign other than +-1")
+            seen.add(img)
+
     def apply(self, axis: int) -> tuple[int, int]:
         return self.images[axis - 1]
 

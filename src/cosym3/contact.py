@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exterior import ModelDims, Multivector, combine, interior, pairing, wedge
+from .exterior import Coeff, ModelDims, Multivector, combine, interior, pairing, wedge
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -163,13 +163,13 @@ def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector
     """Pullback action on one-forms, extended linearly."""
     if omega and omega.degree() != 1:
         raise ValueError("phi_star acts on one-forms")
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for (index,), coeff in omega.terms.items():
         hit = table.image(alpha, index)
         if hit is None:
             continue
         img, sign = hit
-        acc[(img,)] = acc.get((img,), Fraction(0)) + sign * coeff
+        acc[(img,)] = acc.get((img,), 0) + sign * coeff
     return Multivector(acc)
 
 
@@ -218,7 +218,7 @@ def fundamental_form(dims: ModelDims, alpha: int) -> Multivector:
     real consistency check rather than a restatement.
     """
     diag = eval_diag(dims)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for j in range(dims.dim):
         hit = frame_phi_image(dims, alpha, j)
         if hit is None:
@@ -226,7 +226,7 @@ def fundamental_form(dims: ModelDims, alpha: int) -> Multivector:
         i, sign = hit
         if i < j:
             # Dual of the frame bivector V_i ^ V_j under the 1/k! pairing.
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + 2 * sign * diag[i] * diag[j]
+            acc[(i, j)] = acc.get((i, j), 0) + 2 * sign * diag[i] * diag[j]
     return Multivector(acc)
 
 

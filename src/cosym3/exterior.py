@@ -1,9 +1,10 @@
 """Exact exterior algebra over an ordered orthonormal coframe.
 
 A blade is a strictly increasing tuple of coframe indices in ``[0, dim)``;
-a form is a sparse map from blades to nonzero rational coefficients.  All
-coefficients are exact rationals: the identities verified downstream are
-algebraic, and rounding would weaken them to approximations.
+a form is a sparse map from blades to nonzero exact coefficients: ``int``
+where every step is integral (the whole operator layer), ``Fraction`` where
+the code divides.  The identities verified downstream are algebraic, and
+rounding would weaken them to approximations.
 
 Orientation convention: the volume form is the full blade ``(0, ..., dim-1)``
 with coefficient +1.  The blade order follows the coframe index order, so the
@@ -39,6 +40,15 @@ class ModelDims:
         return 4 * self.n
 
 
+Coeff = int | Fraction
+_EXACT = (int, Fraction)
+
+# Every blade that has passed ``_as_blade`` in this process.  Validation is a
+# pure function of the blade, so each distinct blade is checked once; only
+# valid blades are ever added.
+_VALID_BLADES: set[Blade] = set()
+
+
 def _as_blade(indices: Iterable[int]) -> Blade:
     blade = tuple(indices)
     if any(nxt <= prev for nxt, prev in zip(blade[1:], blade)):
@@ -49,21 +59,27 @@ def _as_blade(indices: Iterable[int]) -> Blade:
 
 
 class Multivector:
-    """Sparse form with exact rational coefficients.
+    """Sparse form with exact coefficients.
 
-    Instances are treated as immutable values; no operation mutates its
+    ``int`` and ``Fraction`` coefficients are stored as given, anything else
+    is converted to ``Fraction``; zero coefficients are dropped.  Instances are treated as immutable values; no operation mutates its
     operands, which keeps everything safe for concurrent use.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Blade, Fraction | int] | None = None):
-        data: dict[Blade, Fraction] = {}
+    def __init__(self, terms: Mapping[Blade, Coeff] | None = None):
+        data: dict[Blade, Coeff] = {}
         if terms:
+            valid = _VALID_BLADES
             for blade, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    data[_as_blade(blade)] = c
+                if type(coeff) not in _EXACT:
+                    coeff = Fraction(coeff)
+                if coeff:
+                    if blade not in valid:
+                        blade = _as_blade(blade)
+                        valid.add(blade)
+                    data[blade] = coeff
         self.terms = data
 
     @classmethod
@@ -71,12 +87,12 @@ class Multivector:
         return cls()
 
     @classmethod
-    def scalar(cls, value: Fraction | int) -> "Multivector":
-        return cls({(): Fraction(value)})
+    def scalar(cls, value: Coeff) -> "Multivector":
+        return cls({(): value})
 
     @classmethod
-    def blade(cls, indices: Iterable[int], coeff: Fraction | int = 1) -> "Multivector":
-        return cls({tuple(indices): Fraction(coeff)})
+    def blade(cls, indices: Iterable[int], coeff: Coeff = 1) -> "Multivector":
+        return cls({tuple(indices): coeff})
 
     def degree(self) -> int | None:
         """Degree of a homogeneous form, None for zero, error when mixed."""
@@ -105,10 +121,10 @@ class Multivector:
         return Multivector({b: -c for b, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "Multivector":
-        c = Fraction(scalar)
+        c = scalar if type(scalar) in _EXACT else Fraction(scalar)
         return Multivector({b: c * v for b, v in self.terms.items()})
 
-    def __iter__(self) -> Iterator[tuple[Blade, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Blade, Coeff]]:
         return iter(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
@@ -121,14 +137,21 @@ class Multivector:
         return " + ".join(bits)
 
 
-def combine(*pairs: tuple[Fraction | int, Multivector]) -> Multivector:
+def combine(*pairs: tuple[Coeff, Multivector]) -> Multivector:
     """The linear combination ``sum(scalar * form)``, accumulated in one pass."""
-    acc: dict[Blade, Fraction] = {}
+    return _combine(pairs)
+
+
+def _combine(pairs: Iterable[tuple[Coeff, Multivector]]) -> Multivector:
+    acc: dict[Blade, Coeff] = {}
+    get = acc.get
     for scalar, form in pairs:
-        for blade, coeff in form.terms.items():
-            if scalar != 1:
-                coeff = scalar * coeff
-            acc[blade] = acc[blade] + coeff if blade in acc else coeff
+        if scalar == 1:
+            for blade, coeff in form.terms.items():
+                acc[blade] = get(blade, 0) + coeff
+        else:
+            for blade, coeff in form.terms.items():
+                acc[blade] = get(blade, 0) + scalar * coeff
     return Multivector(acc)
 
 
@@ -155,12 +178,12 @@ def _merge_sign(a: Blade, b: Blade) -> tuple[int, Blade]:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; bilinear, associative, graded-anticommutative."""
-    acc: dict[Blade, Fraction] = {}
+    acc: dict[Blade, Coeff] = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
             sign, merged = _merge_sign(ba, bb)
             if sign:
-                acc[merged] = acc.get(merged, Fraction(0)) + sign * ca * cb
+                acc[merged] = acc.get(merged, 0) + sign * ca * cb
     return Multivector(acc)
 
 
@@ -179,7 +202,7 @@ def interior(v: int, omega: Multivector) -> Multivector:
     """
     if v < 0:
         raise ValueError("coframe index must be nonnegative")
-    acc: dict[Blade, Fraction] = {}
+    acc: dict[Blade, Coeff] = {}
     for blade, coeff in omega.terms.items():
         try:
             pos = blade.index(v)
@@ -187,7 +210,7 @@ def interior(v: int, omega: Multivector) -> Multivector:
             continue
         sign = -1 if pos % 2 else 1
         rest = blade[:pos] + blade[pos + 1 :]
-        acc[rest] = acc.get(rest, Fraction(0)) + sign * coeff
+        acc[rest] = acc.get(rest, 0) + sign * coeff
     return Multivector(acc)
 
 
@@ -205,13 +228,13 @@ def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:
     """
     omega.degree()  # raises on non-homogeneous input
     dim = dims.dim
-    acc: dict[Blade, Fraction] = {}
+    acc: dict[Blade, Coeff] = {}
     for blade, coeff in omega.terms.items():
         if blade and blade[-1] >= dim:
             raise ValueError(f"blade {blade} exceeds coframe size {dim}")
         in_blade = set(blade)
         comp = tuple(i for i in range(dim) if i not in in_blade)
-        acc[comp] = acc.get(comp, Fraction(0)) + complement_sign(blade) * coeff
+        acc[comp] = acc.get(comp, 0) + complement_sign(blade) * coeff
     return Multivector(acc)
 
 

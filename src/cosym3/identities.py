@@ -12,7 +12,6 @@ produces fail reports, never exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -239,9 +238,7 @@ def _substitution_recursion(ops: OperatorSet):
                 for blade in ops.hor.blades(k):
                     mv = Multivector.blade(blade)
                     lhs = K.apply(mid.apply(mv))
-                    rhs = Fraction(s + 1) * upper.apply(mv) - Fraction(
-                        k - s + 1
-                    ) * lower.apply(mv)
+                    rhs = (s + 1) * upper.apply(mv) - (k - s + 1) * lower.apply(mv)
                     if lhs != rhs:
                         label = contact.format_blade(ops.dims, blade)
                         yield f"alpha={a}, k={k}, s={s}", k, label, lhs, rhs

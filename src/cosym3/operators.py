@@ -12,14 +12,15 @@ is what lets the degree-weight and substitution operators live there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
 from typing import Callable, Iterable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
-from .exterior import Blade, ModelDims, Multivector, combine, hodge_star, interior, wedge
+from .exterior import (
+    Blade, ModelDims, Multivector, _combine, combine, hodge_star, interior, wedge,
+)
 from .linalg import sort_with_sign
 
 
@@ -32,9 +33,10 @@ class Basis:
             k: tuple(combinations(self.indices, k))
             for k in range(len(self.indices) + 1)
         }
-        self._positions = {
-            k: {blade: i for i, blade in enumerate(blades)}
-            for k, blades in self._blades.items()
+        # Blade -> index in its degree's column list; blades of different
+        # degrees are different keys, so one dict serves every degree.
+        self.positions = {
+            blade: i for blades in self._blades.values() for i, blade in enumerate(blades)
         }
 
     @property
@@ -46,9 +48,6 @@ class Basis:
 
     def blades(self, k: int) -> tuple[Blade, ...]:
         return self._blades.get(k, ())
-
-    def position(self, blade: Blade) -> int:
-        return self._positions[len(blade)][blade]
 
 
 class GradedOperator:
@@ -88,10 +87,11 @@ class GradedOperator:
         return cls.from_function(shift, basis, lambda mv: Multivector.zero())
 
     def apply(self, mv: Multivector) -> Multivector:
-        return combine(*(
-            (coeff, self.blocks[len(blade)][self.basis.position(blade)])
+        blocks, positions = self.blocks, self.basis.positions
+        return _combine(
+            (coeff, blocks[len(blade)][positions[blade]])
             for blade, coeff in mv.terms.items()
-        ))
+        )
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other."""
@@ -120,8 +120,7 @@ class GradedOperator:
         return self.scale(-1)
 
     def scale(self, scalar) -> "GradedOperator":
-        c = Fraction(scalar)
-        blocks = {k: [c * col for col in cols] for k, cols in self.blocks.items()}
+        blocks = {k: [scalar * col for col in cols] for k, cols in self.blocks.items()}
         return GradedOperator(self.shift, self.basis, blocks)
 
     def __eq__(self, other: object) -> bool:
@@ -317,7 +316,7 @@ class OperatorSet:
         """Degree weight 2n - k on the eta-free sector."""
         n = self.dims.n
         return GradedOperator.from_function(
-            0, self.hor, lambda mv: Fraction(2 * n - mv.degree()) * mv
+            0, self.hor, lambda mv: (2 * n - mv.degree()) * mv
         )
 
     @_cached

@@ -45,6 +45,20 @@ class TestTwistMap:
         assert tw.compose(tw.inverse()) == IDENTITY_TWIST
         assert tw.inverse() == unit_translation_twist()
 
+    def test_rejects_non_signed_permutations(self):
+        with pytest.raises(ValueError, match=r"\(1, 1\) of axis 2 repeats axis 1"):
+            TwistMap(((1, 1), (1, 1), (3, 1), (4, 1)))
+        for images in (
+            ((1, 1), (2, 1), (3, 1)),
+            ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1)),
+            ((1, 1), (2, 1), (3, 1), (5, 1)),
+            ((0, 1), (2, 1), (3, 1), (4, 1)),
+            ((1, 1), (2, 2), (3, 1), (4, 1)),
+            ((1, 1), (2, 1), (3, 0), (4, 1)),
+        ):
+            with pytest.raises(ValueError):
+                TwistMap(images)
+
     def test_determinant_magnitude(self):
         assert abs(det(unit_translation_twist().matrix())) == 1
 

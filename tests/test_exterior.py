@@ -88,6 +88,44 @@ class TestCombine:
         assert combine((5, Multivector.zero())) == Multivector.zero()
 
 
+class TestConstructor:
+    # Blade validation is cached per process, so each invalid blade is built
+    # both before and after a valid blade of its length has been seen.
+    INVALID = [(41, 40, 42), (40, 40, 42), (-1, 40, 41)]
+
+    def test_invalid_blades_always_raise(self):
+        for bad in self.INVALID:
+            with pytest.raises(ValueError):
+                Multivector({bad: 1})
+        assert Multivector.blade((40, 41, 42)).terms == {(40, 41, 42): 1}
+        for bad in self.INVALID:
+            with pytest.raises(ValueError):
+                Multivector({bad: 1})
+            with pytest.raises(ValueError):
+                Multivector.blade(bad, Fraction(2))
+
+    def test_zero_coefficients_dropped(self):
+        mv = Multivector({(0,): 0, (1,): Fraction(0), (2,): 3, (3,): 0.0})
+        assert mv.terms == {(2,): 3}
+        assert not Multivector.blade((0, 1), 0)
+
+    def test_int_coefficients_stay_int(self):
+        mv = Multivector({(0,): 2, (1, 2): -1})
+        for form in (mv, -mv, 3 * mv, Multivector.scalar(5), combine((2, mv), (1, mv))):
+            assert all(type(c) is int for c in form.terms.values())
+
+    def test_other_coefficients_become_fractions(self):
+        mv = Multivector({(0,): 0.5, (1,): 2.0})
+        assert mv.terms == {(0,): Fraction(1, 2), (1,): Fraction(2)}
+        assert all(type(c) is Fraction for c in mv.terms.values())
+
+    def test_int_and_fraction_coefficients_agree(self):
+        b = (1, 3)
+        as_int, as_fraction = Multivector.blade(b, 3), Multivector.blade(b, Fraction(3))
+        assert as_int == as_fraction
+        assert repr(as_int) == repr(as_fraction)
+
+
 class TestInterior:
     def test_dual_pairing(self):
         assert interior(0, Multivector.blade((0,))) == Multivector.scalar(1)

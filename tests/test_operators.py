@@ -290,6 +290,21 @@ class TestOperatorSet:
         assert ops.L(1).basis is ops.hor and ops.L_full(1).basis is ops.full
 
 
+class TestIntegerCoefficients:
+    def test_every_column_is_integral(self):
+        # Every operator entry is an integer; a Fraction among them would put
+        # rational arithmetic back into every apply and compose.
+        ops2 = OperatorSet(ModelDims(2))
+        rank_two = [("H", ops2.H)] + [
+            (f"{name}{a}", getattr(ops2, name)(a)) for name in ("L", "Lam", "K") for a in ALPHAS
+        ]
+        for n, operators in ((1, EVERY_OPERATOR), (2, rank_two)):
+            for label, op in operators:
+                for cols in op.blocks.values():
+                    for col in cols:
+                        assert all(type(c) is int for c in col.terms.values()), (n, label)
+
+
 class TestGradedOperatorPlumbing:
     def test_shift_mismatch_rejected(self):
         with pytest.raises(ValueError):
