@@ -57,6 +57,18 @@ def eta_index(dims: ModelDims, alpha: int) -> int:
     return 4 * dims.n + alpha - 1
 
 
+def structure_pairs(dims: ModelDims, alpha: int) -> list[tuple[int, int]]:
+    """Frame bivector slots on which the fundamental form pairs to -1,
+    in the cyclic order used by its defining table."""
+    _, beta, gamma = cyclic(alpha)
+    pairs = []
+    for s in range(1, dims.n + 1):
+        pairs.append((zeta_index(dims, s), phi_zeta_index(dims, alpha, s)))
+        pairs.append((phi_zeta_index(dims, beta, s), phi_zeta_index(dims, gamma, s)))
+    pairs.append((eta_index(dims, beta), eta_index(dims, gamma)))
+    return pairs
+
+
 def coframe_label(dims: ModelDims, index: int) -> str:
     """Human-readable name of a coframe slot, for witnesses and reports."""
     n = dims.n

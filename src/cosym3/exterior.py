@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Blade = tuple[int, ...]
 
@@ -112,10 +112,10 @@ class Multivector:
         return self.terms == other.terms
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return combine((1, self), (1, other))
+        return _combine(((1, self), (1, other)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return combine((1, self), (-1, other))
+        return _combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "Multivector":
         return Multivector({b: -c for b, c in self.terms.items()})
@@ -123,9 +123,6 @@ class Multivector:
     def __rmul__(self, scalar) -> "Multivector":
         c = scalar if type(scalar) in _EXACT else Fraction(scalar)
         return Multivector({b: c * v for b, v in self.terms.items()})
-
-    def __iter__(self) -> Iterator[tuple[Blade, Coeff]]:
-        return iter(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -4,9 +4,9 @@ Each identity family is a lazy stream of mismatches: a generator that yields
 ``(member, degree, blade_label, got, expected)`` for every place where the
 identity fails, in a fixed order, and nothing where it holds.  The first
 mismatch of a family is its witness, so a family stops building operators as
-soon as it fails.  Every check is an exact equality of per-degree blocks (or
-of individual blade images).  The suite is total: a corrupted structure table
-produces fail reports, never exceptions.
+soon as it fails.  Every operator identity is an exact comparison of
+materialized columns, blade by blade, through ``_differences``.  The suite is
+total: a corrupted structure table produces fail reports, never exceptions.
 """
 
 from __future__ import annotations
@@ -61,22 +61,41 @@ class IdentityReport:
         }
 
 
-def _first_differences(ops: OperatorSet, members):
-    """First differing blade of each (description, lhs, rhs) operator triple.
+def _differences(ops: OperatorSet, k: int, blades, members):
+    """Columns where the members of one degree-k block differ.
+
+    Each member is ``(description, got_columns, expected_columns)``, two
+    column iterables over ``blades``.  Blade by blade, in basis order, every
+    member is compared.  Columns are consumed lazily, so a caller that stops
+    at its witness computes no column of a later blade.
+    """
+    descs = [desc for desc, _, _ in members]
+    for blade, *pairs in zip(blades, *(zip(got, exp) for _, got, exp in members)):
+        for desc, (got, expected) in zip(descs, pairs):
+            if got != expected:
+                yield desc, k, contact.format_blade(ops.dims, blade), got, expected
+
+
+def _operator_differences(ops: OperatorSet, members):
+    """Differing columns of each (description, lhs, rhs) operator triple,
+    degree block by degree block.
 
     ``members`` is consumed lazily, so the operators of later triples are not
     built once the caller has its witness.
     """
     for desc, lhs, rhs in members:
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            k, blade, got, expected = diff
-            yield desc, k, contact.format_blade(ops.dims, blade), got, expected
+        if lhs.shift != rhs.shift:
+            raise ValueError("operators of different shifts are never equal")
+        basis = lhs.basis
+        for k in basis.degrees():
+            yield from _differences(
+                ops, k, basis.blades(k), [(desc, lhs.blocks[k], rhs.blocks[k])]
+            )
 
 
 def _operator_family(members):
     """Family stream of a generator of (description, lhs, rhs) operator triples."""
-    return lambda ops: _first_differences(ops, members(ops))
+    return lambda ops: _operator_differences(ops, members(ops))
 
 
 @_operator_family
@@ -115,15 +134,16 @@ def _cube_isomorphisms(ops: OperatorSet):
     dims = ops.dims
     for a in ALPHAS:
         eta_idx = contact.eta_index(dims, a)
+        l, lam = ops.l(a), ops.lam(a)
         for k in ops.full.degrees():
-            for blade in ops.full.blades(k):
-                mv = Multivector.blade(blade)
-                if eta_idx in blade:
-                    image = ops.l(a).apply(ops.lam(a).apply(mv))
-                else:
-                    image = ops.lam(a).apply(ops.l(a).apply(mv))
-                if image != mv:
-                    yield f"alpha={a}", k, contact.format_blade(dims, blade), image, mv
+            blades = ops.full.blades(k)
+            round_trip = (
+                l.apply(lam_col) if eta_idx in blade else lam.apply(l_col)
+                for blade, lam_col, l_col in zip(blades, lam.blocks[k], l.blocks[k])
+            )
+            yield from _differences(
+                ops, k, blades, [(f"alpha={a}", round_trip, ops.id_full.blocks[k])]
+            )
     # Sector dimension count: blades sorted by eta-pattern.
     for k in ops.full.degrees():
         counts: dict[tuple[int, int, int], int] = {}
@@ -180,7 +200,7 @@ def _sector_preservation(ops: OperatorSet):
             op = build(a)
             for k in ops.hor.degrees():
                 for blade in ops.hor.blades(k):
-                    image = op.apply(Multivector.blade(blade))
+                    image = op.blocks[k][op.basis.positions[blade]]
                     if any(i >= dims.horizontal_dim for b in image.terms for i in b):
                         label = contact.format_blade(dims, blade)
                         yield f"{prefix}_{a}", k, label, image, "eta-free image"
@@ -232,35 +252,28 @@ def _substitution_recursion(ops: OperatorSet):
         K = ops.K(a)
         for k in ops.hor.degrees():
             for s in range(1, k + 1):
-                lower = ops.K_s(a, s - 1)
-                mid = ops.K_s(a, s)
-                upper = ops.K_s(a, s + 1)
-                for blade in ops.hor.blades(k):
-                    mv = Multivector.blade(blade)
-                    lhs = K.apply(mid.apply(mv))
-                    rhs = (s + 1) * upper.apply(mv) - (k - s + 1) * lower.apply(mv)
-                    if lhs != rhs:
-                        label = contact.format_blade(ops.dims, blade)
-                        yield f"alpha={a}, k={k}, s={s}", k, label, lhs, rhs
+                lower = ops.K_s(a, s - 1).blocks[k]
+                mid = ops.K_s(a, s).blocks[k]
+                upper = ops.K_s(a, s + 1).blocks[k]
+                rhs = ((s + 1) * u - (k - s + 1) * v for u, v in zip(upper, lower))
+                yield from _differences(
+                    ops, k, ops.hor.blades(k),
+                    [(f"alpha={a}, k={k}, s={s}", map(K.apply, mid), rhs)],
+                )
 
 
 def _substitution_endpoints(ops: OperatorSet):
     """Zero substitutions is the identity, one substitution is K_a, and
     substituting every factor of a degree-k blade is the full pullback."""
     for a in ALPHAS:
-        yield from _first_differences(ops, (
+        yield from _operator_differences(ops, (
             (f"K_{a},0 = id", ops.K_s(a, 0), ops.id_hor),
             (f"K_{a},1 = K_{a}", ops.K_s(a, 1), ops.K(a)),
         ))
         for k in ops.hor.degrees():
-            top = ops.K_s(a, k)
-            for blade in ops.hor.blades(k):
-                mv = Multivector.blade(blade)
-                lhs = top.apply(mv)
-                rhs = ops.I(a).apply(mv)
-                if lhs != rhs:
-                    label = contact.format_blade(ops.dims, blade)
-                    yield f"K_{a},{k} = I_{a}", k, label, lhs, rhs
+            yield from _differences(ops, k, ops.hor.blades(k), [
+                (f"K_{a},{k} = I_{a}", ops.K_s(a, k).blocks[k], ops.I(a).blocks[k])
+            ])
 
 
 def _quaternion_relations(ops: OperatorSet):
@@ -272,23 +285,24 @@ def _quaternion_relations(ops: OperatorSet):
     """
     for k in ops.hor.degrees():
         odd = k % 2 == 1
+        ident = ops.id_hor.blocks[k]
         for a in ALPHAS:
             _, b, c = cyclic(a)
-            for blade in ops.hor.blades(k):
-                mv = Multivector.blade(blade)
-                square = ops.I(a).apply(ops.I(a).apply(mv))
-                checks = [(f"I_{a}^2, k={k}", square, -mv if odd else mv)]
-                if odd:
-                    forward = ops.I(b).apply(ops.I(a).apply(mv))
-                    target = ops.I(c).apply(mv)
-                    backward = ops.I(a).apply(ops.I(b).apply(mv))
-                    checks += [
-                        (f"I_{a} then I_{b} = I_{c}, k={k}", forward, target),
-                        (f"I_{b} then I_{a} = -I_{c}, k={k}", backward, -target),
-                    ]
-                for desc, got, expected in checks:
-                    if got != expected:
-                        yield desc, k, contact.format_blade(ops.dims, blade), got, expected
+            Ia = ops.I(a)
+            members = [(
+                f"I_{a}^2, k={k}",
+                map(Ia.apply, Ia.blocks[k]),
+                (-col for col in ident) if odd else ident,
+            )]
+            if odd:
+                Ib, Ic = ops.I(b), ops.I(c)
+                members += [
+                    (f"I_{a} then I_{b} = I_{c}, k={k}", map(Ib.apply, Ia.blocks[k]),
+                     Ic.blocks[k]),
+                    (f"I_{b} then I_{a} = -I_{c}, k={k}", map(Ia.apply, Ib.blocks[k]),
+                     (-col for col in Ic.blocks[k])),
+                ]
+            yield from _differences(ops, k, ops.hor.blades(k), members)
 
 
 def _xi_consistency(ops: OperatorSet):
@@ -308,25 +322,6 @@ def _xi_consistency(ops: OperatorSet):
             yield f"alpha={a}", 2, "-", explicit, "eta-free form"
 
 
-def structure_pairs(dims: ModelDims, alpha: int) -> list[tuple[int, int]]:
-    """Frame bivector slots on which the fundamental form pairs to -1,
-    in the cyclic order used by its defining table."""
-    _, beta, gamma = cyclic(alpha)
-    pairs = []
-    for s in range(1, dims.n + 1):
-        pairs.append(
-            (contact.zeta_index(dims, s), contact.phi_zeta_index(dims, alpha, s))
-        )
-        pairs.append(
-            (
-                contact.phi_zeta_index(dims, beta, s),
-                contact.phi_zeta_index(dims, gamma, s),
-            )
-        )
-    pairs.append((contact.eta_index(dims, beta), contact.eta_index(dims, gamma)))
-    return pairs
-
-
 def _fundamental_pairings(ops: OperatorSet):
     """The fundamental form pairs to -1 exactly on the structure bivectors
     (in cyclic order) and to zero on every other frame bivector.  The
@@ -339,7 +334,7 @@ def _fundamental_pairings(ops: OperatorSet):
             Multivector.blade((contact.eta_index(dims, gamma),)),
         )
         phi = 2 * contact.xi_form(dims, a, ops.table) - 2 * etas
-        listed = structure_pairs(dims, a)
+        listed = contact.structure_pairs(dims, a)
         for i, j in listed:
             kvec = wedge(Multivector.blade((i,)), Multivector.blade((j,)))
             value = contact.pair_frame(dims, phi, kvec)

@@ -94,9 +94,9 @@ class GradedOperator:
         )
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other."""
+        """self after other; zero columns of other are shared, not re-applied."""
         blocks = {
-            k: [self.apply(col) for col in cols]
+            k: [self.apply(col) if col else col for col in cols]
             for k, cols in other.blocks.items()
         }
         return GradedOperator(self.shift + other.shift, self.basis, blocks)
@@ -127,18 +127,6 @@ class GradedOperator:
         if not isinstance(other, GradedOperator):
             return NotImplemented
         return self.shift == other.shift and self.blocks == other.blocks
-
-    def first_difference(
-        self, other: "GradedOperator"
-    ) -> tuple[int, Blade, Multivector, Multivector] | None:
-        """First (degree, blade) where the two operators disagree."""
-        if self.shift != other.shift:
-            raise ValueError("operators of different shifts are never equal")
-        for k in sorted(self.blocks):
-            for blade, a, b in zip(self.basis.blades(k), self.blocks[k], other.blocks[k]):
-                if a != b:
-                    return k, blade, a, b
-        return None
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -260,11 +248,7 @@ class OperatorSet:
 
     def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
         dims = self.dims
-        _, b, c = cyclic(a)
-        pairs = []
-        for s in range(1, dims.n + 1):
-            pairs.append((zeta_index(dims, s), phi_zeta_index(dims, a, s)))
-            pairs.append((phi_zeta_index(dims, b, s), phi_zeta_index(dims, c, s)))
+        pairs = contact.structure_pairs(dims, a)[:-1]  # without the eta pair
 
         def column(mv: Multivector) -> Multivector:
             return combine(*(

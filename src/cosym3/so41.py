@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .contact import ALPHAS, PhiStarTable, cyclic
+from .contact import ALPHAS, cyclic
 from .exterior import ModelDims
 from .linalg import solve_in_span, sparse_rank
 from .operators import GradedOperator, OperatorSet, commutator
@@ -200,11 +200,9 @@ def _matrix_side_checks() -> tuple[bool, int, bool]:
     return defining_ok, basis_rank, table_ok
 
 
-def build_generators(
-    n: int, table: PhiStarTable | None = None
-) -> dict[str, GradedOperator]:
+def build_generators(n: int) -> dict[str, GradedOperator]:
     """The ten span generators materialized on the eta-free sector."""
-    ops = OperatorSet(ModelDims(n), table)
+    ops = OperatorSet(ModelDims(n))
     gens: dict[str, GradedOperator] = {"H": ops.H}
     for a in ALPHAS:
         gens[f"L{a}"] = ops.L(a)
@@ -267,11 +265,7 @@ class ModuleReport:
         }
 
 
-def verify_module(
-    n: int,
-    table: PhiStarTable | None = None,
-    corrupt_generator: str | None = None,
-) -> ModuleReport:
+def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     """Check that the operator span carries the so(4,1) structure.
 
     For every unordered generator pair the commutator of the materialized
@@ -283,7 +277,7 @@ def verify_module(
         raise ValueError("module verification supports n in {1, 2, 3}")
     defining_ok, basis_rank, table_ok = _matrix_side_checks()
 
-    gens = build_generators(n, table)
+    gens = build_generators(n)
     if corrupt_generator is not None:
         gens[corrupt_generator] = gens[corrupt_generator].scale(-1)
     flat = {name: _flatten(gens[name]) for name in GENERATOR_NAMES}

@@ -28,9 +28,9 @@ from cosym3.cellular import (
     invariant_cohomology_oracle,
     unit_translation_twist,
 )
-from cosym3.contact import ALPHAS, PhiStarTable, cyclic
+from cosym3.contact import ALPHAS, PhiStarTable, cyclic, structure_pairs
 from cosym3.exterior import ModelDims, Multivector, wedge
-from cosym3.identities import structure_pairs, verify_identities
+from cosym3.identities import verify_identities
 from cosym3.so41 import bracket_table_checks, verify_module
 from helpers import FINGERPRINTS, fingerprint
 

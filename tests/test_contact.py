@@ -113,11 +113,9 @@ class TestFundamentalForm:
     def test_vanishes_off_structure_pairs(self):
         from itertools import combinations
 
-        from cosym3.identities import structure_pairs
-
         for alpha in ALPHAS:
             phi = contact.fundamental_form(D1, alpha)
-            listed = {frozenset(p) for p in structure_pairs(D1, alpha)}
+            listed = {frozenset(p) for p in contact.structure_pairs(D1, alpha)}
             for i, j in combinations(range(D1.dim), 2):
                 value = contact.pair_frame(D1, phi, Multivector.blade((i, j)))
                 if frozenset((i, j)) in listed:

@@ -405,9 +405,3 @@ class TestGradedOperatorPlumbing:
     def test_from_function_degree_validation(self):
         with pytest.raises(ValueError):
             GradedOperator.from_function(0, FULL, lambda mv: wedge(Multivector.blade((0,)), mv))
-
-    def test_first_difference_reports_earliest_degree(self):
-        ident = GradedOperator.identity(FULL)
-        diff = ident.first_difference(GradedOperator.zero(FULL))
-        assert diff is not None
-        assert diff[0] == 0
