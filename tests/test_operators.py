@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -405,3 +406,19 @@ class TestGradedOperatorPlumbing:
     def test_from_function_degree_validation(self):
         with pytest.raises(ValueError):
             GradedOperator.from_function(0, FULL, lambda mv: wedge(Multivector.blade((0,)), mv))
+
+    def test_brackets_match_two_applications(self):
+        # Reference route: on each basis blade x, [a, b] x = a(b x) - b(a x)
+        # and {a, b} x = a(b x) + b(a x), with the sums taken on forms.
+        for (la, a), (lb, b) in combinations_with_replacement(EVERY_OPERATOR, 2):
+            if a.basis is not b.basis:
+                continue
+            brackets = commutator(a, b), anticommutator(a, b)
+            for bracket in brackets:
+                assert bracket.shift == a.shift + b.shift and bracket.basis is a.basis
+            for k in a.basis.degrees():
+                columns = zip(a.basis.blades(k), brackets[0].blocks[k], brackets[1].blocks[k])
+                for x, comm, anti in columns:
+                    ab = a.apply(b.apply(Multivector.blade(x)))
+                    ba = b.apply(a.apply(Multivector.blade(x)))
+                    assert comm == ab - ba and anti == ab + ba, (la, lb, x)
