@@ -86,6 +86,8 @@ def _operator_differences(ops: OperatorSet, members):
     for desc, lhs, rhs in members:
         if lhs.shift != rhs.shift:
             raise ValueError("operators of different shifts are never equal")
+        if lhs.basis is not rhs.basis:
+            raise ValueError("operators on different bases are never compared")
         basis = lhs.basis
         for k in basis.degrees():
             yield from _differences(

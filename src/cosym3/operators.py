@@ -13,7 +13,7 @@ is what lets the degree-weight and substitution operators live there.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable
 
 from . import contact
@@ -86,35 +86,24 @@ class GradedOperator:
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
         return cls.from_function(shift, basis, lambda mv: Multivector.zero())
 
-    def apply(self, mv: Multivector) -> Multivector:
+    def _images(self, mv: Multivector, scalar=1):
+        """(coefficient, column) pairs that sum to ``scalar`` times the image of mv."""
         blocks, positions = self.blocks, self.basis.positions
-        return _combine(
-            (coeff, blocks[len(blade)][positions[blade]])
-            for blade, coeff in mv.terms.items()
-        )
+        for blade, coeff in mv.terms.items():
+            yield scalar * coeff, blocks[len(blade)][positions[blade]]
+
+    def apply(self, mv: Multivector) -> Multivector:
+        return _combine(self._images(mv))
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other; zero columns of other are shared, not re-applied."""
+        if self.basis is not other.basis:
+            raise ValueError("operators on different bases do not compose")
         blocks = {
             k: [self.apply(col) if col else col for col in cols]
             for k, cols in other.blocks.items()
         }
         return GradedOperator(self.shift + other.shift, self.basis, blocks)
-
-    def _binary(self, other: "GradedOperator", op) -> "GradedOperator":
-        if self.shift != other.shift:
-            raise ValueError(f"shift mismatch: {self.shift} vs {other.shift}")
-        blocks = {
-            k: [op(a, b) for a, b in zip(cols, other.blocks[k])]
-            for k, cols in self.blocks.items()
-        }
-        return GradedOperator(self.shift, self.basis, blocks)
-
-    def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._binary(other, lambda a, b: a - b)
 
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
@@ -129,12 +118,27 @@ class GradedOperator:
         return self.shift == other.shift and self.blocks == other.blocks
 
 
+def _bracket(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
+    """a b + sign * b a, each column accumulated in one pass; a column empty in
+    both operators is shared, as in ``compose``."""
+    if a.basis is not b.basis:
+        raise ValueError("operators on different bases have no bracket")
+    blocks = {
+        k: [
+            _combine(chain(a._images(b_col), b._images(a_col, sign))) if a_col or b_col else a_col
+            for a_col, b_col in zip(a_cols, b.blocks[k])
+        ]
+        for k, a_cols in a.blocks.items()
+    }
+    return GradedOperator(a.shift + b.shift, a.basis, blocks)
+
+
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return a.compose(b) - b.compose(a)
+    return _bracket(a, b, -1)
 
 
 def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return a.compose(b) + b.compose(a)
+    return _bracket(a, b, 1)
 
 
 def substitute_blade(

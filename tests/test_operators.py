@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, wedge
-from cosym3.identities import verify_identities
+from cosym3.identities import _operator_differences, verify_identities
 from cosym3.operators import GradedOperator, OperatorSet, anticommutator, commutator
 from helpers import FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors
 
@@ -399,9 +399,18 @@ class TestIntegerCoefficients:
 
 
 class TestGradedOperatorPlumbing:
-    def test_shift_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            OPS.l(1) + OPS.lam(1)
+    def test_operators_on_different_bases_or_shifts_rejected(self):
+        # Operators on the full and the eta-free basis have different column
+        # lists; pairing them would silently mix two blade orders.
+        for combination in (
+            lambda: OPS.L_full(1).compose(OPS.K(1)),
+            lambda: commutator(OPS.L_full(1), OPS.L(1)),
+            lambda: anticommutator(OPS.id_hor, OPS.id_full),
+            lambda: list(_operator_differences(OPS, [("", OPS.L_full(1), OPS.L(1))])),
+            lambda: list(_operator_differences(OPS, [("", OPS.l(1), OPS.lam(1))])),
+        ):
+            with pytest.raises(ValueError):
+                combination()
 
     def test_from_function_degree_validation(self):
         with pytest.raises(ValueError):
