@@ -9,7 +9,7 @@ useful to see by how much everything else clears them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from . import contact
@@ -81,13 +81,7 @@ class ConstraintItem:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "margin": self.margin,
-            "warning": self.warning,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,11 +93,7 @@ class ConstraintReport:
         return all(item.ok for item in self.items if not item.warning)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "items": [item.to_dict() for item in self.items],
-            "passed": self.passed(),
-        }
+        return {**asdict(self), "passed": self.passed()}
 
 
 def _sequence_values(b) -> tuple[int, ...]:

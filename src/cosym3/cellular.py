@@ -16,7 +16,7 @@ face at 1 minus the face at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
@@ -320,7 +320,7 @@ class CrossCheckItem:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -332,10 +332,7 @@ class CrossCheckReport:
         return all(item.ok for item in self.items)
 
     def to_dict(self) -> dict:
-        return {
-            "items": [item.to_dict() for item in self.items],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def cross_check(

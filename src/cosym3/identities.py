@@ -11,7 +11,7 @@ total: a corrupted structure table produces fail reports, never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
@@ -33,15 +33,6 @@ class Witness:
     lhs: str
     rhs: str
 
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "degree": self.degree,
-            "blade": self.blade,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 @dataclass
 class IdentityReport:
@@ -52,13 +43,7 @@ class IdentityReport:
     witness: Witness | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "passed": self.passed,
-            "max_degree": self.max_degree,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+        return asdict(self)
 
 
 def _differences(ops: OperatorSet, k: int, blades, members):
