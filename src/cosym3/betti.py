@@ -31,7 +31,7 @@ class HorizontalBettiSequence:
             raise ValueError("rank must be nonnegative")
         if len(self.values) != 4 * self.n + 1:
             raise ValueError(
-                f"expected {4 * self.n + 1} horizontal values, got {len(self.values)}"
+                f"length must be 4n + 1 = {4 * self.n + 1}, got {len(self.values)}"
             )
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers are nonnegative")

@@ -77,15 +77,6 @@ class TwistMap:
             out[img - 1] = (axis, sign)
         return TwistMap(tuple(out))
 
-    def compose(self, other: "TwistMap") -> "TwistMap":
-        """self after other."""
-        out = []
-        for axis in QUATERNION_AXES:
-            mid, s1 = other.apply(axis)
-            img, s2 = self.apply(mid)
-            out.append((img, s1 * s2))
-        return TwistMap(tuple(out))
-
     def matrix(self) -> list[list[int]]:
         rows = [[0] * 4 for _ in range(4)]
         for axis in QUATERNION_AXES:

@@ -19,6 +19,7 @@ from . import __version__, betti, cellular, identities, so41
 from .betti import BettiSequence, HorizontalBettiSequence, betti_from_horizontal
 from .contact import PhiStarTable
 from .exterior import ModelDims
+from .operators import SUPPORTED_RANKS
 
 SCHEMA_VERSION = 1
 
@@ -120,11 +121,10 @@ def _so41_text(report: Report) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run_betti(n: int, bh_values: list[int]) -> Report:
-    bh = HorizontalBettiSequence(n, tuple(bh_values))
+def run_betti(bh: HorizontalBettiSequence) -> Report:
     full = betti_from_horizontal(bh)
     divisibility = betti.check_divisibility(full)
-    bounds = betti.check_bounds(full, n)
+    bounds = betti.check_bounds(full, bh.n)
     horizontal = betti.check_horizontal_constraints(bh)
     failures = []
     warnings = []
@@ -144,7 +144,7 @@ def run_betti(n: int, bh_values: list[int]) -> Report:
         "bounds": bounds.to_dict(),
         "horizontal": horizontal.to_dict(),
     }
-    return Report("betti", n, payload, failures, warnings)
+    return Report("betti", bh.n, payload, failures, warnings)
 
 
 def _betti_text(report: Report) -> list[str]:
@@ -279,7 +279,7 @@ def run_report(n: int) -> Report:
     results = {
         "identities": run_identities(n),
         "so41": run_so41(n),
-        "betti_torus": run_betti(n, list(torus.values)),
+        "betti_torus": run_betti(torus),
         "homology": run_homology(),
     }
     ranks = [betti.s_k_rank(n, k) for k in range(0, n + 1)]
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_ident = sub.add_parser("verify-identities", help="run the operator identity suite")
-    add_common(p_ident, (1, 2, 3))
+    add_common(p_ident, SUPPORTED_RANKS)
     p_ident.add_argument(
         "--inject-sign-error",
         action="store_true",
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_so41 = sub.add_parser("so41-check", help="verify the so(4,1) module structure")
-    add_common(p_so41, (1, 2, 3))
+    add_common(p_so41, SUPPORTED_RANKS)
     p_so41.add_argument(
         "--inject-sign-error",
         action="store_true",
@@ -419,15 +419,12 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print("error: --bh must be a comma-separated integer list", file=sys.stderr)
             return EXIT_USAGE
-        if len(values) != 4 * args.n + 1:
-            print(
-                f"error: --bh must have length 4n + 1 = {4 * args.n + 1}, "
-                f"got {len(values)}",
-                file=sys.stderr,
-            )
+        try:
+            bh = HorizontalBettiSequence(args.n, tuple(values))
+        except ValueError as err:  # wrong length or a negative entry
+            print(f"error: --bh: {err}", file=sys.stderr)
             return EXIT_USAGE
-        report = run_betti(args.n, values)
-        return _emit(report, args.json, args.strict, _betti_text)
+        return _emit(run_betti(bh), args.json, args.strict, _betti_text)
 
     if args.command == "homology":
         report = run_homology(args.integer, args.inject_sign_error, args.boundaries)

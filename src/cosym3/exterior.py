@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
+from .linalg import Coeff
+
 Blade = tuple[int, ...]
 
 
@@ -40,7 +42,6 @@ class ModelDims:
         return 4 * self.n
 
 
-Coeff = int | Fraction
 _EXACT = (int, Fraction)
 
 # Every blade that has passed ``_as_blade`` in this process.  Validation is a

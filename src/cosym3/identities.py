@@ -18,9 +18,7 @@ from math import comb
 from . import contact
 from .contact import ALPHAS, PhiStarTable, cyclic, epsilon
 from .exterior import ModelDims, Multivector, combine, wedge
-from .operators import OperatorSet, anticommutator, commutator
-
-SUPPORTED_RANKS = (1, 2, 3)
+from .operators import SUPPORTED_RANKS, OperatorSet, anticommutator, commutator
 
 
 @dataclass

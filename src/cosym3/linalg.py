@@ -2,8 +2,9 @@
 
 Everything here works over exact numbers.  Over the rationals there is one
 sparse elimination loop (``_reduce``), behind ranks, determinants and span
-membership; over the integers a Smith normal form gives integral homology.
-No floating point anywhere.
+membership; it takes ``int`` and ``Fraction`` entries as given and makes a
+``Fraction`` only at its one division.  Over the integers a Smith normal form
+gives integral homology.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
+
+Coeff = int | Fraction
 
 
 def sort_with_sign(items: Sequence) -> tuple[int, tuple]:
@@ -50,25 +53,25 @@ def _reduce(cur: dict, combo: dict, pivots: dict) -> Hashable | None:
         if lead not in pivots:
             return lead
         basis, basis_combo = pivots[lead]
-        factor = cur[lead] / basis[lead]
+        factor = Fraction(cur[lead], basis[lead])  # not `/`: two ints give a float
         _subtract(cur, factor, basis)
         _subtract(combo, factor, basis_combo)
     return None
 
 
-def _echelon(vectors: Sequence[Mapping[Hashable, Fraction]]) -> dict:
+def _echelon(vectors: Sequence[Mapping[Hashable, Coeff]]) -> dict:
     """Pivots of the vectors in order; one in the span of earlier ones adds none."""
     pivots: dict = {}
     for i, vec in enumerate(vectors):
-        cur = {k: Fraction(v) for k, v in vec.items() if v}
-        combo = {i: Fraction(1)}
+        cur = {k: v for k, v in vec.items() if v}
+        combo = {i: 1}
         lead = _reduce(cur, combo, pivots)
         if lead is not None:
             pivots[lead] = (cur, combo)
     return pivots
 
 
-def sparse_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
+def sparse_rank(vectors: Sequence[Mapping[Hashable, Coeff]]) -> int:
     """Rank of a family of sparse vectors (dicts with mutually comparable keys)."""
     return len(_echelon(vectors))
 
@@ -102,9 +105,9 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def solve_in_span(
-    vectors: Sequence[Mapping[Hashable, Fraction]],
-    target: Mapping[Hashable, Fraction],
-) -> list[Fraction] | None:
+    vectors: Sequence[Mapping[Hashable, Coeff]],
+    target: Mapping[Hashable, Coeff],
+) -> list[Coeff] | None:
     """Express ``target`` as an exact linear combination of ``vectors``.
 
     Returns the coefficient list, or None when the target lies outside the
@@ -112,11 +115,11 @@ def solve_in_span(
     vector that lies in the span of the earlier ones gets coefficient 0, and
     the target is written uniquely over the remaining independent ones.
     """
-    cur = {k: Fraction(v) for k, v in target.items() if v}
+    cur = {k: v for k, v in target.items() if v}
     combo: dict = {}
     if _reduce(cur, combo, _echelon(vectors)) is not None:
         return None
-    return [-combo.get(i, Fraction(0)) for i in range(len(vectors))]
+    return [-combo.get(i, 0) for i in range(len(vectors))]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -23,6 +23,9 @@ from .exterior import (
 )
 from .linalg import sort_with_sign
 
+# The quaternionic ranks n of the identity suite and the so(4,1) module check.
+SUPPORTED_RANKS = (1, 2, 3)
+
 
 class Basis:
     """Ordered blade basis over a fixed index set, graded by degree."""

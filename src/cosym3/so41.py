@@ -1,41 +1,41 @@
 """The matrix Lie algebra so(4,1) and its isomorphism onto the operator span.
 
-The algebra is realized concretely: 5x5 rational matrices A with
-A E1 = -E1 A^t for E1 = diag(1, 1, 1, 1, -1), spanned by the ten basis
-elements t_ij.  The module check expresses each commutator of the
+The algebra is realized concretely: 5x5 matrices A with
+A E1 = -E1 A^t for E1 = diag(1, 1, 1, 1, -1), spanned by the ten integer
+basis elements t_ij.  The module check expresses each commutator of the
 materialized operators in the operator span by an exact linear solve and
 compares the result with the matrix-side bracket through the assignment
 
     H -> 2 t45,  L_a -> t_a5 + t_a4,  Lambda_a -> t_a5 - t_a4,  K_a -> 2 t_bc
 
 so the structure constants are extracted once from each side rather than
-trusted twice.
+trusted twice.  Every matrix here is integer; the only rationals are the
+solved coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .contact import ALPHAS, cyclic
 from .exterior import ModelDims
-from .linalg import solve_in_span, sparse_rank
-from .operators import GradedOperator, OperatorSet, commutator
+from .linalg import Coeff, solve_in_span, sparse_rank
+from .operators import SUPPORTED_RANKS, GradedOperator, OperatorSet, commutator
 
-Mat5 = tuple[tuple[Fraction, ...], ...]
+Mat5 = tuple[tuple[Coeff, ...], ...]
 
 E1: Mat5 = tuple(
-    tuple(Fraction(1 if i == j else 0) * (1 if i < 4 else -1) for j in range(5))
+    tuple((1 if i == j else 0) * (1 if i < 4 else -1) for j in range(5))
     for i in range(5)
 )
 
 
-def _zeros() -> list[list[Fraction]]:
-    return [[Fraction(0)] * 5 for _ in range(5)]
+def _zeros() -> list[list[Coeff]]:
+    return [[0] * 5 for _ in range(5)]
 
 
-def _freeze(rows: list[list[Fraction]]) -> Mat5:
+def _freeze(rows: list[list[Coeff]]) -> Mat5:
     return tuple(tuple(row) for row in rows)
 
 
@@ -47,8 +47,7 @@ def mat_sub(a: Mat5, b: Mat5) -> Mat5:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c, a: Mat5) -> Mat5:
-    c = Fraction(c)
+def mat_scale(c: Coeff, a: Mat5) -> Mat5:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
@@ -84,11 +83,11 @@ def basis_t(i: int, j: int) -> Mat5:
         raise ValueError("basis_t requires 1 <= i < j <= 5")
     rows = _zeros()
     if j == 5:
-        rows[i - 1][4] = Fraction(1)
-        rows[4][i - 1] = Fraction(1)
+        rows[i - 1][4] = 1
+        rows[4][i - 1] = 1
     else:
-        rows[i - 1][j - 1] = Fraction(1)
-        rows[j - 1][i - 1] = Fraction(-1)
+        rows[i - 1][j - 1] = 1
+        rows[j - 1][i - 1] = -1
     return _freeze(rows)
 
 
@@ -273,8 +272,8 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     coefficients must reproduce the matrix bracket of the images.
     ``corrupt_generator`` negates one operator first (negative-control hook).
     """
-    if n not in (1, 2, 3):
-        raise ValueError("module verification supports n in {1, 2, 3}")
+    if n not in SUPPORTED_RANKS:
+        raise ValueError(f"module verification supports n in {SUPPORTED_RANKS}")
     defining_ok, basis_rank, table_ok = _matrix_side_checks()
 
     gens = build_generators(n)

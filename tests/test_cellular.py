@@ -20,7 +20,11 @@ from cosym3.cellular import (
 from cosym3.betti import betti_from_horizontal
 from cosym3.linalg import det, rank, smith_normal_form
 
-IDENTITY_TWIST = TwistMap(((1, 1), (2, 1), (3, 1), (4, 1)))
+IDENTITY = TwistMap(((1, 1), (2, 1), (3, 1), (4, 1))).matrix()
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 class TestTwistMap:
@@ -35,14 +39,14 @@ class TestTwistMap:
 
     def test_order_four(self):
         for tw in (unit_translation_twist(), TwistMap.right_multiplication_by_i()):
-            powers = [tw]
+            powers = [tw.matrix()]
             for _ in range(3):
-                powers.append(tw.compose(powers[-1]))
-            assert [p == IDENTITY_TWIST for p in powers] == [False, False, False, True]
+                powers.append(matmul(tw.matrix(), powers[-1]))
+            assert [p == IDENTITY for p in powers] == [False, False, False, True]
 
     def test_inverse(self):
         tw = TwistMap.right_multiplication_by_i()
-        assert tw.compose(tw.inverse()) == IDENTITY_TWIST
+        assert matmul(tw.matrix(), tw.inverse().matrix()) == IDENTITY
         assert tw.inverse() == unit_translation_twist()
 
     def test_rejects_non_signed_permutations(self):
@@ -64,9 +68,10 @@ class TestTwistMap:
 
     def test_power(self):
         tw = unit_translation_twist()
-        cube = tw.compose(tw.compose(tw))
-        assert cube == tw.inverse()
-        assert tw.compose(cube) == IDENTITY_TWIST
+        m = tw.matrix()
+        cube = matmul(m, matmul(m, m))
+        assert cube == tw.inverse().matrix()
+        assert matmul(m, cube) == IDENTITY
 
 
 class TestBoundary:

@@ -97,6 +97,13 @@ class TestExitCodes:
     def test_betti_bad_integer(self, capsys):
         assert main(["betti", "--n", "1", "--bh", "1,0,x,0,1"]) == EXIT_USAGE
 
+    def test_betti_negative_entry(self, capsys):
+        code, out, err = run(capsys, ["betti", "--n", "1", "--bh", "1,0,-4,0,1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert "nonnegative" in err
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 

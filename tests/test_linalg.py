@@ -119,7 +119,8 @@ def combine(vectors, coeffs):
     return {k: v for k, v in out.items() if v}
 
 
-values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Plain ints too: the core must take them as given and divide them exactly.
+values = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=3)
 sparse_vectors = st.dictionaries(st.integers(0, 5), values, max_size=4)
 
 
@@ -155,6 +156,7 @@ class TestSolveInSpan:
         assert coeffs is not None or not in_span
         if coeffs is not None:
             assert len(coeffs) == len(vectors)
+            assert all(type(c) in (int, Fraction) for c in coeffs)
             assert combine(vectors, coeffs) == {k: v for k, v in target.items() if v}
 
     def test_empty_vector_list(self):
@@ -164,6 +166,11 @@ class TestSolveInSpan:
     def test_later_duplicate_gets_zero(self):
         v = {0: Fraction(2), 3: Fraction(-1)}
         assert solve_in_span([v, dict(v)], {0: Fraction(4), 3: Fraction(-2)}) == [2, 0]
+
+    def test_int_division_is_exact(self):
+        coeffs = solve_in_span([{0: 2}], {0: 1})
+        assert coeffs == [Fraction(1, 2)]
+        assert type(coeffs[0]) is Fraction
 
 
 class TestSparseRank:
@@ -179,8 +186,7 @@ def dense_matrices(draw, square=False):
     size = draw(st.integers(0, 5))
     ncols = size if square else draw(st.integers(0, 5))
     nrows = size if square else draw(st.integers(0, 5))
-    entries = st.one_of(st.integers(-3, 3), values)
-    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rows = [draw(st.lists(values, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     for i in range(len(rows)):
         kind = draw(st.sampled_from(["keep", "keep", "zero", "duplicate", "dependent"]))
         if kind == "zero":
