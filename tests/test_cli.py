@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from cosym3 import cellular
 from cosym3.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -88,6 +89,25 @@ class TestExitCodes:
     def test_homology_injected_failure(self, capsys):
         code, _, _ = run(capsys, ["homology", "--strict", "--inject-sign-error"])
         assert code == EXIT_VERIFICATION_FAILURE
+
+    def test_boundary_squared_failure_is_reported(self, capsys, monkeypatch):
+        # No signed-permutation twist breaks d^2 = 0, so corrupt one face sign.
+        real = cellular.boundary
+
+        def flipped(cell, twist=None):
+            chain = real(cell, twist)
+            if cell == (3, 5):
+                chain[(4,)] = -chain[(4,)]
+            return chain
+
+        monkeypatch.setattr(cellular, "boundary", flipped)
+        code, out, _ = run(capsys, ["homology"])
+        assert code == EXIT_VERIFICATION_FAILURE
+        assert "boundary squared nonzero" in out
+        code, payload = run_json(capsys, ["homology", "--json"])
+        assert code == EXIT_VERIFICATION_FAILURE
+        assert payload["boundary_squared_zero"] is False
+        assert any("boundary squared nonzero" in f for f in payload["failures"])
 
     def test_betti_length_mismatch(self, capsys):
         code, _, err = run(capsys, ["betti", "--n", "1", "--bh", "1,0,4"])
