@@ -233,10 +233,12 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     """Homology of the chain complex.
 
     With integer coefficients the ranks and torsion come from Smith normal
-    forms over Z; with rational coefficients the ranks come from the exact
-    sparse elimination over Q (``linalg.rank``) and there is no torsion.  The
-    two routes must agree on the free ranks (rank over Q equals the count of
-    nonzero invariant factors), which the tests pin down.
+    forms over Z, computed by a sparse loop that drops the row of each +-1
+    pivot after clearing its column; with rational coefficients the ranks come
+    from the exact sparse elimination over Q (``linalg.rank``), which keeps
+    ``int`` quotients wherever a pivot divides exactly, and there is no
+    torsion.  The two routes must agree on the free ranks (rank over Q equals
+    the count of nonzero invariant factors), which the tests pin down.
     """
     if coefficients not in ("integer", "rational"):
         raise ValueError("coefficients must be 'integer' or 'rational'")

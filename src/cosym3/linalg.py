@@ -2,9 +2,13 @@
 
 Everything here works over exact numbers.  Over the rationals there is one
 sparse elimination loop (``_reduce``), behind ranks, determinants and span
-membership; it takes ``int`` and ``Fraction`` entries as given and makes a
-``Fraction`` only at its one division.  Over the integers a Smith normal form
-gives integral homology.  No floating point anywhere.
+membership; it takes ``int`` and ``Fraction`` entries as given, keeps an
+``int`` quotient when the pivot divides the entry exactly and makes a
+``Fraction`` only otherwise.  Over the integers one sparse Smith loop gives
+integral homology: it eliminates on the same dict rows with ``_subtract``,
+clearing a column under each +-1 pivot by row operations alone, and reduces
+rows and columns only around the few non-unit pivots left.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def sort_with_sign(items: Sequence) -> tuple[int, tuple]:
     return (-1 if inversions % 2 else 1), tuple(ordered)
 
 
-def _subtract(vec: dict, factor: Fraction, other: Mapping) -> None:
+def _subtract(vec: dict, factor: Coeff, other: Mapping) -> None:
     """``vec -= factor * other`` in place, dropping entries that become zero."""
     for key, val in other.items():
         new = vec.get(key, 0) - factor * val
@@ -53,7 +57,11 @@ def _reduce(cur: dict, combo: dict, pivots: dict) -> Hashable | None:
         if lead not in pivots:
             return lead
         basis, basis_combo = pivots[lead]
-        factor = Fraction(cur[lead], basis[lead])  # not `/`: two ints give a float
+        num, den = cur[lead], basis[lead]
+        if type(num) is int and type(den) is int and not num % den:
+            factor: Coeff = num // den
+        else:
+            factor = Fraction(num, den)  # not `/`: two ints give a float
         _subtract(cur, factor, basis)
         _subtract(combo, factor, basis_combo)
     return None
@@ -127,43 +135,41 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
 
     Returns the nonnegative diagonal of the Smith normal form with
     d1 | d2 | ... and trailing zeros stripped, so ``len(result)`` is the rank.
-    Arbitrary-precision throughout.
+    The rows are sparse dicts.  Each step pivots on an entry of smallest
+    magnitude (the first +-1 found, if any) and reduces the other rows' entries
+    in its column modulo the pivot.  A +-1 pivot clears its column, and then
+    column operations would touch only its own row, so the row is dropped with
+    a factor 1.  A larger pivot also reduces its row modulo itself by column
+    operations; it is dropped once its row and column are clear, else a smaller
+    remainder is the next pivot (Dumas, Saunders and Villard, J. Symbolic
+    Comput. 32, 2001).  Arbitrary-precision throughout.
     """
-    m = [[int(x) for x in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
     diag: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        # Pick the nonzero entry of smallest magnitude as pivot.
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[t], m[i0] = m[i0], m[t]
-        for row in m:
-            row[t], row[j0] = row[j0], row[t]
-        clean = True
-        for i in range(t + 1, nrows):
-            q = m[i][t] // m[t][t]
+    while rows := [row for row in rows if row]:
+        unit = next(
+            ((i, j) for i, row in enumerate(rows) for j, v in row.items() if v in (1, -1)),
+            None,
+        )
+        i0, j0 = unit or min(
+            ((i, j) for i, row in enumerate(rows) for j in row),
+            key=lambda ij: abs(rows[ij[0]][ij[1]]),
+        )
+        pivot_row = rows.pop(i0)
+        p = pivot_row[j0]
+        for row in rows:
+            q = row.get(j0, 0) // p
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            if m[i][t]:
-                clean = False
-        for j in range(t + 1, ncols):
-            q = m[t][j] // m[t][t]
-            if q:
-                for i in range(nrows):
-                    m[i][j] -= q * m[i][t]
-            if m[t][j]:
-                clean = False
-        if clean:
-            diag.append(abs(m[t][t]))
-            t += 1
+                _subtract(row, q, pivot_row)
+        if unit is None:
+            quotients = {j: v // p for j, v in pivot_row.items() if j != j0 and v // p}
+            for row in rows + [pivot_row]:
+                if j0 in row:
+                    _subtract(row, row[j0], quotients)
+        if unit is not None or (len(pivot_row) == 1 and not any(j0 in row for row in rows)):
+            diag.append(abs(p))
+        else:
+            rows.append(pivot_row)
     # Normalize the diagonal into a divisibility chain: diag(a, b) and
     # diag(gcd, lcm) are equivalent under unimodular operations.
     changed = True

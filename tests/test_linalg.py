@@ -172,6 +172,15 @@ class TestSolveInSpan:
         assert coeffs == [Fraction(1, 2)]
         assert type(coeffs[0]) is Fraction
 
+    def test_integral_solve_keeps_ints(self):
+        # A pivot that divides the entry exactly gives an int quotient.
+        coeffs = solve_in_span([{0: 1}, {1: 2}], {0: 3, 1: 4})
+        assert coeffs == [3, 2]
+        assert [type(c) for c in coeffs] == [int, int]
+        # det stays a Fraction even when every quotient is an int.
+        assert type(det([[1, 2], [3, 4]])) is Fraction
+        assert type(det([[2, 0], [0, 3]])) is Fraction
+
 
 class TestSparseRank:
     @given(st.lists(sparse_vectors, max_size=6))
