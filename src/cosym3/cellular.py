@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
-from .linalg import det, rank, smith_normal_form, sort_with_sign
+from .linalg import _subtract, det, rank, smith_normal_form, sort_with_sign, sparse_rank
 
 Cell = tuple[int, ...]
 
@@ -157,24 +157,23 @@ class ChainComplexZ:
     """Integer cellular chain complex of the quotient."""
 
     cells: list[list[Cell]]
-    boundaries: list[list[list[int]]]  # boundaries[k]: rows (k-1)-cells, cols k-cells
+    # boundaries[k][j]: sparse column of cells[k][j], keyed by face position
+    boundaries: list[list[dict[int, int]]]
 
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.cells)
 
     def triples(self, k: int) -> list[tuple[int, int, int]]:
-        """Sparse (row, col, value) triples of the k-th boundary matrix."""
-        matrix = self.boundaries[k]
-        return [
+        """Sparse (row, col, value) triples of the k-th boundary matrix, row-major."""
+        return sorted(
             (i, j, value)
-            for i, row in enumerate(matrix)
-            for j, value in enumerate(row)
-            if value
-        ]
+            for j, column in enumerate(self.boundaries[k])
+            for i, value in column.items()
+        )
 
 
 def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
-    """Assemble all boundary matrices and verify boundary-squared is zero."""
+    """Assemble all boundary columns and verify boundary-squared is zero."""
     twist = twist if twist is not None else unit_translation_twist()
     cells = [
         [tuple(c) for c in combinations(range(1, TOTAL_DIM + 1), k)]
@@ -186,22 +185,15 @@ def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
         for cell in cells[k]:
             acc: dict[Cell, int] = {}
             for face, value in chains[cell].items():
-                for edge, inner in chains[face].items():
-                    new = acc.get(edge, 0) + value * inner
-                    if new:
-                        acc[edge] = new
-                    else:
-                        acc.pop(edge, None)
+                _subtract(acc, -value, chains[face])
             if acc:
                 raise ComplexConsistencyError(cell, acc)
-    positions = [{cell: i for i, cell in enumerate(layer)} for layer in cells]
-    boundaries: list[list[list[int]]] = [[] for _ in range(TOTAL_DIM + 1)]
-    for k in range(1, TOTAL_DIM + 1):
-        matrix = [[0] * len(cells[k]) for _ in range(len(cells[k - 1]))]
-        for j, cell in enumerate(cells[k]):
-            for face, value in chains[cell].items():
-                matrix[positions[k - 1][face]][j] = value
-        boundaries[k] = matrix
+    # A face of a k-cell is a (k-1)-cell, so one position table serves all k.
+    position = {cell: i for layer in cells for i, cell in enumerate(layer)}
+    boundaries = [
+        [{position[face]: v for face, v in chains[cell].items()} for cell in layer]
+        for layer in cells
+    ]
     return ChainComplexZ(cells, boundaries)
 
 
@@ -235,10 +227,12 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     With integer coefficients the ranks and torsion come from Smith normal
     forms over Z, computed by a sparse loop that drops the row of each +-1
     pivot after clearing its column; with rational coefficients the ranks come
-    from the exact sparse elimination over Q (``linalg.rank``), which keeps
-    ``int`` quotients wherever a pivot divides exactly, and there is no
-    torsion.  The two routes must agree on the free ranks (rank over Q equals
-    the count of nonzero invariant factors), which the tests pin down.
+    from the exact sparse elimination over Q (``linalg.sparse_rank``), which
+    keeps ``int`` quotients wherever a pivot divides exactly, and there is no
+    torsion.  Both take the boundary columns as the rows of the transpose,
+    which has the same rank and invariant factors.  The two routes must agree
+    on the free ranks (rank over Q equals the count of nonzero invariant
+    factors), which the tests pin down.
     """
     if coefficients not in ("integer", "rational"):
         raise ValueError("coefficients must be 'integer' or 'rational'")
@@ -246,13 +240,13 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     ranks = [0] * (TOTAL_DIM + 2)
     torsion: list[tuple[int, ...]] = [()] * (TOTAL_DIM + 1)
     for k in range(1, TOTAL_DIM + 1):
-        matrix = complex_.boundaries[k]
+        columns = complex_.boundaries[k]
         if coefficients == "integer":
-            factors = smith_normal_form(matrix)
+            factors = smith_normal_form(columns)
             ranks[k] = len(factors)
             torsion[k - 1] = tuple(f for f in factors if f > 1)
         else:
-            ranks[k] = rank(matrix)
+            ranks[k] = sparse_rank(columns)
     betti = tuple(
         counts[k] - ranks[k] - ranks[k + 1] for k in range(TOTAL_DIM + 1)
     )

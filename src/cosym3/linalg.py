@@ -1,14 +1,15 @@
 """Exact linear algebra helpers.
 
-Everything here works over exact numbers.  Over the rationals there is one
-sparse elimination loop (``_reduce``), behind ranks, determinants and span
-membership; it takes ``int`` and ``Fraction`` entries as given, keeps an
-``int`` quotient when the pivot divides the entry exactly and makes a
-``Fraction`` only otherwise.  Over the integers one sparse Smith loop gives
-integral homology: it eliminates on the same dict rows with ``_subtract``,
-clearing a column under each +-1 pivot by row operations alone, and reduces
-rows and columns only around the few non-unit pivots left.  No floating point
-anywhere.
+Everything here works over exact numbers, on sparse vectors (dicts from
+hashable keys to coefficients) except in the dense ``rank`` and ``det``.  Over
+the rationals there is one sparse elimination loop (``_reduce``), behind
+ranks, determinants and span membership; it takes ``int`` and ``Fraction``
+entries as given, keeps an ``int`` quotient when the pivot divides the entry
+exactly and makes a ``Fraction`` only otherwise.  Over the integers one sparse
+Smith loop gives integral homology: it eliminates on the same dict rows with
+``_subtract``, clearing a column under each +-1 pivot by row operations alone,
+and reduces rows and columns only around the few non-unit pivots left.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -130,21 +131,22 @@ def solve_in_span(
     return [-combo.get(i, 0) for i in range(len(vectors))]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors of an integer matrix, as a divisibility chain.
+def smith_normal_form(vectors: Sequence[Mapping[Hashable, int]]) -> list[int]:
+    """Invariant factors of a sparse integer matrix, as a divisibility chain.
 
     Returns the nonnegative diagonal of the Smith normal form with
     d1 | d2 | ... and trailing zeros stripped, so ``len(result)`` is the rank.
-    The rows are sparse dicts.  Each step pivots on an entry of smallest
-    magnitude (the first +-1 found, if any) and reduces the other rows' entries
-    in its column modulo the pivot.  A +-1 pivot clears its column, and then
-    column operations would touch only its own row, so the row is dropped with
-    a factor 1.  A larger pivot also reduces its row modulo itself by column
-    operations; it is dropped once its row and column are clear, else a smaller
-    remainder is the next pivot (Dumas, Saunders and Villard, J. Symbolic
-    Comput. 32, 2001).  Arbitrary-precision throughout.
+    The rows are dicts with hashable keys, as for ``sparse_rank``; columns do
+    as well, since the transpose has the same invariant factors.  Each step
+    pivots on an entry of smallest magnitude (the first +-1 found, if any) and
+    reduces the other rows' entries in its column modulo the pivot.  A +-1
+    pivot clears its column, and then column operations would touch only its
+    own row, so the row is dropped with a factor 1.  A larger pivot also
+    reduces its row modulo itself by column operations; it is dropped once its
+    row and column are clear, else a smaller remainder is the next pivot (Dumas,
+    Saunders and Villard, J. Symbolic Comput. 32, 2001).  Arbitrary precision.
     """
-    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+    rows = [{j: v for j, v in vec.items() if v} for vec in vectors]
     diag: list[int] = []
     while rows := [row for row in rows if row]:
         unit = next(

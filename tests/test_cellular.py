@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosym3.cellular import (
-    ComplexConsistencyError,
     TwistMap,
     boundary,
     build_complex,
@@ -19,11 +18,18 @@ from cosym3.cellular import (
     unit_translation_twist,
 )
 from cosym3.betti import betti_from_horizontal
-from cosym3.linalg import det, rank, smith_normal_form
+from cosym3.linalg import det, rank, smith_normal_form, sparse_rank
 from helpers import FINGERPRINTS, fingerprint
 from test_linalg import leibniz_det
 
 IDENTITY = TwistMap(((1, 1), (2, 1), (3, 1), (4, 1))).matrix()
+# The paper's twist, the identity, -id and an orientation-reversing flip.
+SAMPLE_TWISTS = (
+    unit_translation_twist(),
+    TwistMap(((1, 1), (2, 1), (3, 1), (4, 1))),
+    TwistMap(((1, -1), (2, -1), (3, -1), (4, -1))),
+    unit_translation_twist().with_sign_flip(3),
+)
 
 
 def matmul(a, b):
@@ -100,20 +106,21 @@ class TestComplex:
         assert build_complex().cell_counts() == (1, 7, 21, 35, 35, 21, 7, 1)
 
     def test_boundary_squared_zero_as_matrices(self):
-        cx = build_complex()
-        for k in range(2, 8):
-            upper = cx.boundaries[k]
-            lower = cx.boundaries[k - 1]
-            if not lower:
-                continue
-            cols = len(upper[0])
-            rows = len(lower)
-            for j in range(cols):
-                for i in range(rows):
-                    value = sum(
-                        lower[i][m] * upper[m][j] for m in range(len(upper))
-                    )
-                    assert value == 0
+        # Compose the position-keyed columns: sum_i d_k[j][i] * d_{k-1}[i] = 0.
+        multiplied = 0
+        for twist in SAMPLE_TWISTS:
+            cx = build_complex(twist)
+            for k in range(2, 8):
+                lower = cx.boundaries[k - 1]
+                assert len(lower) == len(cx.cells[k - 1])
+                for j, column in enumerate(cx.boundaries[k]):
+                    product = {}
+                    for i, value in column.items():
+                        for m, inner in lower[i].items():
+                            product[m] = product.get(m, 0) + value * inner
+                            multiplied += 1
+                    assert not any(product.values()), (twist, k, j)
+        assert multiplied > 0
 
     def test_second_boundary_nonzero(self):
         cx = build_complex()
@@ -123,14 +130,18 @@ class TestComplex:
         cx = build_complex()
         triples = cx.triples(2)
         assert triples
-        assert all(len(t) == 3 for t in triples)
-        rebuilt = {}
+        assert all(len(t) == 3 and t[2] for t in triples)
+        # Row-major: strictly increasing (row, col).
+        assert all(a[:2] < b[:2] for a, b in zip(triples, triples[1:]))
+        rebuilt = [{} for _ in cx.cells[2]]
         for row, col, value in triples:
-            rebuilt[(row, col)] = value
-        matrix = cx.boundaries[2]
-        for i, row in enumerate(matrix):
-            for j, value in enumerate(row):
-                assert rebuilt.get((i, j), 0) == value
+            rebuilt[col][row] = value
+        assert rebuilt == cx.boundaries[2]
+
+
+def sparse_rows(matrix):
+    """The rows of a dense matrix as sparse dicts keyed by column index."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
 def determinantal_divisors(matrix):
@@ -161,7 +172,7 @@ class TestSmithNormalForm:
     @settings(deadline=None, max_examples=200)
     def test_products_are_determinantal_divisors(self, matrix):
         # d1 ... dk is the gcd of the k x k minors, and 0 beyond the rank.
-        factors = smith_normal_form(matrix)
+        factors = smith_normal_form(sparse_rows(matrix))
         divisors = determinantal_divisors(matrix)
         assert [math.prod(factors[:k]) for k in range(1, len(factors) + 1)] == (
             divisors[: len(factors)]
@@ -169,21 +180,22 @@ class TestSmithNormalForm:
         assert all(d == 0 for d in divisors[len(factors) :])
 
     def test_pinned_cases(self):
-        assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
-        assert smith_normal_form([]) == []
-        assert smith_normal_form([[]]) == []
-        assert smith_normal_form([[2, 0, 4], [6, 0, 3], [4, 0, 8]]) == [1, 18]
+        example = sparse_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        assert smith_normal_form(example) == [2, 2, 156]
+        assert smith_normal_form(sparse_rows([])) == []
+        assert smith_normal_form(sparse_rows([[]])) == []
+        assert smith_normal_form(sparse_rows([[2, 0, 4], [6, 0, 3], [4, 0, 8]])) == [1, 18]
         # Unit pivots alone clear this one: no row or column is left over.
-        assert smith_normal_form([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]) == [1, 1]
+        assert smith_normal_form(sparse_rows([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])) == [1, 1]
 
     def test_two_by_two(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+        assert smith_normal_form(sparse_rows([[2, 0], [0, 3]])) == [1, 6]
 
     def test_zero_matrix(self):
-        assert smith_normal_form([[0, 0], [0, 0]]) == []
+        assert smith_normal_form(sparse_rows([[0, 0], [0, 0]])) == []
 
     def test_divisibility_example(self):
-        factors = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        factors = smith_normal_form(sparse_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
         for earlier, later in zip(factors, factors[1:]):
             assert later % earlier == 0
 
@@ -196,17 +208,30 @@ class TestSmithNormalForm:
     )
     @settings(deadline=None, max_examples=60)
     def test_chain_and_rank_match_rational_rank(self, matrix):
-        factors = smith_normal_form(matrix)
+        factors = smith_normal_form(sparse_rows(matrix))
         assert all(f > 0 for f in factors)
         for earlier, later in zip(factors, factors[1:]):
             assert later % earlier == 0
         assert len(factors) == rank(matrix)
 
+    def test_boundary_columns_and_rows_agree(self):
+        # homology reads each boundary as columns; the transpose must not matter.
+        for twist in SAMPLE_TWISTS:
+            cx = build_complex(twist)
+            for k in range(1, 8):
+                columns = cx.boundaries[k]
+                rows = [{} for _ in cx.cells[k - 1]]
+                for j, column in enumerate(columns):
+                    for i, value in column.items():
+                        rows[i][j] = value
+                assert smith_normal_form(columns) == smith_normal_form(rows), (twist, k)
+                assert sparse_rank(columns) == sparse_rank(rows), (twist, k)
+
     @given(diag=st.lists(st.integers(-9, 9), min_size=1, max_size=4))
     def test_diagonal_input(self, diag):
         size = len(diag)
         matrix = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
-        factors = smith_normal_form(matrix)
+        factors = smith_normal_form(sparse_rows(matrix))
         assert len(factors) == sum(1 for d in diag if d)
 
 
