@@ -4,30 +4,37 @@ The space is (T^4 x R^3) / Z^3 where each unit translation in the three flat
 directions twists the quaternionic torus T^4 = H / Z^4 by right quaternion
 multiplication.  Cells are the coordinate subcubes of the unit 7-cube,
 indexed by subsets of {1, ..., 7}: coordinates 1-4 are the quaternion axes
-(1, i, j, k) and 5-7 the flat directions.
+(1, i, j, k) and 5-7 the flat directions.  A cell is a blade over the axes,
+so the cells of every twist are one ``exterior.Basis``, built once.
 
 Bringing a point with a flat coordinate at 1 back to the fundamental domain
 multiplies the quaternion by the *inverse* generator, q -> q * i^(-1); that
 is the face identification used by the boundary operator, pinned by the face
-image j -> k of the 2-cell {3, 5}.  Orientation conventions: faces of a cell
-are taken in ascending coordinate order with alternating signs, counting the
-face at 1 minus the face at 0.
+image j -> k of the 2-cell {3, 5}.  In a quaternion direction the face at 1
+is the face at 0 (plain torus identification), so the two cancel and only
+the flat directions carry a boundary.  Orientation conventions: faces of a
+cell are taken in ascending coordinate order with alternating signs, counting
+the face at 1 minus the face at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from math import comb
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
+from .exterior import Basis
 from .linalg import _subtract, det, rank, smith_normal_form, sort_with_sign, sparse_rank
 
 Cell = tuple[int, ...]
 
 QUATERNION_AXES = (1, 2, 3, 4)
 FLAT_AXES = (5, 6, 7)
-TOTAL_DIM = 7
+TOTAL_DIM = len(QUATERNION_AXES) + len(FLAT_AXES)
+
+# The cells of every twist.  A face of a k-cell is a (k-1)-cell, so the one
+# position table of the basis keys every boundary column.
+_CUBE = Basis(range(1, TOTAL_DIM + 1))
 
 
 class ComplexConsistencyError(Exception):
@@ -51,7 +58,7 @@ class TwistMap:
 
     def __post_init__(self) -> None:
         if len(self.images) != len(QUATERNION_AXES):
-            raise ValueError(f"a twist has 4 images, got {len(self.images)}")
+            raise ValueError(f"a twist has {len(QUATERNION_AXES)} images, got {len(self.images)}")
         seen = set()
         for axis, entry in enumerate(self.images, start=1):
             img, sign = entry
@@ -72,13 +79,13 @@ class TwistMap:
         return cls(((2, 1), (1, -1), (4, -1), (3, 1)))
 
     def inverse(self) -> "TwistMap":
-        out: list[tuple[int, int]] = [(0, 0)] * 4
+        out: list[tuple[int, int]] = [(0, 0)] * len(self.images)
         for axis, (img, sign) in enumerate(self.images, start=1):
             out[img - 1] = (axis, sign)
         return TwistMap(tuple(out))
 
     def matrix(self) -> list[list[int]]:
-        rows = [[0] * 4 for _ in range(4)]
+        rows = [[0] * len(self.images) for _ in self.images]
         for axis in QUATERNION_AXES:
             img, sign = self.apply(axis)
             rows[img - 1][axis - 1] = sign
@@ -124,31 +131,27 @@ def twist_cell(cell: Cell, twist: TwistMap) -> tuple[Cell, int]:
 def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     """Integer boundary chain of a cell.
 
-    Faces are taken per coordinate in ascending order with alternating signs;
-    the face at 1 in a flat direction carries the remaining cell through the
-    unit-translation twist, the face at 1 in a quaternion direction is the
-    same cell (plain torus identification).
+    Faces are taken per coordinate in ascending order with alternating signs,
+    the face at 1 minus the face at 0.  Only flat directions contribute: there
+    the face at 1 carries the remaining cell through the unit-translation
+    twist.  In a quaternion direction the face at 1 is the face at 0 itself
+    (plain torus identification), so the pair cancels and is never formed; a
+    cell inside the quaternion axes is a cycle.
     """
     twist = twist if twist is not None else unit_translation_twist()
     chain: dict[Cell, int] = {}
-
-    def add(target: Cell, value: int) -> None:
-        if value:
-            new = chain.get(target, 0) + value
-            if new:
-                chain[target] = new
-            else:
-                chain.pop(target, None)
-
     for pos, axis in enumerate(cell):
+        if axis not in FLAT_AXES:
+            continue
         outer = -1 if pos % 2 else 1
         rest = cell[:pos] + cell[pos + 1 :]
-        if axis in FLAT_AXES:
-            image, sign = twist_cell(rest, twist)
-            add(image, outer * sign)  # face at 1
-        else:
-            add(rest, outer)  # face at 1: unit torus translation
-        add(rest, -outer)  # face at 0
+        image, sign = twist_cell(rest, twist)
+        for face, value in ((image, outer * sign), (rest, -outer)):  # at 1, at 0
+            new = chain.get(face, 0) + value
+            if new:
+                chain[face] = new
+            else:
+                del chain[face]
     return chain
 
 
@@ -156,7 +159,7 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
 class ChainComplexZ:
     """Integer cellular chain complex of the quotient."""
 
-    cells: list[list[Cell]]
+    cells: list[tuple[Cell, ...]]  # the cube's blades, the same for every twist
     # boundaries[k][j]: sparse column of cells[k][j], keyed by face position
     boundaries: list[list[dict[int, int]]]
 
@@ -173,27 +176,23 @@ class ChainComplexZ:
 
 
 def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
-    """Assemble all boundary columns and verify boundary-squared is zero."""
+    """Key each boundary chain by face position once; check d^2 = 0 on those columns."""
     twist = twist if twist is not None else unit_translation_twist()
-    cells = [
-        [tuple(c) for c in combinations(range(1, TOTAL_DIM + 1), k)]
-        for k in range(TOTAL_DIM + 1)
-    ]
-    chains = {cell: boundary(cell, twist) for layer in cells for cell in layer}
-    # d(d(cell)) must vanish cell by cell.
-    for k in range(2, TOTAL_DIM + 1):
-        for cell in cells[k]:
-            acc: dict[Cell, int] = {}
-            for face, value in chains[cell].items():
-                _subtract(acc, -value, chains[face])
-            if acc:
-                raise ComplexConsistencyError(cell, acc)
-    # A face of a k-cell is a (k-1)-cell, so one position table serves all k.
-    position = {cell: i for layer in cells for i, cell in enumerate(layer)}
+    cells = [_CUBE.blades(k) for k in _CUBE.degrees()]
+    position = _CUBE.positions
     boundaries = [
-        [{position[face]: v for face, v in chains[cell].items()} for cell in layer]
+        [{position[face]: v for face, v in boundary(cell, twist).items()} for cell in layer]
         for layer in cells
     ]
+    # d(d(cell)) must vanish cell by cell.
+    for k in range(2, TOTAL_DIM + 1):
+        lower = boundaries[k - 1]
+        for cell, column in zip(cells[k], boundaries[k]):
+            acc: dict[int, int] = {}
+            for i, value in column.items():
+                _subtract(acc, -value, lower[i])
+            if acc:
+                raise ComplexConsistencyError(cell, {cells[k - 2][i]: v for i, v in acc.items()})
     return ChainComplexZ(cells, boundaries)
 
 
@@ -290,9 +289,9 @@ def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBett
     twist = twist if twist is not None else unit_translation_twist()
     base = twist.matrix()
     values = []
-    for k in range(5):
+    for k in range(len(base) + 1):
         m = exterior_power_matrix(base, k)
-        size = comb(4, k)
+        size = len(m)
         shifted = [
             [m[i][j] - (1 if i == j else 0) for j in range(size)] for i in range(size)
         ]

@@ -196,6 +196,7 @@ def run_homology(
     payload["betti"] = list(integral.betti)
     payload["b2"] = integral.betti[2]
 
+    # The paper twist's oracle on purpose: --inject-sign-error shows as a route disagreement.
     oracle = cellular.invariant_cohomology_oracle()
     payload["oracle_bh"] = list(oracle.values)
     payload["oracle_betti"] = list(betti_from_horizontal(oracle).values)

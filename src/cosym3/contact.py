@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exterior import Coeff, ModelDims, Multivector, combine, interior, pairing, wedge
+from .exterior import Coeff, ModelDims, Multivector, _combine, interior, pairing, wedge
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -252,7 +252,7 @@ def xi_form(dims: ModelDims, alpha: int, table: PhiStarTable | None = None) -> M
         z = Multivector.blade((zeta_index(dims, s),))
         pieces.append((1, wedge(z, phi_star(table, alpha, z))))
         pieces.append((-1, wedge(phi_star(table, beta, z), phi_star(table, gamma, z))))
-    return combine(*pieces)
+    return _combine(pieces)
 
 
 def xi_form_from_fundamental(dims: ModelDims, alpha: int) -> Multivector:

@@ -9,12 +9,15 @@ rounding would weaken them to approximations.
 Orientation convention: the volume form is the full blade ``(0, ..., dim-1)``
 with coefficient +1.  The blade order follows the coframe index order, so the
 lexicographic order used for leading-blade arguments is plain tuple order.
+A ``Basis`` lists the blades of each degree in that order; operator columns
+and the cells of ``cellular`` are both indexed by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -40,6 +43,32 @@ class ModelDims:
     @property
     def horizontal_dim(self) -> int:
         return 4 * self.n
+
+
+class Basis:
+    """Ordered blade basis over a fixed index set, graded by degree."""
+
+    def __init__(self, indices: Iterable[int]):
+        self.indices = tuple(sorted(indices))
+        self._blades = {
+            k: tuple(combinations(self.indices, k))
+            for k in range(len(self.indices) + 1)
+        }
+        # Blade -> index in its degree's column list; blades of different
+        # degrees are different keys, so one dict serves every degree.
+        self.positions = {
+            blade: i for blades in self._blades.values() for i, blade in enumerate(blades)
+        }
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.indices)
+
+    def degrees(self) -> range:
+        return range(self.max_degree + 1)
+
+    def blades(self, k: int) -> tuple[Blade, ...]:
+        return self._blades.get(k, ())
 
 
 _EXACT = (int, Fraction)
@@ -135,12 +164,8 @@ class Multivector:
         return " + ".join(bits)
 
 
-def combine(*pairs: tuple[Coeff, Multivector]) -> Multivector:
-    """The linear combination ``sum(scalar * form)``, accumulated in one pass."""
-    return _combine(pairs)
-
-
 def _combine(pairs: Iterable[tuple[Coeff, Multivector]]) -> Multivector:
+    """The linear combination ``sum(scalar * form)``, accumulated in one pass."""
     acc: dict[Blade, Coeff] = {}
     get = acc.get
     for scalar, form in pairs:

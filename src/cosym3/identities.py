@@ -17,7 +17,7 @@ from math import comb
 
 from . import contact
 from .contact import ALPHAS, PhiStarTable, cyclic, epsilon
-from .exterior import ModelDims, Multivector, combine, wedge
+from .exterior import ModelDims, Multivector, _combine, wedge
 from .operators import SUPPORTED_RANKS, OperatorSet, anticommutator, commutator
 
 
@@ -376,10 +376,10 @@ def _pullback_composition(ops: OperatorSet):
         for b in ALPHAS:
             eta_a = Multivector.blade((contact.eta_index(dims, a),))
             got = contact.phi_star(table, b, eta_a)
-            expected = combine(*(
+            expected = _combine(
                 (epsilon(a, b, g), Multivector.blade((contact.eta_index(dims, g),)))
                 for g in ALPHAS
-            ))
+            )
             if got != expected:
                 yield f"phi_{b}* eta_{a}", 1, f"eta{a}", got, expected
 

@@ -14,43 +14,17 @@ from __future__ import annotations
 
 from functools import cached_property, wraps
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Blade, ModelDims, Multivector, _combine, combine, hodge_star, interior, wedge,
+    Basis, Blade, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
 )
 from .linalg import sort_with_sign
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
 SUPPORTED_RANKS = (1, 2, 3)
-
-
-class Basis:
-    """Ordered blade basis over a fixed index set, graded by degree."""
-
-    def __init__(self, indices: Iterable[int]):
-        self.indices = tuple(sorted(indices))
-        self._blades = {
-            k: tuple(combinations(self.indices, k))
-            for k in range(len(self.indices) + 1)
-        }
-        # Blade -> index in its degree's column list; blades of different
-        # degrees are different keys, so one dict serves every degree.
-        self.positions = {
-            blade: i for blades in self._blades.values() for i, blade in enumerate(blades)
-        }
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.indices)
-
-    def degrees(self) -> range:
-        return range(self.max_degree + 1)
-
-    def blades(self, k: int) -> tuple[Blade, ...]:
-        return self._blades.get(k, ())
 
 
 class GradedOperator:
@@ -145,11 +119,7 @@ def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 
 def substitute_blade(
-    dims: ModelDims,
-    table: PhiStarTable,
-    alpha: int,
-    blade: Blade,
-    positions: tuple[int, ...],
+    table: PhiStarTable, alpha: int, blade: Blade, positions: tuple[int, ...]
 ) -> Multivector:
     """Apply the pullback to the chosen factors of a blade, in place.
 
@@ -258,10 +228,10 @@ class OperatorSet:
         pairs = contact.structure_pairs(dims, a)[:-1]  # without the eta pair
 
         def column(mv: Multivector) -> Multivector:
-            return combine(*(
+            return _combine(
                 (1, contact.frame_interior(dims, first, contact.frame_interior(dims, second, mv)))
                 for first, second in pairs
-            ))
+            )
 
         return GradedOperator.from_function(-2, basis, column)
 
@@ -293,11 +263,11 @@ class OperatorSet:
             terms.append((Multivector.blade((pb,)), pc, -1))
 
         def column(mv: Multivector) -> Multivector:
-            return combine(*(
+            return _combine(
                 (scalar, wedge(factor, contracted))
                 for factor, slot, scalar in terms
                 if (contracted := contact.frame_interior(dims, slot, mv))
-            ))
+            )
 
         return GradedOperator.from_function(0, self.hor, column)
 
@@ -322,27 +292,27 @@ class OperatorSet:
         """
         if s < 0:
             raise ValueError("substitution count must be nonnegative")
-        dims, table = self.dims, self.table
+        table = self.table
 
         def column(mv: Multivector) -> Multivector:
-            return combine(*(
-                (coeff, substitute_blade(dims, table, a, blade, positions))
+            return _combine(
+                (coeff, substitute_blade(table, a, blade, positions))
                 for blade, coeff in mv.terms.items()
                 for positions in combinations(range(len(blade)), s)
-            ))
+            )
 
         return GradedOperator.from_function(0, self.hor, column)
 
     @_cached
     def I(self, a: int) -> GradedOperator:
         """Full substitution: the pullback applied to every factor of a blade."""
-        dims, table = self.dims, self.table
+        table = self.table
 
         def column(mv: Multivector) -> Multivector:
-            return combine(*(
-                (coeff, substitute_blade(dims, table, a, blade, tuple(range(len(blade)))))
+            return _combine(
+                (coeff, substitute_blade(table, a, blade, tuple(range(len(blade)))))
                 for blade, coeff in mv.terms.items()
-            ))
+            )
 
         return GradedOperator.from_function(0, self.hor, column)
 

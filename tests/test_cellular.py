@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosym3 import cellular
 from cosym3.cellular import (
+    FLAT_AXES,
+    QUATERNION_AXES,
+    ComplexConsistencyError,
     TwistMap,
     boundary,
     build_complex,
@@ -15,9 +19,11 @@ from cosym3.cellular import (
     exterior_power_matrix,
     homology,
     invariant_cohomology_oracle,
+    twist_cell,
     unit_translation_twist,
 )
 from cosym3.betti import betti_from_horizontal
+from cosym3.exterior import Basis
 from cosym3.linalg import det, rank, smith_normal_form, sparse_rank
 from helpers import FINGERPRINTS, fingerprint
 from test_linalg import leibniz_det
@@ -99,6 +105,54 @@ class TestBoundary:
         assert boundary((3, 5)).get((3,), 0) == 1
         assert boundary((3, 5)).get((4,), 0) == -1
         assert boundary((1, 2)).get((1,), 0) == 0
+
+
+class TestCubeStructure:
+    """The cells are one blade basis; only flat directions carry faces."""
+
+    CUBE = Basis(range(1, 8))
+
+    def test_faces_drop_one_flat_axis(self):
+        faces = 0
+        for twist in SAMPLE_TWISTS:
+            for k in self.CUBE.degrees():
+                for cell in self.CUBE.blades(k):
+                    allowed = set()
+                    for axis in set(cell) & set(FLAT_AXES):
+                        rest = tuple(a for a in cell if a != axis)
+                        allowed |= {rest, twist_cell(rest, twist)[0]}
+                    chain = boundary(cell, twist)
+                    assert set(chain) <= allowed, (twist, cell)
+                    faces += len(chain)
+        assert faces > 0
+
+    def test_quaternion_cells_are_cycles(self):
+        for twist in SAMPLE_TWISTS:
+            for k in range(len(QUATERNION_AXES) + 1):
+                for cell in itertools.combinations(QUATERNION_AXES, k):
+                    assert boundary(cell, twist) == {}, (twist, cell)
+
+    def test_cells_are_the_blade_basis(self):
+        expected = [self.CUBE.blades(k) for k in self.CUBE.degrees()]
+        for twist in SAMPLE_TWISTS:
+            assert build_complex(twist).cells == expected
+
+    def test_consistency_error_names_cells(self, monkeypatch):
+        real = cellular.boundary
+
+        def flipped(cell, twist=None):
+            chain = real(cell, twist)
+            if cell == (3, 5):
+                chain[(4,)] = -chain[(4,)]
+            return chain
+
+        monkeypatch.setattr(cellular, "boundary", flipped)
+        with pytest.raises(ComplexConsistencyError) as caught:
+            build_complex()
+        # The first 3-cell with (3, 5) as a face; its d^2 lands on 1-cells.
+        assert caught.value.cell == (3, 5, 6)
+        assert caught.value.chain
+        assert set(caught.value.chain) <= set(self.CUBE.blades(1))
 
 
 class TestComplex:
