@@ -93,6 +93,8 @@ class TwistMap:
 
     def with_sign_flip(self, axis: int) -> "TwistMap":
         """Negate one image; self-test hook for negative controls."""
+        if axis not in QUATERNION_AXES:
+            raise ValueError(f"axis must be one of {QUATERNION_AXES}, got {axis}")
         images = list(self.images)
         img, sign = images[axis - 1]
         images[axis - 1] = (img, -sign)

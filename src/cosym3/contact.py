@@ -5,12 +5,12 @@ this block order):
 
     zeta_1 .. zeta_n | phi1*zeta_* | phi2*zeta_* | phi3*zeta_* | eta_1, eta_2, eta_3
 
-The three structure endomorphisms act on one-forms by pullback.  Because the
-pullback of ``phi_a`` applied to the pulled-back elements picks up a minus
-sign (``phi_a`` squares to minus the identity off the Reeb directions), the
-frame vector paired with the coframe slot ``phi_a*zeta_s`` is minus
-``phi_a X_s``; the ``eval_diag`` table records exactly these signs, and every
-contraction by a frame vector routes through it.
+The three structure endomorphisms act on one-forms by pullback, and on a blade
+factor by factor (``phi_star``).  Because the pullback of ``phi_a`` applied to
+the pulled-back elements picks up a minus sign (``phi_a`` squares to minus the
+identity off the Reeb directions), the frame vector paired with the coframe
+slot ``phi_a*zeta_s`` is minus ``phi_a X_s``; the ``eval_diag`` table records
+exactly these signs, and every contraction by a frame vector routes through it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Iterable
 
-from .exterior import Coeff, ModelDims, Multivector, _combine, interior, pairing, wedge
+from .exterior import Blade, Coeff, ModelDims, Multivector, _combine, interior, pairing, wedge
+from .linalg import sort_with_sign
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -161,7 +163,11 @@ class PhiStarTable:
 
     def with_sign_flip(self, alpha: int, index: int) -> "PhiStarTable":
         """Copy with one sign negated; self-test hook for negative controls."""
+        if alpha not in self.entries:
+            raise ValueError(f"alpha must be one of {sorted(self.entries)}, got {alpha}")
         row = list(self.entries[alpha])
+        if not 0 <= index < len(row):
+            raise ValueError(f"slot must be in 0..{len(row) - 1}, got {index}")
         if row[index] is None:
             raise ValueError("cannot flip the sign of an annihilated slot")
         img, sign = row[index]
@@ -171,17 +177,33 @@ class PhiStarTable:
         return PhiStarTable(self.dims, entries)
 
 
-def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector:
-    """Pullback action on one-forms, extended linearly."""
-    if omega and omega.degree() != 1:
-        raise ValueError("phi_star acts on one-forms")
-    acc: dict[tuple[int, ...], Coeff] = {}
-    for (index,), coeff in omega.terms.items():
-        hit = table.image(alpha, index)
+def _pull_back(blade: Blade, row: tuple, positions: Iterable[int]) -> tuple[int, Blade]:
+    """The blade with its factors at ``positions`` replaced by their images
+    under ``row = PhiStarTable.entries[alpha]``, re-sorted: ``(sign, blade)``,
+    with sign 0 when an image is killed or two factors coincide."""
+    indices = list(blade)
+    sign = 1
+    for pos in positions:
+        hit = row[blade[pos]]
         if hit is None:
-            continue
-        img, sign = hit
-        acc[(img,)] = acc.get((img,), 0) + sign * coeff
+            return 0, ()
+        indices[pos], s = hit
+        sign *= s
+    if len(set(indices)) != len(indices):
+        return 0, ()
+    parity, image = sort_with_sign(indices)
+    return sign * parity, image
+
+
+def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector:
+    """Pullback of a form of any degree: every factor of each blade is
+    replaced by its image."""
+    row = table.entries[alpha]
+    acc: dict[Blade, Coeff] = {}
+    for blade, coeff in omega.terms.items():
+        sign, image = _pull_back(blade, row, range(len(blade)))
+        if sign:
+            acc[image] = acc.get(image, 0) + sign * coeff
     return Multivector(acc)
 
 

@@ -240,7 +240,7 @@ def _substitution_recursion(ops: OperatorSet):
                 lower = ops.K_s(a, s - 1).blocks[k]
                 mid = ops.K_s(a, s).blocks[k]
                 upper = ops.K_s(a, s + 1).blocks[k]
-                rhs = ((s + 1) * u - (k - s + 1) * v for u, v in zip(upper, lower))
+                rhs = (_combine(((s + 1, u), (-(k - s + 1), v))) for u, v in zip(upper, lower))
                 yield from _differences(
                     ops, k, ops.hor.blades(k),
                     [(f"alpha={a}, k={k}, s={s}", map(K.apply, mid), rhs)],

@@ -97,7 +97,9 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     the pivot from row i has combination i plus earlier rows (unit lower
     triangular, so the determinant is unchanged) and entries only at columns
     up to its lead, so the determinant is the sign of the permutation
-    row -> lead times the product of the pivot entries.
+    row -> lead times the product of the pivot entries.  When every row gives
+    a pivot, the i-th pivot inserted is row i's, so the leads in insertion
+    order are that permutation.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -105,12 +107,10 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     pivots = _echelon([dict(enumerate(row)) for row in rows])
     if len(pivots) < n:
         return Fraction(0)
-    lead_of = [0] * n
     result = Fraction(1)
-    for lead, (vec, combo) in pivots.items():
-        lead_of[max(combo)] = lead
+    for lead, (vec, _) in pivots.items():
         result *= vec[lead]
-    return sort_with_sign(lead_of)[0] * result
+    return sort_with_sign(list(pivots))[0] * result
 
 
 def solve_in_span(

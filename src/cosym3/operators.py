@@ -19,9 +19,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Blade, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
+    Basis, Blade, Coeff, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
 )
-from .linalg import sort_with_sign
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
 SUPPORTED_RANKS = (1, 2, 3)
@@ -116,33 +115,6 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return _bracket(a, b, 1)
-
-
-def substitute_blade(
-    table: PhiStarTable, alpha: int, blade: Blade, positions: tuple[int, ...]
-) -> Multivector:
-    """Apply the pullback to the chosen factors of a blade, in place.
-
-    Each selected slot is replaced by its pullback image; the result is
-    re-sorted with the usual wedge signs, and vanishes on repeated factors.
-    """
-    chosen = set(positions)
-    indices: list[int] = []
-    sign = 1
-    for pos, idx in enumerate(blade):
-        if pos in chosen:
-            hit = table.image(alpha, idx)
-            if hit is None:
-                return Multivector.zero()
-            img, s = hit
-            sign *= s
-            indices.append(img)
-        else:
-            indices.append(idx)
-    if len(set(indices)) != len(indices):
-        return Multivector.zero()
-    parity, image = sort_with_sign(indices)
-    return Multivector.blade(image, sign * parity)
 
 
 def _cached(build):
@@ -292,29 +264,25 @@ class OperatorSet:
         """
         if s < 0:
             raise ValueError("substitution count must be nonnegative")
-        table = self.table
+        row = self.table.entries[a]
 
         def column(mv: Multivector) -> Multivector:
-            return _combine(
-                (coeff, substitute_blade(table, a, blade, positions))
-                for blade, coeff in mv.terms.items()
-                for positions in combinations(range(len(blade)), s)
-            )
+            acc: dict[Blade, Coeff] = {}
+            for blade, coeff in mv.terms.items():
+                for positions in combinations(range(len(blade)), s):
+                    sign, image = contact._pull_back(blade, row, positions)
+                    if sign:
+                        acc[image] = acc.get(image, 0) + sign * coeff
+            return Multivector(acc)
 
         return GradedOperator.from_function(0, self.hor, column)
 
     @_cached
     def I(self, a: int) -> GradedOperator:
-        """Full substitution: the pullback applied to every factor of a blade."""
-        table = self.table
-
-        def column(mv: Multivector) -> Multivector:
-            return _combine(
-                (coeff, substitute_blade(table, a, blade, tuple(range(len(blade)))))
-                for blade, coeff in mv.terms.items()
-            )
-
-        return GradedOperator.from_function(0, self.hor, column)
+        """Full substitution: the pullback of a form of any degree."""
+        return GradedOperator.from_function(
+            0, self.hor, lambda mv: contact.phi_star(self.table, a, mv)
+        )
 
     @property
     @_cached

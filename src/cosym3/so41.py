@@ -274,6 +274,10 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     """
     if n not in SUPPORTED_RANKS:
         raise ValueError(f"module verification supports n in {SUPPORTED_RANKS}")
+    if corrupt_generator not in (None, *GENERATOR_NAMES):
+        raise ValueError(
+            f"corrupt_generator must be one of {GENERATOR_NAMES}, got {corrupt_generator!r}"
+        )
     defining_ok, basis_rank, table_ok = _matrix_side_checks()
 
     gens = build_generators(n)

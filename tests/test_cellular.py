@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -378,6 +379,9 @@ class TestCrossCheck:
         assert all(item.ok for item in report.items)
 
     def test_sign_flip_detected(self):
+        for axis in (0, 5):
+            with pytest.raises(ValueError, match=re.escape("(1, 2, 3, 4)")):
+                unit_translation_twist().with_sign_flip(axis)
         twisted = unit_translation_twist().with_sign_flip(3)
         try:
             cx = build_complex(twisted)

@@ -1,10 +1,13 @@
 """Flat structure model: pullback tables, fundamental forms, frame pairing."""
 
+import re
+from itertools import combinations
+
 import pytest
 
 from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable, epsilon
-from cosym3.exterior import ModelDims, Multivector, wedge
+from cosym3.exterior import ModelDims, Multivector, wedge, wedge_all
 
 D1 = ModelDims(1)
 D2 = ModelDims(2)
@@ -64,10 +67,33 @@ class TestPhiStarTable:
                 one_form = Multivector.blade((idx,))
                 assert _phi(table, alpha, _phi(table, alpha, one_form)) == -one_form
 
-    def test_rejects_higher_degree(self):
+    @pytest.mark.parametrize("dims", [D1, D2])
+    def test_pulls_back_blades_factor_by_factor(self, dims):
+        # The wedge of the one-form pullbacks, an independent route through
+        # the wedge kernel.
+        table = PhiStarTable.build(dims)
+        for alpha in ALPHAS:
+            for k in range(dims.horizontal_dim + 1):
+                for blade in combinations(range(dims.horizontal_dim), k):
+                    factors = (_phi(table, alpha, Multivector.blade((i,))) for i in blade)
+                    assert _phi(table, alpha, Multivector.blade(blade)) == wedge_all(factors)
+
+    def test_blades_with_own_reeb_form_pull_back_to_zero(self):
         table = PhiStarTable.build(D1)
-        with pytest.raises(ValueError):
-            _phi(table, 1, Multivector.blade((0, 1)))
+        for alpha in ALPHAS:
+            eta = contact.eta_index(D1, alpha)
+            for k in range(1, D1.dim + 1):
+                for blade in combinations(range(D1.dim), k):
+                    if eta in blade:
+                        assert not _phi(table, alpha, Multivector.blade(blade))
+
+    def test_coinciding_factors_give_sign_zero(self):
+        # zeta1 ^ phi1zeta1 with zeta1 replaced under alpha = 1 repeats phi1zeta1.
+        row = PhiStarTable.build(D1).entries[1]
+        blade = (contact.zeta_index(D1, 1), contact.phi_zeta_index(D1, 1, 1))
+        assert contact._pull_back(blade, row, (0,))[0] == 0
+        # Both factors: phi1zeta1 ^ -zeta1 = zeta1 ^ phi1zeta1.
+        assert contact._pull_back(blade, row, (0, 1)) == (1, blade)
 
     def test_sign_flip_hook(self):
         table = PhiStarTable.build(D1)
@@ -76,6 +102,9 @@ class TestPhiStarTable:
         assert flipped.image(1, 0) == (img, -sign)
         with pytest.raises(ValueError):
             table.with_sign_flip(1, contact.eta_index(D1, 1))
+        for alpha, index, named in ((1, -1, "0..6"), (1, 99, "0..6"), (4, 0, "[1, 2, 3]")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                table.with_sign_flip(alpha, index)
 
 
 class TestFrameEvaluation:

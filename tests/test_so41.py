@@ -139,6 +139,9 @@ class TestModule:
         assert any("K3" in p.name for p in failing)
         # Every failure involves K3 directly or through its span expansion.
         assert all("K3" in p.name or "K3" in p.detail for p in failing)
+        with pytest.raises(ValueError) as err:
+            verify_module(1, corrupt_generator="K4")
+        assert all(name in str(err.value) for name in GENERATOR_NAMES)
 
     @pytest.mark.parametrize("name", GENERATOR_NAMES)
     def test_every_negated_generator_fails_with_detail(self, name):
