@@ -99,8 +99,6 @@ class ConstraintReport:
 def _sequence_values(b) -> tuple[int, ...]:
     if isinstance(b, BettiSequence):
         return b.values
-    if isinstance(b, HorizontalBettiSequence):
-        return b.values
     return tuple(int(v) for v in b)
 
 

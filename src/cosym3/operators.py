@@ -142,6 +142,10 @@ class OperatorSet:
     """
 
     def __init__(self, dims: ModelDims, table: PhiStarTable | None = None):
+        if table is not None and table.dims != dims:
+            raise ValueError(
+                f"the table is for rank n = {table.dims.n}, the operators for n = {dims.n}"
+            )
         self.dims = dims
         self.table = table if table is not None else PhiStarTable.build(dims)
         self._cache: dict = {}

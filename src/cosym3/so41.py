@@ -2,7 +2,10 @@
 
 The algebra is realized concretely: 5x5 matrices A with
 A E1 = -E1 A^t for E1 = diag(1, 1, 1, 1, -1), spanned by the ten integer
-basis elements t_ij.  The module check expresses each commutator of the
+basis elements t_ij.  A matrix is the dict ``{(row, col): entry}`` of its
+nonzero entries (0-based), the sparse vector format that ``linalg`` reads,
+so the basis rank and the image rank go through the same elimination core
+as the operator span.  The module check expresses each commutator of the
 materialized operators in the operator span by an exact linear solve and
 compares the result with the matrix-side bracket through the assignment
 
@@ -20,57 +23,37 @@ from functools import cache
 
 from .contact import ALPHAS, cyclic
 from .exterior import ModelDims
-from .linalg import Coeff, solve_in_span, sparse_rank
+from .linalg import Coeff, _subtract, solve_in_span, sparse_rank
 from .operators import SUPPORTED_RANKS, GradedOperator, OperatorSet, commutator
 
-Mat5 = tuple[tuple[Coeff, ...], ...]
+Mat5 = dict[tuple[int, int], Coeff]
 
-E1: Mat5 = tuple(
-    tuple((1 if i == j else 0) * (1 if i < 4 else -1) for j in range(5))
-    for i in range(5)
-)
+# The diagonal of E1.
+_E1 = (1, 1, 1, 1, -1)
 
 
-def _zeros() -> list[list[Coeff]]:
-    return [[0] * 5 for _ in range(5)]
-
-
-def _freeze(rows: list[list[Coeff]]) -> Mat5:
-    return tuple(tuple(row) for row in rows)
-
-
-def mat_add(a: Mat5, b: Mat5) -> Mat5:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Mat5, b: Mat5) -> Mat5:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Coeff, a: Mat5) -> Mat5:
-    return tuple(tuple(c * x for x in row) for row in a)
+def _combination(*terms: tuple[Coeff, Mat5]) -> Mat5:
+    """The matrix sum of ``c * m`` over the ``(c, m)`` terms."""
+    out: Mat5 = {}
+    for c, m in terms:
+        _subtract(out, -c, m)
+    return out
 
 
 def mat_mul(a: Mat5, b: Mat5) -> Mat5:
-    out = _zeros()
-    for i in range(5):
-        for k in range(5):
-            if a[i][k]:
-                for j in range(5):
-                    out[i][j] += a[i][k] * b[k][j]
-    return _freeze(out)
-
-
-def mat_transpose(a: Mat5) -> Mat5:
-    return tuple(tuple(a[j][i] for j in range(5)) for i in range(5))
-
-
-MAT_ZERO: Mat5 = _freeze(_zeros())
+    out: Mat5 = {}
+    for (i, k), x in a.items():
+        _subtract(out, -x, {(i, j): y for (row, j), y in b.items() if row == k})
+    return out
 
 
 def satisfies_defining_relation(a: Mat5) -> bool:
-    """A E1 = -E1 A^t, the membership condition for so(4,1)."""
-    return mat_mul(a, E1) == mat_scale(-1, mat_mul(E1, mat_transpose(a)))
+    """A E1 = -E1 A^t, the membership condition for so(4,1).
+
+    E1 is diagonal, so entrywise this reads a_ij e_j = -e_i a_ji; a pair with
+    both entries zero holds trivially, so only the stored entries are read.
+    """
+    return all(v * _E1[j] == -_E1[i] * a.get((j, i), 0) for (i, j), v in a.items())
 
 
 def basis_t(i: int, j: int) -> Mat5:
@@ -81,14 +64,9 @@ def basis_t(i: int, j: int) -> Mat5:
     """
     if not (1 <= i < j <= 5):
         raise ValueError("basis_t requires 1 <= i < j <= 5")
-    rows = _zeros()
     if j == 5:
-        rows[i - 1][4] = 1
-        rows[4][i - 1] = 1
-    else:
-        rows[i - 1][j - 1] = 1
-        rows[j - 1][i - 1] = -1
-    return _freeze(rows)
+        return {(i - 1, 4): 1, (4, i - 1): 1}
+    return {(i - 1, j - 1): 1, (j - 1, i - 1): -1}
 
 
 def t(i: int, j: int) -> Mat5:
@@ -98,39 +76,34 @@ def t(i: int, j: int) -> Mat5:
     if i > j:
         if i == 5:
             raise ValueError("t_5j is not defined; use basis_t(j, 5)")
-        return mat_scale(-1, basis_t(j, i))
+        return _combination((-1, basis_t(j, i)))
     raise ValueError("t_ii is not defined")
 
 
 def bracket(a: Mat5, b: Mat5) -> Mat5:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    out = mat_mul(a, b)
+    _subtract(out, 1, mat_mul(b, a))
+    return out
 
 
 BASIS_PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
 
-GENERATOR_NAMES = (
-    ["H"]
-    + [f"L{a}" for a in ALPHAS]
-    + [f"Lambda{a}" for a in ALPHAS]
-    + [f"K{a}" for a in ALPHAS]
-)
+# The matrix image of each operator-span generator, in report order.
+_IMAGES: dict[str, Mat5] = {
+    "H": _combination((2, t(4, 5))),
+    **{f"L{a}": _combination((1, t(a, 5)), (1, t(a, 4))) for a in ALPHAS},
+    **{f"Lambda{a}": _combination((1, t(a, 5)), (-1, t(a, 4))) for a in ALPHAS},
+    **{f"K{a}": _combination((2, t(*cyclic(a)[1:]))) for a in ALPHAS},
+}
+
+GENERATOR_NAMES = list(_IMAGES)
 
 
 def iso_map(name: str) -> Mat5:
     """Matrix image of an operator-span generator."""
-    if name == "H":
-        return mat_scale(2, t(4, 5))
-    if name.startswith("Lambda"):
-        a = int(name[len("Lambda") :])
-        return mat_sub(t(a, 5), t(a, 4))
-    if name.startswith("L"):
-        a = int(name[1:])
-        return mat_add(t(a, 5), t(a, 4))
-    if name.startswith("K"):
-        a = int(name[1:])
-        _, b, c = cyclic(a)
-        return mat_scale(2, t(b, c))
-    raise ValueError(f"unknown generator name: {name}")
+    if name not in _IMAGES:
+        raise ValueError(f"unknown generator name: {name}")
+    return dict(_IMAGES[name])
 
 
 def bracket_table_checks() -> list[tuple[str, bool]]:
@@ -141,7 +114,7 @@ def bracket_table_checks() -> list[tuple[str, bool]]:
             for k in range(j + 1, 5):
                 checks.append(
                     (f"[t{i}{j}, t{i}{k}] = -t{j}{k}",
-                     bracket(basis_t(i, j), basis_t(i, k)) == mat_scale(-1, basis_t(j, k)))
+                     bracket(basis_t(i, j), basis_t(i, k)) == t(k, j))
                 )
                 checks.append(
                     (f"[t{i}{j}, t{j}{k}] = t{i}{k}",
@@ -149,13 +122,13 @@ def bracket_table_checks() -> list[tuple[str, bool]]:
                 )
                 checks.append(
                     (f"[t{i}{k}, t{j}{k}] = -t{i}{j}",
-                     bracket(basis_t(i, k), basis_t(j, k)) == mat_scale(-1, basis_t(i, j)))
+                     bracket(basis_t(i, k), basis_t(j, k)) == t(j, i))
                 )
     for i in range(1, 5):
         for j in range(i + 1, 5):
             checks.append(
                 (f"[t{i}{j}, t{i}5] = -t{j}5",
-                 bracket(basis_t(i, j), basis_t(i, 5)) == mat_scale(-1, basis_t(j, 5)))
+                 bracket(basis_t(i, j), basis_t(i, 5)) == _combination((-1, basis_t(j, 5))))
             )
             checks.append(
                 (f"[t{i}{j}, t{j}5] = t{i}5",
@@ -177,13 +150,10 @@ def _flatten(op: GradedOperator) -> dict:
     return vec
 
 
-def _mat_to_vec(m: Mat5) -> dict:
-    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-
-
 @cache
-def _matrix_side_checks() -> tuple[bool, int, bool]:
-    """Defining relations, basis rank and bracket table of the t_ij basis.
+def _matrix_side_checks() -> tuple[bool, int, bool, int]:
+    """Defining relations, basis rank and bracket table of the t_ij basis, and
+    the rank of the generator images.
 
     They depend on neither n nor the table, so one process computes them once,
     on first use.
@@ -194,9 +164,10 @@ def _matrix_side_checks() -> tuple[bool, int, bool]:
         for p in BASIS_PAIRS
         for q in BASIS_PAIRS
     )
-    basis_rank = sparse_rank([_mat_to_vec(basis_t(i, j)) for i, j in BASIS_PAIRS])
+    basis_rank = sparse_rank([basis_t(i, j) for i, j in BASIS_PAIRS])
     table_ok = all(ok for _, ok in bracket_table_checks())
-    return defining_ok, basis_rank, table_ok
+    image_rank = sparse_rank(list(_IMAGES.values()))
+    return defining_ok, basis_rank, table_ok, image_rank
 
 
 def build_generators(n: int) -> dict[str, GradedOperator]:
@@ -278,14 +249,13 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
         raise ValueError(
             f"corrupt_generator must be one of {GENERATOR_NAMES}, got {corrupt_generator!r}"
         )
-    defining_ok, basis_rank, table_ok = _matrix_side_checks()
+    defining_ok, basis_rank, table_ok, image_rank = _matrix_side_checks()
 
     gens = build_generators(n)
     if corrupt_generator is not None:
         gens[corrupt_generator] = gens[corrupt_generator].scale(-1)
     flat = {name: _flatten(gens[name]) for name in GENERATOR_NAMES}
     span_rank = sparse_rank([flat[name] for name in GENERATOR_NAMES])
-    image_rank = sparse_rank([_mat_to_vec(iso_map(name)) for name in GENERATOR_NAMES])
 
     pairs: list[PairCheck] = []
     for idx, left in enumerate(GENERATOR_NAMES):
@@ -299,11 +269,8 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
                     PairCheck(left, right, False, "commutator escapes the span")
                 )
                 continue
-            matrix_side = bracket(iso_map(left), iso_map(right))
-            expected = MAT_ZERO
-            for name, c in zip(GENERATOR_NAMES, coeffs):
-                if c:
-                    expected = mat_add(expected, mat_scale(c, iso_map(name)))
+            matrix_side = bracket(_IMAGES[left], _IMAGES[right])
+            expected = _combination(*zip(coeffs, _IMAGES.values()))
             ok = matrix_side == expected
             detail = "" if ok else (
                 "matrix bracket disagrees with the span expansion: "

@@ -361,6 +361,12 @@ class TestVerifySuite:
         with pytest.raises(ValueError):
             verify_identities(9)
 
+    @pytest.mark.parametrize("n, table_n", [(2, 1), (1, 2)])
+    def test_table_of_another_rank_rejected(self, n, table_n):
+        with pytest.raises(ValueError) as err:
+            verify_identities(n, PhiStarTable.build(ModelDims(table_n)))
+        assert f"n = {table_n}" in str(err.value) and f"n = {n}" in str(err.value)
+
 
 class TestOperatorSet:
     @settings(deadline=None)

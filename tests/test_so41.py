@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cosym3.linalg import sparse_rank
 from cosym3.so41 import (
     BASIS_PAIRS,
-    E1,
     GENERATOR_NAMES,
     ModuleReport,
     PairCheck,
@@ -15,24 +14,45 @@ from cosym3.so41 import (
     bracket,
     bracket_table_checks,
     iso_map,
-    mat_add,
     mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_transpose,
     satisfies_defining_relation,
     t,
     verify_module,
 )
 from helpers import FAULT_FINGERPRINTS, FINGERPRINTS, fingerprint
 
+# A dense reference for the sparse matrices: lists of rows, multiplied by the
+# textbook triple loop.
+E1 = [[(1 if i == j else 0) * (-1 if i == 4 else 1) for j in range(5)] for i in range(5)]
+
+
+def dense(m):
+    return [[m.get((i, j), 0) for j in range(5)] for i in range(5)]
+
+
+def dense_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+
+
+def dense_transpose(a):
+    return [[a[j][i] for j in range(5)] for i in range(5)]
+
+
+def lin(*terms):
+    """The sparse matrix sum of c * m over the (c, m) terms, zeros dropped."""
+    out = {}
+    for c, m in terms:
+        for key, value in m.items():
+            out[key] = out.get(key, 0) + c * value
+    return {key: value for key, value in out.items() if value}
+
 
 class TestDefiningRelation:
     def test_rotation_block(self):
-        t12 = basis_t(1, 2)
-        assert mat_add(mat_mul(t12, E1), mat_mul(E1, mat_transpose(t12))) == mat_scale(
-            0, E1
-        )
+        t12 = dense(basis_t(1, 2))
+        lhs = dense_mul(t12, E1)
+        rhs = dense_mul(E1, dense_transpose(t12))
+        assert [[x + y for x, y in zip(r, s)] for r, s in zip(lhs, rhs)] == dense({})
 
     def test_boost_block(self):
         t15 = basis_t(1, 5)
@@ -41,17 +61,25 @@ class TestDefiningRelation:
     def test_all_basis_elements(self):
         assert all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [{(0, 1): 1, (1, 0): 1}, {(0, 4): 1, (4, 0): -1}, {(2, 2): 1}, {(4, 4): -3}],
+        ids=["symmetric rotation", "wrong-sign boost", "diagonal", "diagonal e5"],
+    )
+    def test_rejects_non_members(self, matrix):
+        assert not satisfies_defining_relation(matrix)
+
+    def test_one_sided_entry_rejected(self):
+        assert not satisfies_defining_relation({(1, 3): 1})
+        assert not satisfies_defining_relation({(3, 4): 2})
+
     def test_linear_independence(self):
-        vectors = [
-            {
-                (i, j): value
-                for i, row in enumerate(basis_t(a, b))
-                for j, value in enumerate(row)
-                if value
-            }
-            for a, b in BASIS_PAIRS
-        ]
-        assert sparse_rank(vectors) == 10
+        assert sparse_rank([basis_t(a, b) for a, b in BASIS_PAIRS]) == 10
+
+    def test_basis_elements_are_sparse(self):
+        assert basis_t(2, 4) == {(1, 3): 1, (3, 1): -1}
+        assert basis_t(3, 5) == {(2, 4): 1, (4, 2): 1}
+        assert t(4, 2) == {(1, 3): -1, (3, 1): 1}
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
@@ -64,17 +92,34 @@ class TestDefiningRelation:
 
 class TestBracket:
     def test_shared_first_index(self):
-        assert bracket(basis_t(1, 2), basis_t(1, 3)) == mat_scale(-1, basis_t(2, 3))
+        assert bracket(basis_t(1, 2), basis_t(1, 3)) == lin((-1, basis_t(2, 3)))
 
     def test_boost_pair(self):
         assert bracket(basis_t(1, 5), basis_t(2, 5)) == basis_t(1, 2)
 
     def test_ladder_combination(self):
         lhs = bracket(
-            mat_add(basis_t(1, 5), basis_t(1, 4)),
-            mat_sub(basis_t(1, 5), basis_t(1, 4)),
+            lin((1, basis_t(1, 5)), (1, basis_t(1, 4))),
+            lin((1, basis_t(1, 5)), (-1, basis_t(1, 4))),
         )
-        assert lhs == mat_scale(-2, basis_t(4, 5))
+        assert lhs == lin((-2, basis_t(4, 5)))
+
+    def test_every_basis_pair_matches_dense_product(self):
+        for p in BASIS_PAIRS:
+            for q in BASIS_PAIRS:
+                a, b = dense(basis_t(*p)), dense(basis_t(*q))
+                ab, ba = dense_mul(a, b), dense_mul(b, a)
+                result = bracket(basis_t(*p), basis_t(*q))
+                assert dense(result) == [
+                    [x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)
+                ], (p, q)
+                assert all(result.values()), (p, q)
+
+    def test_mat_mul_matches_dense_product(self):
+        a = lin((2, basis_t(1, 5)), (-1, basis_t(2, 3)), (3, basis_t(1, 4)))
+        b = lin((1, basis_t(3, 5)), (5, basis_t(1, 2)))
+        assert dense(mat_mul(a, b)) == dense_mul(dense(a), dense(b))
+        assert mat_mul(a, {}) == {} and mat_mul({}, b) == {}
 
     def test_published_table(self):
         for name, ok in bracket_table_checks():
@@ -90,27 +135,33 @@ class TestBracket:
 
 class TestIsoMap:
     def test_weight_target(self):
-        assert iso_map("H") == mat_scale(2, t(4, 5))
+        assert iso_map("H") == lin((2, t(4, 5)))
 
     def test_k_targets_use_extended_symbols(self):
-        assert iso_map("K2") == mat_scale(2, t(3, 1))
-        assert iso_map("K2") == mat_scale(-2, basis_t(1, 3))
+        assert iso_map("K2") == lin((2, t(3, 1)))
+        assert iso_map("K2") == lin((-2, basis_t(1, 3)))
+
+    def test_ladder_targets(self):
+        assert iso_map("L3") == lin((1, basis_t(3, 5)), (1, basis_t(3, 4)))
+        assert iso_map("Lambda3") == lin((1, basis_t(3, 5)), (-1, basis_t(3, 4)))
+
+    def test_generator_names_in_report_order(self):
+        assert GENERATOR_NAMES == [
+            "H", "L1", "L2", "L3", "Lambda1", "Lambda2", "Lambda3", "K1", "K2", "K3",
+        ]
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            iso_map("Q1")
+        for name in ["Q1", "K4", "K0", "L4", "L", "Lambda", "h"]:
+            with pytest.raises(ValueError, match=f"^unknown generator name: {name}$"):
+                iso_map(name)
+
+    def test_returns_a_copy(self):
+        image = iso_map("H")
+        image[(0, 0)] = 7
+        assert iso_map("H") == lin((2, t(4, 5)))
 
     def test_image_rank(self):
-        vectors = [
-            {
-                (i, j): value
-                for i, row in enumerate(iso_map(name))
-                for j, value in enumerate(row)
-                if value
-            }
-            for name in GENERATOR_NAMES
-        ]
-        assert sparse_rank(vectors) == 10
+        assert sparse_rank([iso_map(name) for name in GENERATOR_NAMES]) == 10
 
 
 class TestModule:
