@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Iterable
 
-from .exterior import Blade, Coeff, ModelDims, Multivector, _combine, interior, pairing, wedge
-from .linalg import sort_with_sign
+from .exterior import Coeff, ModelDims, Multivector, _combine, _interior, pairing, wedge
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -106,17 +103,15 @@ def pair_frame(dims: ModelDims, omega: Multivector, kvector: Multivector) -> Fra
     The frame evaluation is diagonal, so a frame blade pairs like its coframe
     blade times the product of its ``eval_diag`` signs.
     """
-    diag = eval_diag(dims)
-    return pairing(omega, Multivector({
-        blade: coeff * prod(diag[i] for i in blade) for blade, coeff in kvector.terms.items()
+    negative = sum(1 << i for i, d in enumerate(eval_diag(dims)) if d < 0)
+    return pairing(omega, Multivector(_masks={
+        m: -c if (m & negative).bit_count() & 1 else c for m, c in kvector._terms.items()
     }))
 
 
 def frame_interior(dims: ModelDims, slot: int, omega: Multivector) -> Multivector:
     """Contraction with the frame vector occupying coframe slot ``slot``."""
-    sign = eval_diag(dims)[slot]
-    result = interior(slot, omega)
-    return result if sign == 1 else -result
+    return _interior(slot, omega, eval_diag(dims)[slot] < 0)
 
 
 @dataclass(frozen=True)
@@ -177,34 +172,46 @@ class PhiStarTable:
         return PhiStarTable(self.dims, entries)
 
 
-def _pull_back(blade: Blade, row: tuple, positions: Iterable[int]) -> tuple[int, Blade]:
-    """The blade with its factors at ``positions`` replaced by their images
-    under ``row = PhiStarTable.entries[alpha]``, re-sorted: ``(sign, blade)``,
-    with sign 0 when an image is killed or two factors coincide."""
-    indices = list(blade)
+def _pull_back(mask: int, row: tuple, sub: int) -> tuple[int, int]:
+    """The blade ``mask`` with its factors in ``sub`` (a submask) replaced by
+    their images under ``row = PhiStarTable.entries[alpha]``: ``(sign, mask)``,
+    with sign 0 when an image is killed or lands on a factor already there.
+
+    The blade is the kept factors times the substituted ones, reordered past
+    them; each image is then added to the right of what is built so far and
+    moved past the slots above it.  Both moves are popcounts.
+    """
+    kept = mask ^ sub
+    image = kept
     sign = 1
-    for pos in positions:
-        hit = row[blade[pos]]
+    moves = 0
+    while sub:
+        low = sub & -sub
+        sub ^= low
+        i = low.bit_length() - 1
+        hit = row[i]
         if hit is None:
-            return 0, ()
-        indices[pos], s = hit
+            return 0, 0
+        j, s = hit
+        bit = 1 << j
+        if image & bit:
+            return 0, 0
+        moves += (kept >> i).bit_count() + (image >> j).bit_count()
+        image |= bit
         sign *= s
-    if len(set(indices)) != len(indices):
-        return 0, ()
-    parity, image = sort_with_sign(indices)
-    return sign * parity, image
+    return (-sign if moves & 1 else sign), image
 
 
 def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector:
     """Pullback of a form of any degree: every factor of each blade is
     replaced by its image."""
     row = table.entries[alpha]
-    acc: dict[Blade, Coeff] = {}
-    for blade, coeff in omega.terms.items():
-        sign, image = _pull_back(blade, row, range(len(blade)))
+    acc: dict[int, Coeff] = {}
+    for m, coeff in omega._terms.items():
+        sign, image = _pull_back(m, row, m)
         if sign:
             acc[image] = acc.get(image, 0) + sign * coeff
-    return Multivector(acc)
+    return Multivector(_masks=acc)
 
 
 def _default_table(dims: ModelDims, table: PhiStarTable | None) -> PhiStarTable:

@@ -1,16 +1,22 @@
 """Exact exterior algebra over an ordered orthonormal coframe.
 
-A blade is a strictly increasing tuple of coframe indices in ``[0, dim)``;
-a form is a sparse map from blades to nonzero exact coefficients: ``int``
-where every step is integral (the whole operator layer), ``Fraction`` where
-the code divides.  The identities verified downstream are algebraic, and
-rounding would weaken them to approximations.
+At the public boundary a blade is a strictly increasing tuple of coframe
+indices in ``[0, dim)``.  Inside the kernel it is an ``int`` bitmask, bit i
+set when slot i is a factor: the bitmap representation of Dorst, Fontijne and
+Mann, *Geometric Algebra for Computer Science* (2007), ch. 19.  Two blades
+overlap when their masks share a bit, and every reordering sign is the parity
+of a popcount.  A form is a sparse map from blades to nonzero exact
+coefficients: ``int`` where every step is integral (the whole operator
+layer), ``Fraction`` where the code divides.  The identities verified
+downstream are algebraic, and rounding would weaken them to approximations.
 
 Orientation convention: the volume form is the full blade ``(0, ..., dim-1)``
 with coefficient +1.  The blade order follows the coframe index order, so the
 lexicographic order used for leading-blade arguments is plain tuple order.
-A ``Basis`` lists the blades of each degree in that order; operator columns
-and the cells of ``cellular`` are both indexed by one.
+Mask order is not that order ((0, 5) is mask 33, (1, 2) is mask 6), so
+whatever is ordered for output sorts by tuple.  A ``Basis`` lists the blades
+of each degree in tuple order; operator columns and the cells of
+``cellular`` are both indexed by one.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ class Basis:
         self.positions = {
             blade: i for blades in self._blades.values() for i, blade in enumerate(blades)
         }
+        # The same basis as masks, for the kernel.
+        self._masks = {k: tuple(map(_mask_of, blades)) for k, blades in self._blades.items()}
+        self._index = {m: i for masks in self._masks.values() for i, m in enumerate(masks)}
 
     @property
     def max_degree(self) -> int:
@@ -73,44 +82,94 @@ class Basis:
 
 _EXACT = (int, Fraction)
 
-# Every blade that has passed ``_as_blade`` in this process.  Validation is a
-# pure function of the blade, so each distinct blade is checked once; only
-# valid blades are ever added.
-_VALID_BLADES: set[Blade] = set()
+# Blade -> mask for every blade that has passed ``_mask_of`` in this process.
+# Validation is a pure function of the blade, so each distinct blade is
+# checked once; only valid blades are ever added.
+_VALID_BLADES: dict[Blade, int] = {}
 
 
-def _as_blade(indices: Iterable[int]) -> Blade:
-    blade = tuple(indices)
+def _mask_of(blade: Blade) -> int:
+    """The mask of a blade, validated on first sight."""
+    mask = _VALID_BLADES.get(blade)
+    if mask is not None:
+        return mask
+    blade = tuple(blade)
     if any(nxt <= prev for nxt, prev in zip(blade[1:], blade)):
         raise ValueError(f"blade indices must be strictly increasing: {blade}")
     if blade and blade[0] < 0:
         raise ValueError(f"blade indices must be nonnegative: {blade}")
-    return blade
+    mask = 0
+    for i in blade:
+        mask |= 1 << i
+    _VALID_BLADES[blade] = mask
+    return mask
+
+
+def _blade_of(mask: int) -> Blade:
+    blade = []
+    while mask:
+        low = mask & -mask
+        blade.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(blade)
+
+
+def _flips(mask: int) -> int:
+    """The slots lying below an odd number of the slots of ``mask``.
+
+    Moving a blade ``b`` to the right of ``mask`` passes the pairs
+    (i in mask, j in b, i > j), so its sign is the parity of
+    ``(b & _flips(mask)).bit_count()``.
+    """
+    flips = 0
+    while mask:
+        top = 1 << (mask.bit_length() - 1)
+        flips ^= top - 1
+        mask ^= top
+    return flips
 
 
 class Multivector:
     """Sparse form with exact coefficients.
 
-    ``int`` and ``Fraction`` coefficients are stored as given, anything else
-    is converted to ``Fraction``; zero coefficients are dropped.  Instances are treated as immutable values; no operation mutates its
+    Built from a map of tuple blades to coefficients: ``int`` and
+    ``Fraction`` coefficients are stored as given, anything else is
+    converted to ``Fraction``, and zero coefficients are dropped.  The
+    kernel stores mask -> coefficient (``_terms``) and builds its results
+    through the private keyword ``_masks``; ``terms`` gives the tuple view.
+    Instances are treated as immutable values; no operation mutates its
     operands, which keeps everything safe for concurrent use.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Blade, Coeff] | None = None):
-        data: dict[Blade, Coeff] = {}
+    def __init__(
+        self,
+        terms: Mapping[Blade, Coeff] | None = None,
+        *,
+        _masks: dict[int, Coeff] | None = None,
+    ):
+        if _masks is not None:
+            # Kernel results: a fresh dict of valid masks and exact
+            # coefficients, kept as it is unless it holds a zero.
+            if all(_masks.values()):
+                self._terms = _masks
+            else:
+                self._terms = {m: c for m, c in _masks.items() if c}
+            return
+        data: dict[int, Coeff] = {}
         if terms:
-            valid = _VALID_BLADES
             for blade, coeff in terms.items():
                 if type(coeff) not in _EXACT:
                     coeff = Fraction(coeff)
                 if coeff:
-                    if blade not in valid:
-                        blade = _as_blade(blade)
-                        valid.add(blade)
-                    data[blade] = coeff
-        self.terms = data
+                    data[_mask_of(blade)] = coeff
+        self._terms = data
+
+    @property
+    def terms(self) -> dict[Blade, Coeff]:
+        """The terms keyed by tuple blades, as a new dict."""
+        return {_blade_of(m): c for m, c in self._terms.items()}
 
     @classmethod
     def zero(cls) -> "Multivector":
@@ -126,7 +185,7 @@ class Multivector:
 
     def degree(self) -> int | None:
         """Degree of a homogeneous form, None for zero, error when mixed."""
-        degs = {len(b) for b in self.terms}
+        degs = {m.bit_count() for m in self._terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -134,12 +193,12 @@ class Multivector:
         return degs.pop()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return _combine(((1, self), (1, other)))
@@ -148,14 +207,14 @@ class Multivector:
         return _combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "Multivector":
-        return Multivector({b: -c for b, c in self.terms.items()})
+        return Multivector(_masks={m: -c for m, c in self._terms.items()})
 
     def __rmul__(self, scalar) -> "Multivector":
         c = scalar if type(scalar) in _EXACT else Fraction(scalar)
-        return Multivector({b: c * v for b, v in self.terms.items()})
+        return Multivector(_masks={m: c * v for m, v in self._terms.items()})
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
         for blade, coeff in sorted(self.terms.items()):
@@ -166,48 +225,36 @@ class Multivector:
 
 def _combine(pairs: Iterable[tuple[Coeff, Multivector]]) -> Multivector:
     """The linear combination ``sum(scalar * form)``, accumulated in one pass."""
-    acc: dict[Blade, Coeff] = {}
+    acc: dict[int, Coeff] = {}
     get = acc.get
     for scalar, form in pairs:
         if scalar == 1:
-            for blade, coeff in form.terms.items():
-                acc[blade] = get(blade, 0) + coeff
+            for m, coeff in form._terms.items():
+                acc[m] = get(m, 0) + coeff
         else:
-            for blade, coeff in form.terms.items():
-                acc[blade] = get(blade, 0) + scalar * coeff
-    return Multivector(acc)
-
-
-def _merge_sign(a: Blade, b: Blade) -> tuple[int, Blade]:
-    """Merge two blades; sign is the parity of the shuffle, 0 on overlap."""
-    out: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+            if type(scalar) not in _EXACT:
+                scalar = Fraction(scalar)
+            for m, coeff in form._terms.items():
+                acc[m] = get(m, 0) + scalar * coeff
+    return Multivector(_masks=acc)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; bilinear, associative, graded-anticommutative."""
-    acc: dict[Blade, Coeff] = {}
-    for ba, ca in a.terms.items():
-        for bb, cb in b.terms.items():
-            sign, merged = _merge_sign(ba, bb)
-            if sign:
-                acc[merged] = acc.get(merged, 0) + sign * ca * cb
-    return Multivector(acc)
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    b_terms = b._terms.items()
+    for ma, ca in a._terms.items():
+        flips = _flips(ma)
+        for mb, cb in b_terms:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (mb & flips).bit_count() & 1:
+                acc[m] = get(m, 0) - ca * cb
+            else:
+                acc[m] = get(m, 0) + ca * cb
+    return Multivector(_masks=acc)
 
 
 def wedge_all(factors: Iterable[Multivector]) -> Multivector:
@@ -223,42 +270,43 @@ def interior(v: int, omega: Multivector) -> Multivector:
     Antiderivation of degree -1; anticommutes with itself to zero, and
     ``{blade(v) ^ -, interior(v, -)} = id`` on the whole algebra.
     """
+    return _interior(v, omega, False)
+
+
+def _interior(v: int, omega: Multivector, negate: bool) -> Multivector:
+    """``interior(v, omega)``, negated when ``negate`` is set."""
     if v < 0:
         raise ValueError("coframe index must be nonnegative")
-    acc: dict[Blade, Coeff] = {}
-    for blade, coeff in omega.terms.items():
-        try:
-            pos = blade.index(v)
-        except ValueError:
-            continue
-        sign = -1 if pos % 2 else 1
-        rest = blade[:pos] + blade[pos + 1 :]
-        acc[rest] = acc.get(rest, 0) + sign * coeff
-    return Multivector(acc)
-
-
-def complement_sign(blade: Blade) -> int:
-    """Parity of the shuffle placing ``blade`` before its complement."""
-    inversions = sum(a - pos for pos, a in enumerate(blade))
-    return -1 if inversions % 2 else 1
+    bit = 1 << v
+    below = bit - 1
+    # Distinct blades containing v contract to distinct blades: no sums.
+    return Multivector(_masks={
+        m ^ bit: -c if ((m & below).bit_count() & 1) ^ negate else c
+        for m, c in omega._terms.items()
+        if m & bit
+    })
 
 
 def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:
     """Hodge star for the orthonormal coframe, volume = the full blade.
 
     Requires homogeneous input; in odd total dimension the square of the
-    star is the identity.
+    star is the identity.  Placing a degree-k blade before its complement
+    passes, for each factor i, the i - (its position) complement slots below
+    it: the sign is the parity of the sum of the factors minus k(k-1)/2.
     """
     omega.degree()  # raises on non-homogeneous input
     dim = dims.dim
-    acc: dict[Blade, Coeff] = {}
-    for blade, coeff in omega.terms.items():
-        if blade and blade[-1] >= dim:
-            raise ValueError(f"blade {blade} exceeds coframe size {dim}")
-        in_blade = set(blade)
-        comp = tuple(i for i in range(dim) if i not in in_blade)
-        acc[comp] = acc.get(comp, 0) + complement_sign(blade) * coeff
-    return Multivector(acc)
+    full = (1 << dim) - 1
+    odd_slots = int("10" * dim, 2)  # bits 1, 3, 5, ...
+    acc: dict[int, Coeff] = {}
+    for m, coeff in omega._terms.items():
+        if m >> dim:
+            raise ValueError(f"blade {_blade_of(m)} exceeds coframe size {dim}")
+        k = m.bit_count()
+        odd = ((m & odd_slots).bit_count() + k * (k - 1) // 2) & 1
+        acc[full ^ m] = -coeff if odd else coeff
+    return Multivector(_masks=acc)
 
 
 def pairing(omega: Multivector, kvector: Multivector) -> Fraction:
@@ -275,12 +323,13 @@ def pairing(omega: Multivector, kvector: Multivector) -> Fraction:
     k = omega.degree()
     if k != kvector.degree():
         raise ValueError("pairing requires equal degrees")
-    total = sum(c * kvector.terms.get(b, 0) for b, c in omega.terms.items())
+    other = kvector._terms
+    total = sum(c * other.get(m, 0) for m, c in omega._terms.items())
     return Fraction(total, factorial(k))
 
 
 def leading_blade(omega: Multivector) -> Blade | None:
     """Lexicographically first blade with nonzero coefficient; None for 0."""
-    if not omega.terms:
+    if not omega._terms:
         return None
-    return min(omega.terms)
+    return min(map(_blade_of, omega._terms))

@@ -186,7 +186,7 @@ def _sector_preservation(ops: OperatorSet):
             for k in ops.hor.degrees():
                 for blade in ops.hor.blades(k):
                     image = op.blocks[k][op.basis.positions[blade]]
-                    if any(i >= dims.horizontal_dim for b in image.terms for i in b):
+                    if any(m >> dims.horizontal_dim for m in image._terms):
                         label = contact.format_blade(dims, blade)
                         yield f"{prefix}_{a}", k, label, image, "eta-free image"
 
@@ -303,7 +303,7 @@ def _xi_consistency(ops: OperatorSet):
             )
             if contracted:
                 yield f"i_xi_{m} Xi_{a}", 2, "-", contracted, 0
-        if any(i >= dims.horizontal_dim for blade in explicit.terms for i in blade):
+        if any(m >> dims.horizontal_dim for m in explicit._terms):
             yield f"alpha={a}", 2, "-", explicit, "eta-free form"
 
 

@@ -13,13 +13,13 @@ is what lets the degree-weight and substitution operators live there.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Blade, Coeff, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -43,8 +43,8 @@ class GradedOperator:
         blocks: dict[int, list[Multivector]] = {}
         for k in basis.degrees():
             cols = []
-            for blade in basis.blades(k):
-                image = fn(Multivector.blade(blade))
+            for mask in basis._masks[k]:
+                image = fn(Multivector(_masks={mask: 1}))
                 if image and image.degree() != k + shift:
                     raise ValueError(
                         f"image of degree-{k} blade has degree "
@@ -62,14 +62,19 @@ class GradedOperator:
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
         return cls.from_function(shift, basis, lambda mv: Multivector.zero())
 
-    def _images(self, mv: Multivector, scalar=1):
-        """(coefficient, column) pairs that sum to ``scalar`` times the image of mv."""
-        blocks, positions = self.blocks, self.basis.positions
-        for blade, coeff in mv.terms.items():
-            yield scalar * coeff, blocks[len(blade)][positions[blade]]
+    def _accumulate(self, acc: dict[int, Coeff], mv: Multivector, scalar: Coeff = 1) -> None:
+        """Add ``scalar`` times the image of ``mv`` into ``acc`` (mask -> coefficient)."""
+        blocks, index = self.blocks, self.basis._index
+        get = acc.get
+        for m, coeff in mv._terms.items():
+            coeff *= scalar
+            for image, c in blocks[m.bit_count()][index[m]]._terms.items():
+                acc[image] = get(image, 0) + coeff * c
 
     def apply(self, mv: Multivector) -> Multivector:
-        return _combine(self._images(mv))
+        acc: dict[int, Coeff] = {}
+        self._accumulate(acc, mv)
+        return Multivector(_masks=acc)
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other; zero columns of other are shared, not re-applied."""
@@ -99,13 +104,19 @@ def _bracket(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
     both operators is shared, as in ``compose``."""
     if a.basis is not b.basis:
         raise ValueError("operators on different bases have no bracket")
-    blocks = {
-        k: [
-            _combine(chain(a._images(b_col), b._images(a_col, sign))) if a_col or b_col else a_col
-            for a_col, b_col in zip(a_cols, b.blocks[k])
-        ]
-        for k, a_cols in a.blocks.items()
-    }
+    blocks = {}
+    for k, a_cols in a.blocks.items():
+        cols = []
+        for a_col, b_col in zip(a_cols, b.blocks[k]):
+            if a_col._terms or b_col._terms:
+                acc: dict[int, Coeff] = {}
+                if b_col._terms:
+                    a._accumulate(acc, b_col)
+                if a_col._terms:
+                    b._accumulate(acc, a_col, sign)
+                a_col = Multivector(_masks=acc)
+            cols.append(a_col)
+        blocks[k] = cols
     return GradedOperator(a.shift + b.shift, a.basis, blocks)
 
 
@@ -205,8 +216,9 @@ class OperatorSet:
 
         def column(mv: Multivector) -> Multivector:
             return _combine(
-                (1, contact.frame_interior(dims, first, contact.frame_interior(dims, second, mv)))
+                (1, contact.frame_interior(dims, first, inner))
                 for first, second in pairs
+                if (inner := contact.frame_interior(dims, second, mv))
             )
 
         return GradedOperator.from_function(-2, basis, column)
@@ -271,13 +283,14 @@ class OperatorSet:
         row = self.table.entries[a]
 
         def column(mv: Multivector) -> Multivector:
-            acc: dict[Blade, Coeff] = {}
-            for blade, coeff in mv.terms.items():
-                for positions in combinations(range(len(blade)), s):
-                    sign, image = contact._pull_back(blade, row, positions)
+            acc: dict[int, Coeff] = {}
+            for m, coeff in mv._terms.items():
+                factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+                for chosen in combinations(factors, s):
+                    sign, image = contact._pull_back(m, row, sum(chosen))
                     if sign:
                         acc[image] = acc.get(image, 0) + sign * coeff
-            return Multivector(acc)
+            return Multivector(_masks=acc)
 
         return GradedOperator.from_function(0, self.hor, column)
 

@@ -145,8 +145,8 @@ def _flatten(op: GradedOperator) -> dict:
     vec = {}
     for k, cols in op.blocks.items():
         for pos, col in enumerate(cols):
-            for blade, coeff in col.terms.items():
-                vec[(k, pos, blade)] = coeff
+            for m, coeff in col._terms.items():
+                vec[(k, pos, m)] = coeff
     return vec
 
 

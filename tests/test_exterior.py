@@ -1,7 +1,9 @@
 """Exterior algebra core: wedge, contraction, star, pairing, blade order."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cosym3.exterior import (
     pairing,
     wedge,
 )
-from cosym3.linalg import det
+from cosym3.linalg import det, sort_with_sign
 from helpers import coefficients, homogeneous, multivectors
 
 D1 = ModelDims(1)
@@ -175,8 +177,6 @@ class TestHodgeStar:
 
     @pytest.mark.parametrize("dims", [D1, D2])
     def test_star_squared_full_matrix(self, dims):
-        from itertools import combinations
-
         for k in range(dims.dim + 1):
             for blade in combinations(range(dims.dim), k):
                 mv = Multivector.blade(blade)
@@ -185,8 +185,6 @@ class TestHodgeStar:
     def test_star_contraction_identity_exhaustive(self):
         # *(rho ^ *omega) = (-1)^((D-k)(k-1)) i_Y omega over the whole
         # 128-dimensional algebra and every coframe slot, n = 1.
-        from itertools import combinations
-
         D = D1.dim
         for k in range(D + 1):
             sign = (-1) ** ((D - k) * (k - 1))
@@ -272,3 +270,67 @@ class TestLexOrder:
     @given(omega=multivectors(), scalar=st.integers(1, 5))
     def test_leading_blade_scale_invariant(self, omega, scalar):
         assert leading_blade(omega) == leading_blade(Fraction(scalar) * omega)
+
+
+# The kernel stores blades as bitmasks; these references work on tuples.
+SLOTS = 6
+ALL_BLADES = [b for k in range(SLOTS + 1) for b in combinations(range(SLOTS), k)]
+
+
+def wedge_reference(a, b):
+    if set(a) & set(b):
+        return Multivector.zero()
+    sign, merged = sort_with_sign(a + b)
+    return Multivector.blade(merged, sign)
+
+
+def interior_reference(v, blade):
+    if v not in blade:
+        return Multivector.zero()
+    pos = blade.index(v)
+    return Multivector.blade(blade[:pos] + blade[pos + 1 :], (-1) ** pos)
+
+
+def star_reference(blade, dim):
+    """The complement, signed so that blade ^ complement is the volume form."""
+    comp = tuple(i for i in range(dim) if i not in blade)
+    sign, _ = sort_with_sign(blade + comp)
+    return Multivector.blade(comp, sign)
+
+
+class TestKernelAgainstTuples:
+    def test_wedge_every_blade_pair(self):
+        for a in ALL_BLADES:
+            for b in ALL_BLADES:
+                got = wedge(Multivector.blade(a), Multivector.blade(b))
+                assert got == wedge_reference(a, b), (a, b)
+
+    def test_interior_every_slot_and_blade(self):
+        for v in range(SLOTS):
+            for blade in ALL_BLADES:
+                got = interior(v, Multivector.blade(blade))
+                assert got == interior_reference(v, blade), (v, blade)
+
+    @pytest.mark.parametrize("dim", [SLOTS, D1.dim])
+    def test_hodge_star_every_blade(self, dim):
+        dims = SimpleNamespace(dim=dim)  # hodge_star reads only the coframe size
+        for k in range(dim + 1):
+            for blade in combinations(range(dim), k):
+                got = hodge_star(Multivector.blade(blade, 3), dims)
+                assert got == 3 * star_reference(blade, dim), blade
+
+    def test_star_rejects_blades_beyond_the_coframe(self):
+        with pytest.raises(ValueError, match="exceeds coframe size 7"):
+            hodge_star(Multivector.blade((2, 7)), D1)
+
+    def test_terms_give_tuple_blades(self):
+        form = wedge(Multivector.blade((4,)), Multivector.blade((1, 3), 2))
+        assert form.terms == {(1, 3, 4): 2}
+        assert Multivector(form.terms) == form
+
+    def test_output_follows_tuple_order_not_mask_order(self):
+        # (0, 5) is mask 33 and (1, 2) is mask 6: the masks sort the other way.
+        form = Multivector({(1, 2): 1, (0, 5): 1})
+        assert repr(form) == "1*0^5 + 1*1^2"
+        assert leading_blade(form) == (0, 5)
+        assert leading_blade(Multivector({(3,): 2, (0, 1, 2): -1})) == (0, 1, 2)

@@ -120,7 +120,12 @@ def combine(vectors, coeffs):
 
 
 # Plain ints too: the core must take them as given and divide them exactly.
-values = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# The values are the ints in [-3, 3] and every Fraction there with
+# denominator at most 3, listed so that a draw is one choice.  The ints are
+# listed four times, so that about half the draws are plain ints.
+INTS = list(range(-3, 4))
+FRACTIONS = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)})
+values = st.sampled_from(INTS * 4 + FRACTIONS)
 sparse_vectors = st.dictionaries(st.integers(0, 5), values, max_size=4)
 
 
@@ -134,7 +139,7 @@ def systems(draw):
     vectors = draw(st.lists(sparse_vectors, max_size=4))
     for _ in range(draw(st.integers(0, 3)) if vectors else 0):
         if draw(st.booleans()):
-            derived = dict(draw(st.sampled_from(vectors)))
+            derived = dict(vectors[draw(st.integers(0, len(vectors) - 1))])
         else:
             derived = combine(vectors, draw(weights(len(vectors))))
         vectors.insert(draw(st.integers(0, len(vectors))), derived)
@@ -189,19 +194,24 @@ class TestSparseRank:
         assert sparse_rank(vectors) == dense_rank(dense)
 
 
+ROW_KINDS = ["keep", "keep", "zero", "duplicate", "dependent"]
+
+
 @st.composite
 def dense_matrices(draw, square=False):
     """Small dense matrices with dependent, duplicate and zero rows mixed in."""
     size = draw(st.integers(0, 5))
     ncols = size if square else draw(st.integers(0, 5))
     nrows = size if square else draw(st.integers(0, 5))
-    rows = [draw(st.lists(values, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
-    for i in range(len(rows)):
-        kind = draw(st.sampled_from(["keep", "keep", "zero", "duplicate", "dependent"]))
+    # One flat draw of the entries, cut into rows.
+    flat = draw(st.lists(values, min_size=nrows * ncols, max_size=nrows * ncols))
+    rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=nrows, max_size=nrows))
+    for i, kind in enumerate(kinds):
         if kind == "zero":
             rows[i] = [0] * ncols
         elif kind == "duplicate":
-            rows[i] = list(draw(st.sampled_from(rows)))
+            rows[i] = list(rows[draw(st.integers(0, nrows - 1))])
         elif kind == "dependent":
             coeffs = draw(weights(len(rows)))
             rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
