@@ -97,13 +97,19 @@ def eval_diag(dims: ModelDims) -> tuple[int, ...]:
     return (1,) * n + (-1,) * (3 * n) + (1, 1, 1)
 
 
+def _negative_slots(dims: ModelDims) -> int:
+    """The mask of the slots whose ``eval_diag`` sign is -1: a frame blade
+    pairs and contracts like its coframe blade, negated once per such slot."""
+    return sum(1 << i for i, d in enumerate(eval_diag(dims)) if d < 0)
+
+
 def pair_frame(dims: ModelDims, omega: Multivector, kvector: Multivector) -> Fraction:
     """Pair a form with a k-vector written in the frame basis.
 
     The frame evaluation is diagonal, so a frame blade pairs like its coframe
     blade times the product of its ``eval_diag`` signs.
     """
-    negative = sum(1 << i for i, d in enumerate(eval_diag(dims)) if d < 0)
+    negative = _negative_slots(dims)
     return pairing(omega, Multivector(_masks={
         m: -c if (m & negative).bit_count() & 1 else c for m, c in kvector._terms.items()
     }))
@@ -111,7 +117,7 @@ def pair_frame(dims: ModelDims, omega: Multivector, kvector: Multivector) -> Fra
 
 def frame_interior(dims: ModelDims, slot: int, omega: Multivector) -> Multivector:
     """Contraction with the frame vector occupying coframe slot ``slot``."""
-    return _interior(slot, omega, eval_diag(dims)[slot] < 0)
+    return _interior(slot, omega, _negative_slots(dims) >> slot & 1)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ class Basis:
         }
         # The same basis as masks, for the kernel.
         self._masks = {k: tuple(map(_mask_of, blades)) for k, blades in self._blades.items()}
-        self._index = {m: i for masks in self._masks.values() for i, m in enumerate(masks)}
 
     @property
     def max_degree(self) -> int:
@@ -270,21 +269,26 @@ def interior(v: int, omega: Multivector) -> Multivector:
     Antiderivation of degree -1; anticommutes with itself to zero, and
     ``{blade(v) ^ -, interior(v, -)} = id`` on the whole algebra.
     """
-    return _interior(v, omega, False)
+    return _interior(v, omega, 0)
 
 
-def _interior(v: int, omega: Multivector, negate: bool) -> Multivector:
-    """``interior(v, omega)``, negated when ``negate`` is set."""
+def _interior(v: int, omega: Multivector, negate: int) -> Multivector:
+    """``interior(v, omega)``, negated when ``negate`` is 1."""
     if v < 0:
         raise ValueError("coframe index must be nonnegative")
     bit = 1 << v
-    below = bit - 1
     # Distinct blades containing v contract to distinct blades: no sums.
     return Multivector(_masks={
-        m ^ bit: -c if ((m & below).bit_count() & 1) ^ negate else c
+        m ^ bit: -c if _contraction_parity(m, bit) ^ negate else c
         for m, c in omega._terms.items()
         if m & bit
     })
+
+
+def _contraction_parity(mask: int, bit: int) -> int:
+    """Sign parity of contracting the factor ``bit`` out of the blade ``mask``:
+    the factor is first moved to the front, past the factors below it."""
+    return (mask & (bit - 1)).bit_count() & 1
 
 
 def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:

@@ -47,11 +47,12 @@ def _subtract(vec: dict, factor: Coeff, other: Mapping) -> None:
             vec.pop(key, None)
 
 
-def _reduce(cur: dict, combo: dict, pivots: dict) -> Hashable | None:
+def _reduce(cur: dict, pivots: dict, combo: dict | None = None) -> Hashable | None:
     """Reduce ``cur`` in place against ``pivots`` (lead -> (vector, combo)).
 
-    Every step is repeated on ``combo``.  Returns the new leading key of
-    ``cur``, or None once it is zero.
+    When ``combo`` is given, every step is repeated on it, against the pivots'
+    combinations.  Returns the new leading key of ``cur``, or None once it is
+    zero.
     """
     while cur:
         lead = max(cur)
@@ -64,17 +65,22 @@ def _reduce(cur: dict, combo: dict, pivots: dict) -> Hashable | None:
         else:
             factor = Fraction(num, den)  # not `/`: two ints give a float
         _subtract(cur, factor, basis)
-        _subtract(combo, factor, basis_combo)
+        if combo is not None:
+            _subtract(combo, factor, basis_combo)
     return None
 
 
-def _echelon(vectors: Sequence[Mapping[Hashable, Coeff]]) -> dict:
-    """Pivots of the vectors in order; one in the span of earlier ones adds none."""
+def _echelon(vectors: Sequence[Mapping[Hashable, Coeff]], combos: bool = False) -> dict:
+    """Pivots of the vectors in order; one in the span of earlier ones adds none.
+
+    A pivot's combination (vector index -> coefficient) is tracked only when
+    ``combos`` is set, and is None otherwise.
+    """
     pivots: dict = {}
     for i, vec in enumerate(vectors):
         cur = {k: v for k, v in vec.items() if v}
-        combo = {i: 1}
-        lead = _reduce(cur, combo, pivots)
+        combo = {i: 1} if combos else None
+        lead = _reduce(cur, pivots, combo)
         if lead is not None:
             pivots[lead] = (cur, combo)
     return pivots
@@ -94,12 +100,12 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix over the rationals.
 
     The empty matrix has determinant 1.  The rows are echelonized in order:
-    the pivot from row i has combination i plus earlier rows (unit lower
-    triangular, so the determinant is unchanged) and entries only at columns
-    up to its lead, so the determinant is the sign of the permutation
-    row -> lead times the product of the pivot entries.  When every row gives
-    a pivot, the i-th pivot inserted is row i's, so the leads in insertion
-    order are that permutation.
+    the pivot from row i is row i minus multiples of earlier pivots (a unit
+    lower triangular change, so the determinant is unchanged) and has entries
+    only at columns up to its lead, so the determinant is the sign of the
+    permutation row -> lead times the product of the pivot entries.  When
+    every row gives a pivot, the i-th pivot inserted is row i's, so the leads
+    in insertion order are that permutation.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -107,10 +113,10 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     pivots = _echelon([dict(enumerate(row)) for row in rows])
     if len(pivots) < n:
         return Fraction(0)
-    result = Fraction(1)
+    result = 1
     for lead, (vec, _) in pivots.items():
         result *= vec[lead]
-    return sort_with_sign(list(pivots))[0] * result
+    return Fraction(sort_with_sign(list(pivots))[0] * result)
 
 
 def solve_in_span(
@@ -126,7 +132,7 @@ def solve_in_span(
     """
     cur = {k: v for k, v in target.items() if v}
     combo: dict = {}
-    if _reduce(cur, combo, _echelon(vectors)) is not None:
+    if _reduce(cur, _echelon(vectors, combos=True), combo) is not None:
         return None
     return [-combo.get(i, 0) for i in range(len(vectors))]
 

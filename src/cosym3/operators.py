@@ -8,6 +8,13 @@ Two carriers appear: the full blade algebra, and the eta-free ("horizontal")
 sector spanned by blades missing all three Reeb one-forms.  The wedge and
 contraction operators built from horizontal data preserve the sector, which
 is what lets the degree-weight and substitution operators live there.
+
+Every product reads an operator through its image table, source blade mask ->
+the column's own mask dict, built the first time a product needs it.  A
+bracket runs both of its accumulations inline, column by column, so the two
+composites are never materialized.  The double contractions Lambda_a are
+built on the blade mask: one pass over the structure pairs per column, with
+the contraction parity of ``exterior`` and the frame signs of ``eval_diag``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _combine, hodge_star, interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _combine, _contraction_parity, _interior, hodge_star,
+    interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -27,14 +35,30 @@ SUPPORTED_RANKS = (1, 2, 3)
 
 
 class GradedOperator:
-    """A degree-homogeneous linear operator stored as per-degree columns."""
+    """A degree-homogeneous linear operator stored as per-degree columns.
 
-    __slots__ = ("shift", "basis", "blocks")
+    Products read the columns through the image table, source mask -> the
+    column's own ``_terms`` dict, built on first use: most bracket results
+    are only compared, and never need one.
+    """
+
+    __slots__ = ("shift", "basis", "blocks", "_images")
 
     def __init__(self, shift: int, basis: Basis, blocks: dict[int, list[Multivector]]):
         self.shift = shift
         self.basis = basis
         self.blocks = blocks
+        self._images: dict[int, dict[int, Coeff]] | None = None
+
+    def _image_table(self) -> dict[int, dict[int, Coeff]]:
+        if self._images is None:
+            masks = self.basis._masks
+            self._images = {
+                m: col._terms
+                for k, cols in self.blocks.items()
+                for m, col in zip(masks[k], cols)
+            }
+        return self._images
 
     @classmethod
     def from_function(
@@ -42,15 +66,15 @@ class GradedOperator:
     ) -> "GradedOperator":
         blocks: dict[int, list[Multivector]] = {}
         for k in basis.degrees():
-            cols = []
-            for mask in basis._masks[k]:
-                image = fn(Multivector(_masks={mask: 1}))
-                if image and image.degree() != k + shift:
-                    raise ValueError(
-                        f"image of degree-{k} blade has degree "
-                        f"{image.degree()}, expected {k + shift}"
-                    )
-                cols.append(image)
+            cols = [fn(Multivector(_masks={mask: 1})) for mask in basis._masks[k]]
+            target = k + shift
+            if {m.bit_count() for col in cols for m in col._terms} - {target}:
+                bad = next(
+                    col for col in cols if any(m.bit_count() != target for m in col._terms)
+                )
+                raise ValueError(
+                    f"image of degree-{k} blade has degree {bad.degree()}, expected {target}"
+                )
             blocks[k] = cols
         return cls(shift, basis, blocks)
 
@@ -60,20 +84,16 @@ class GradedOperator:
 
     @classmethod
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
-        return cls.from_function(shift, basis, lambda mv: Multivector.zero())
-
-    def _accumulate(self, acc: dict[int, Coeff], mv: Multivector, scalar: Coeff = 1) -> None:
-        """Add ``scalar`` times the image of ``mv`` into ``acc`` (mask -> coefficient)."""
-        blocks, index = self.blocks, self.basis._index
-        get = acc.get
-        for m, coeff in mv._terms.items():
-            coeff *= scalar
-            for image, c in blocks[m.bit_count()][index[m]]._terms.items():
-                acc[image] = get(image, 0) + coeff * c
+        empty = Multivector.zero()
+        return cls.from_function(shift, basis, lambda mv: empty)
 
     def apply(self, mv: Multivector) -> Multivector:
+        images = self._image_table()
         acc: dict[int, Coeff] = {}
-        self._accumulate(acc, mv)
+        get = acc.get
+        for m, coeff in mv._terms.items():
+            for image, c in images[m].items():
+                acc[image] = get(image, 0) + coeff * c
         return Multivector(_masks=acc)
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
@@ -100,20 +120,26 @@ class GradedOperator:
 
 
 def _bracket(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
-    """a b + sign * b a, each column accumulated in one pass; a column empty in
-    both operators is shared, as in ``compose``."""
+    """a b + sign * b a, both accumulations inline in one pass per column;
+    a column empty in both operators is shared, as in ``compose``."""
     if a.basis is not b.basis:
         raise ValueError("operators on different bases have no bracket")
+    a_images, b_images = a._image_table(), b._image_table()
     blocks = {}
     for k, a_cols in a.blocks.items():
         cols = []
         for a_col, b_col in zip(a_cols, b.blocks[k]):
-            if a_col._terms or b_col._terms:
+            a_terms, b_terms = a_col._terms, b_col._terms
+            if a_terms or b_terms:
                 acc: dict[int, Coeff] = {}
-                if b_col._terms:
-                    a._accumulate(acc, b_col)
-                if a_col._terms:
-                    b._accumulate(acc, a_col, sign)
+                get = acc.get
+                for m, coeff in b_terms.items():
+                    for image, c in a_images[m].items():
+                        acc[image] = get(image, 0) + coeff * c
+                for m, coeff in a_terms.items():
+                    coeff *= sign
+                    for image, c in b_images[m].items():
+                        acc[image] = get(image, 0) + coeff * c
                 a_col = Multivector(_masks=acc)
             cols.append(a_col)
         blocks[k] = cols
@@ -211,15 +237,28 @@ class OperatorSet:
         )
 
     def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
-        dims = self.dims
-        pairs = contact.structure_pairs(dims, a)[:-1]  # without the eta pair
+        """Sum of the frame contractions i_first i_second over the structure
+        pairs of ``a`` but the eta pair, one pass over the pairs per blade."""
+        negative = contact._negative_slots(self.dims)
+        pairs = [
+            (1 << first, 1 << second)
+            for first, second in contact.structure_pairs(self.dims, a)[:-1]
+        ]
 
         def column(mv: Multivector) -> Multivector:
-            return _combine(
-                (1, contact.frame_interior(dims, first, inner))
-                for first, second in pairs
-                if (inner := contact.frame_interior(dims, second, mv))
-            )
+            acc: dict[int, Coeff] = {}
+            for m, coeff in mv._terms.items():
+                for first, second in pairs:
+                    if m & first and m & second:
+                        inner = m ^ second
+                        odd = (
+                            _contraction_parity(m, second)
+                            ^ _contraction_parity(inner, first)
+                            ^ ((first | second) & negative).bit_count()
+                        )
+                        image = inner ^ first
+                        acc[image] = acc.get(image, 0) + (-coeff if odd & 1 else coeff)
+            return Multivector(_masks=acc)
 
         return GradedOperator.from_function(-2, basis, column)
 
@@ -238,6 +277,7 @@ class OperatorSet:
         """Degree-0 wedge/contraction sum on the eta-free sector, arising as
         [L_a, Lambda_b] pieces."""
         dims = self.dims
+        negative = contact._negative_slots(dims)
         _, b, c = cyclic(a)
         terms = []  # (wedge factor, contraction slot, scalar)
         for s in range(1, dims.n + 1):
@@ -254,7 +294,7 @@ class OperatorSet:
             return _combine(
                 (scalar, wedge(factor, contracted))
                 for factor, slot, scalar in terms
-                if (contracted := contact.frame_interior(dims, slot, mv))
+                if (contracted := _interior(slot, mv, negative >> slot & 1))
             )
 
         return GradedOperator.from_function(0, self.hor, column)

@@ -419,8 +419,22 @@ class TestGradedOperatorPlumbing:
                 combination()
 
     def test_from_function_degree_validation(self):
-        with pytest.raises(ValueError):
-            GradedOperator.from_function(0, FULL, lambda mv: wedge(Multivector.blade((0,)), mv))
+        e0 = Multivector.blade((0,))
+        with pytest.raises(ValueError, match=r"^image of degree-0 blade has degree 1, expected 0$"):
+            GradedOperator.from_function(0, FULL, lambda mv: wedge(e0, mv))
+        # A wrong degree found past the first column names that column's degree.
+        with pytest.raises(ValueError, match=r"^image of degree-1 blade has degree 2, expected 1$"):
+            GradedOperator.from_function(
+                0, FULL, lambda mv: wedge(e0, mv) if mv.terms == {(1,): 1} else mv
+            )
+        with pytest.raises(ValueError, match=r"^form is not homogeneous: degrees \[0, 1\]$"):
+            GradedOperator.from_function(0, FULL, lambda mv: mv + wedge(e0, mv))
+
+    def test_zero_operator_shares_one_empty_column(self):
+        zero = GradedOperator.zero(HOR, 2)
+        columns = [col for cols in zero.blocks.values() for col in cols]
+        assert len(columns) == 2 ** HOR.max_degree
+        assert not columns[0] and all(col is columns[0] for col in columns)
 
     def test_brackets_match_two_applications(self):
         # Reference route: on each basis blade x, [a, b] x = a(b x) - b(a x)
@@ -437,3 +451,66 @@ class TestGradedOperatorPlumbing:
                     ab = a.apply(b.apply(Multivector.blade(x)))
                     ba = b.apply(a.apply(Multivector.blade(x)))
                     assert comm == ab - ba and anti == ab + ba, (la, lb, x)
+
+
+def reference_apply(op: GradedOperator, mv: Multivector) -> Multivector:
+    """``op`` applied through the tuple view of its columns, blade by blade."""
+    acc: dict = {}
+    for blade, coeff in mv.terms.items():
+        column = op.blocks[len(blade)][op.basis.positions[blade]]
+        for image, c in column.terms.items():
+            acc[image] = acc.get(image, 0) + coeff * c
+    return Multivector(acc)
+
+
+def mixed_forms(basis, seed: int, count: int = 2):
+    """Seeded forms with terms of several degrees and Fraction coefficients."""
+    rng = random.Random(seed)
+    blades = [b for k in basis.degrees() for b in basis.blades(k)]
+    return [
+        Multivector({
+            b: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            for b in rng.sample(blades, 6)
+        })
+        for _ in range(count)
+    ]
+
+
+class TestProductsAgainstReference:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_double_contraction_matches_two_frame_contractions(self, n):
+        # Lambda_a = sum over the structure pairs (first, second) but the eta
+        # pair of i_first i_second, each step one frame contraction.
+        dims = ModelDims(n)
+        ops = OperatorSet(dims)
+        for a in ALPHAS:
+            pairs = contact.structure_pairs(dims, a)[:-1]
+            for op in (ops.Lambda_full(a), ops.Lam(a)):
+                for k in op.basis.degrees():
+                    for b, column in zip(op.basis.blades(k), op.blocks[k]):
+                        mv = Multivector.blade(b)
+                        expected = Multivector.zero()
+                        for first, second in pairs:
+                            inner = contact.frame_interior(dims, second, mv)
+                            expected = expected + contact.frame_interior(dims, first, inner)
+                        assert column == expected, (n, a, op.basis is ops.full, b)
+
+    @pytest.mark.parametrize(
+        "flips", [(), ((1, 0), (2, 3), (3, 5))], ids=["built", "sign-flipped"]
+    )
+    def test_apply_compose_and_brackets_on_mixed_forms(self, flips):
+        ops = OperatorSet(D1, flipped(PhiStarTable.build(D1), flips))
+        operators = every_operator(ops)
+        forms = {id(ops.full): mixed_forms(ops.full, 1), id(ops.hor): mixed_forms(ops.hor, 2)}
+        for label, op in operators:
+            for x in forms[id(op.basis)]:
+                assert op.apply(x) == reference_apply(op, x), label
+        for (la, a), (lb, b) in combinations_with_replacement(operators, 2):
+            if a.basis is not b.basis:
+                continue
+            after = a.compose(b), commutator(a, b), anticommutator(a, b)
+            for x in forms[id(a.basis)]:
+                ab = reference_apply(a, reference_apply(b, x))
+                ba = reference_apply(b, reference_apply(a, x))
+                got = [reference_apply(op, x) for op in after]
+                assert got == [ab, ab - ba, ab + ba], (la, lb)
