@@ -5,7 +5,9 @@ directions twists the quaternionic torus T^4 = H / Z^4 by right quaternion
 multiplication.  Cells are the coordinate subcubes of the unit 7-cube,
 indexed by subsets of {1, ..., 7}: coordinates 1-4 are the quaternion axes
 (1, i, j, k) and 5-7 the flat directions.  A cell is a blade over the axes,
-so the cells of every twist are one ``exterior.Basis``, built once.
+so the cells of every twist are one ``exterior.Basis``, built once, and a
+twist substitutes a cell's quaternion factors through ``exterior._pull_back``,
+the routine of the structure pullbacks ``phi_a^*``, with its own row.
 
 Bringing a point with a flat coordinate at 1 back to the fundamental domain
 multiplies the quaternion by the *inverse* generator, q -> q * i^(-1); that
@@ -20,11 +22,12 @@ the face at 1 minus the face at 0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
-from .exterior import Basis
-from .linalg import _subtract, det, rank, smith_normal_form, sort_with_sign, sparse_rank
+from .exterior import Basis, _contraction_parity, _pull_back
+from .linalg import _subtract, det, rank, smith_normal_form, sparse_rank
 
 Cell = tuple[int, ...]
 
@@ -33,8 +36,13 @@ FLAT_AXES = (5, 6, 7)
 TOTAL_DIM = len(QUATERNION_AXES) + len(FLAT_AXES)
 
 # The cells of every twist.  A face of a k-cell is a (k-1)-cell, so the one
-# position table of the basis keys every boundary column.
+# position table of the basis keys every boundary column.  A cell's mask has
+# bit ``axis`` set per axis; ``_MASK_OF`` and ``_CELL_OF`` convert.
 _CUBE = Basis(range(1, TOTAL_DIM + 1))
+_CELL_OF = {m: cell for k in _CUBE.degrees() for m, cell in zip(_CUBE._masks[k], _CUBE.blades(k))}
+_MASK_OF = {cell: m for m, cell in _CELL_OF.items()}
+_QUATERNION_MASK = sum(1 << axis for axis in QUATERNION_AXES)
+_FLAT_BITS = tuple(1 << axis for axis in FLAT_AXES)
 
 
 class ComplexConsistencyError(Exception):
@@ -51,16 +59,20 @@ class TwistMap:
     """Signed permutation of the four quaternion axes.
 
     ``images[axis - 1] = (axis', sign)`` meaning the unit vector along
-    ``axis`` maps to ``sign`` times the unit vector along ``axis'``.
+    ``axis`` maps to ``sign`` times the unit vector along ``axis'``.  Images
+    and signs are ``int``; a list of images is stored as a tuple.
     """
 
     images: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.images) != len(QUATERNION_AXES):
-            raise ValueError(f"a twist has {len(QUATERNION_AXES)} images, got {len(self.images)}")
+        images = tuple(self.images)
+        if len(images) != len(QUATERNION_AXES):
+            raise ValueError(f"a twist has {len(QUATERNION_AXES)} images, got {len(images)}")
         seen = set()
-        for axis, entry in enumerate(self.images, start=1):
+        for axis, entry in enumerate(images, start=1):
+            if type(entry) is not tuple or len(entry) != 2 or {type(x) for x in entry} != {int}:
+                raise ValueError(f"image {entry!r} of axis {axis} is not an (axis, sign) pair of ints")
             img, sign = entry
             if img not in QUATERNION_AXES:
                 raise ValueError(f"image {entry} of axis {axis} is not on an axis 1-4")
@@ -69,9 +81,12 @@ class TwistMap:
             if sign not in (1, -1):
                 raise ValueError(f"image {entry} of axis {axis} has a sign other than +-1")
             seen.add(img)
+        object.__setattr__(self, "images", images)
 
-    def apply(self, axis: int) -> tuple[int, int]:
-        return self.images[axis - 1]
+    @cached_property
+    def row(self) -> tuple[tuple[int, int] | None, ...]:
+        """The ``exterior._pull_back`` row over the cube's slots; slot 0 is no axis."""
+        return (None, *self.images)
 
     @classmethod
     def right_multiplication_by_i(cls) -> "TwistMap":
@@ -86,8 +101,7 @@ class TwistMap:
 
     def matrix(self) -> list[list[int]]:
         rows = [[0] * len(self.images) for _ in self.images]
-        for axis in QUATERNION_AXES:
-            img, sign = self.apply(axis)
+        for axis, (img, sign) in enumerate(self.images, start=1):
             rows[img - 1][axis - 1] = sign
         return rows
 
@@ -95,10 +109,8 @@ class TwistMap:
         """Negate one image; self-test hook for negative controls."""
         if axis not in QUATERNION_AXES:
             raise ValueError(f"axis must be one of {QUATERNION_AXES}, got {axis}")
-        images = list(self.images)
-        img, sign = images[axis - 1]
-        images[axis - 1] = (img, -sign)
-        return TwistMap(tuple(images))
+        img, sign = self.images[axis - 1]
+        return TwistMap(self.images[: axis - 1] + ((img, -sign),) + self.images[axis:])
 
 
 def unit_translation_twist() -> TwistMap:
@@ -110,26 +122,6 @@ def unit_translation_twist() -> TwistMap:
     return TwistMap.right_multiplication_by_i().inverse()
 
 
-def twist_cell(cell: Cell, twist: TwistMap) -> tuple[Cell, int]:
-    """Image of a cell under the twist, with its orientation sign.
-
-    Quaternion axes map through the twist (collecting coordinate signs), flat
-    axes are unchanged; the sign also picks up the parity of the sort that
-    restores ascending order.
-    """
-    labels: list[int] = []
-    sign = 1
-    for axis in cell:
-        if axis in QUATERNION_AXES:
-            img, s = twist.apply(axis)
-            labels.append(img)
-            sign *= s
-        else:
-            labels.append(axis)
-    parity, image = sort_with_sign(labels)
-    return image, sign * parity
-
-
 def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     """Integer boundary chain of a cell.
 
@@ -138,23 +130,27 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     the face at 1 carries the remaining cell through the unit-translation
     twist.  In a quaternion direction the face at 1 is the face at 0 itself
     (plain torus identification), so the pair cancels and is never formed; a
-    cell inside the quaternion axes is a cycle.
+    cell inside the quaternion axes is a cycle.  On the cell's mask the face
+    at 1 substitutes the quaternion factors of the face at 0 through the row.
     """
-    twist = twist if twist is not None else unit_translation_twist()
-    chain: dict[Cell, int] = {}
-    for pos, axis in enumerate(cell):
-        if axis not in FLAT_AXES:
+    row = (twist if twist is not None else unit_translation_twist()).row
+    mask = _MASK_OF.get(cell)
+    if mask is None:
+        raise ValueError(f"{cell} is not a cell of the unit 7-cube")
+    chain: dict[int, int] = {}
+    for bit in _FLAT_BITS:
+        if not mask & bit:
             continue
-        outer = -1 if pos % 2 else 1
-        rest = cell[:pos] + cell[pos + 1 :]
-        image, sign = twist_cell(rest, twist)
+        outer = -1 if _contraction_parity(mask, bit) else 1
+        rest = mask ^ bit
+        sign, image = _pull_back(rest, row, rest & _QUATERNION_MASK)
         for face, value in ((image, outer * sign), (rest, -outer)):  # at 1, at 0
             new = chain.get(face, 0) + value
             if new:
                 chain[face] = new
             else:
                 del chain[face]
-    return chain
+    return {_CELL_OF[m]: v for m, v in chain.items()}
 
 
 @dataclass

@@ -6,11 +6,13 @@ this block order):
     zeta_1 .. zeta_n | phi1*zeta_* | phi2*zeta_* | phi3*zeta_* | eta_1, eta_2, eta_3
 
 The three structure endomorphisms act on one-forms by pullback, and on a blade
-factor by factor (``phi_star``).  Because the pullback of ``phi_a`` applied to
-the pulled-back elements picks up a minus sign (``phi_a`` squares to minus the
-identity off the Reeb directions), the frame vector paired with the coframe
-slot ``phi_a*zeta_s`` is minus ``phi_a X_s``; the ``eval_diag`` table records
-exactly these signs, and every contraction by a frame vector routes through it.
+factor by factor (``phi_star``, through ``exterior._pull_back``, the
+substitution routine that the twists of ``cellular`` share).  Because the
+pullback of ``phi_a`` applied to the pulled-back elements picks up a minus
+sign (``phi_a`` squares to minus the identity off the Reeb directions), the
+frame vector paired with the coframe slot ``phi_a*zeta_s`` is minus
+``phi_a X_s``; the ``eval_diag`` table records exactly these signs, and every
+contraction by a frame vector routes through it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import Coeff, ModelDims, Multivector, _combine, _interior, pairing, wedge
+from .exterior import Coeff, ModelDims, Multivector, _combine, _interior, _pull_back, pairing, wedge
 
 ALPHAS = (1, 2, 3)
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
@@ -176,36 +178,6 @@ class PhiStarTable:
         entries = dict(self.entries)
         entries[alpha] = tuple(row)
         return PhiStarTable(self.dims, entries)
-
-
-def _pull_back(mask: int, row: tuple, sub: int) -> tuple[int, int]:
-    """The blade ``mask`` with its factors in ``sub`` (a submask) replaced by
-    their images under ``row = PhiStarTable.entries[alpha]``: ``(sign, mask)``,
-    with sign 0 when an image is killed or lands on a factor already there.
-
-    The blade is the kept factors times the substituted ones, reordered past
-    them; each image is then added to the right of what is built so far and
-    moved past the slots above it.  Both moves are popcounts.
-    """
-    kept = mask ^ sub
-    image = kept
-    sign = 1
-    moves = 0
-    while sub:
-        low = sub & -sub
-        sub ^= low
-        i = low.bit_length() - 1
-        hit = row[i]
-        if hit is None:
-            return 0, 0
-        j, s = hit
-        bit = 1 << j
-        if image & bit:
-            return 0, 0
-        moves += (kept >> i).bit_count() + (image >> j).bit_count()
-        image |= bit
-        sign *= s
-    return (-sign if moves & 1 else sign), image
 
 
 def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector:

@@ -291,6 +291,37 @@ def _contraction_parity(mask: int, bit: int) -> int:
     return (mask & (bit - 1)).bit_count() & 1
 
 
+def _pull_back(mask: int, row: tuple, sub: int) -> tuple[int, int]:
+    """The blade ``mask`` with its factors in ``sub`` (a submask) replaced by
+    their images ``row[i] = (j, s)``, s times slot j, or None when killed:
+    ``(sign, mask)``, with sign 0 when an image is killed or lands on a factor
+    already there.  The rows are ``contact``'s pullbacks and ``cellular``'s twists.
+
+    The blade is the kept factors times the substituted ones, reordered past
+    them; each image is then added to the right of what is built so far and
+    moved past the slots above it.  Both moves are popcounts.
+    """
+    kept = mask ^ sub
+    image = kept
+    sign = 1
+    moves = 0
+    while sub:
+        low = sub & -sub
+        sub ^= low
+        i = low.bit_length() - 1
+        hit = row[i]
+        if hit is None:
+            return 0, 0
+        j, s = hit
+        bit = 1 << j
+        if image & bit:
+            return 0, 0
+        moves += (kept >> i).bit_count() + (image >> j).bit_count()
+        image |= bit
+        sign *= s
+    return (-sign if moves & 1 else sign), image
+
+
 def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:
     """Hodge star for the orthonormal coframe, volume = the full blade.
 

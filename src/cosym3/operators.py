@@ -26,8 +26,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _combine, _contraction_parity, _interior, hodge_star,
-    interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _combine, _contraction_parity, _interior, _pull_back,
+    hodge_star, interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -327,7 +327,7 @@ class OperatorSet:
             for m, coeff in mv._terms.items():
                 factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
                 for chosen in combinations(factors, s):
-                    sign, image = contact._pull_back(m, row, sum(chosen))
+                    sign, image = _pull_back(m, row, sum(chosen))
                     if sign:
                         acc[image] = acc.get(image, 0) + sign * coeff
             return Multivector(_masks=acc)

@@ -20,12 +20,11 @@ from cosym3.cellular import (
     exterior_power_matrix,
     homology,
     invariant_cohomology_oracle,
-    twist_cell,
     unit_translation_twist,
 )
 from cosym3.betti import betti_from_horizontal
 from cosym3.exterior import Basis
-from cosym3.linalg import det, rank, smith_normal_form, sparse_rank
+from cosym3.linalg import det, rank, smith_normal_form, sort_with_sign, sparse_rank
 from helpers import FINGERPRINTS, fingerprint
 from test_linalg import leibniz_det
 
@@ -39,19 +38,69 @@ SAMPLE_TWISTS = (
 )
 
 
+def all_b4_twists():
+    return [
+        TwistMap(tuple(zip(perm, signs)))
+        for perm in itertools.permutations((1, 2, 3, 4))
+        for signs in itertools.product((1, -1), repeat=4)
+    ]
+
+
 def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _twist_cell_reference(cell, twist):
+    """(image, sign) of a tuple cell: quaternion axes through the twist,
+    flat axes fixed, then sorted back into ascending order."""
+    labels = []
+    sign = 1
+    for axis in cell:
+        if axis in QUATERNION_AXES:
+            img, s = twist.images[axis - 1]
+            labels.append(img)
+            sign *= s
+        else:
+            labels.append(axis)
+    parity, image = sort_with_sign(labels)
+    return image, sign * parity
+
+
+def _boundary_reference(cell, twist):
+    """The boundary on tuples: per flat axis at position pos, the twisted
+    face at 1 minus the face at 0, with sign (-1)^pos."""
+    chain = {}
+    for pos, axis in enumerate(cell):
+        if axis in FLAT_AXES:
+            outer = -1 if pos % 2 else 1
+            rest = cell[:pos] + cell[pos + 1 :]
+            image, sign = _twist_cell_reference(rest, twist)
+            for face, value in ((image, outer * sign), (rest, -outer)):
+                new = chain.get(face, 0) + value
+                if new:
+                    chain[face] = new
+                else:
+                    del chain[face]
+    return chain
 
 
 class TestTwistMap:
     def test_right_multiplication_images(self):
         tw = TwistMap.right_multiplication_by_i()
-        assert tw.apply(1) == (2, 1)
-        assert tw.apply(3) == (4, -1)  # j * i = -k
+        assert tw.images[0] == (2, 1)
+        assert tw.images[2] == (4, -1)  # j * i = -k
 
     def test_unit_translation_sends_j_to_k(self):
         tw = unit_translation_twist()
-        assert tw.apply(3) == (4, 1)
+        assert tw.images[2] == (4, 1)
+
+    def test_row_over_cube_slots(self):
+        tw = unit_translation_twist()
+        assert tw.row == (None, *tw.images)
+        assert tw.row[3] == (4, 1)  # slot 3 is the j axis
+        # The row is derived, not a field: equality, hash and repr see images only.
+        assert tw == TwistMap(tw.images) and hash(tw) == hash(TwistMap(tw.images))
+        assert "row" not in repr(tw)
 
     def test_order_four(self):
         for tw in (unit_translation_twist(), TwistMap.right_multiplication_by_i()):
@@ -79,6 +128,31 @@ class TestTwistMap:
             with pytest.raises(ValueError):
                 TwistMap(images)
 
+    def test_rejects_bare_axes(self):
+        with pytest.raises(ValueError, match="image 1 of axis 1 is not an"):
+            TwistMap((1, 2, 3, 4))
+
+    def test_rejects_three_entry_images(self):
+        with pytest.raises(ValueError, match=r"image \(2, 1, 1\) of axis 1 is not an"):
+            TwistMap(((2, 1, 1), (1, 1), (3, 1), (4, 1)))
+
+    def test_rejects_float_signs(self):
+        with pytest.raises(ValueError, match=r"image \(2, 1.0\) of axis 1 is not an"):
+            TwistMap(((2, 1.0), (1, 1), (3, 1), (4, 1)))
+
+    def test_rejects_bool_signs_and_images(self):
+        with pytest.raises(ValueError, match=r"image \(2, True\) of axis 1 is not an"):
+            TwistMap(((2, True), (1, 1), (3, 1), (4, 1)))
+        with pytest.raises(ValueError, match=r"image \(True, 1\) of axis 1 is not an"):
+            TwistMap(((True, 1), (2, 1), (3, 1), (4, 1)))
+
+    def test_list_images_stored_as_tuple(self):
+        images = [(2, 1), (1, -1), (4, -1), (3, 1)]
+        tw = TwistMap(images)
+        assert type(tw.images) is tuple
+        assert tw == TwistMap.right_multiplication_by_i()
+        assert hash(tw) == hash(TwistMap.right_multiplication_by_i())
+
     def test_determinant_magnitude(self):
         assert abs(det(unit_translation_twist().matrix())) == 1
 
@@ -102,6 +176,11 @@ class TestBoundary:
         # d({3,5}) = {3} - {4}: crossing the flat direction turns j into k.
         assert boundary((3, 5)) == {(3,): 1, (4,): -1}
 
+    def test_rejects_non_cells(self):
+        for cell in ((1, 5, 8), (0, 5), (5, 3)):
+            with pytest.raises(ValueError, match="is not a cell of the unit 7-cube"):
+                boundary(cell)
+
     def test_degree_values(self):
         assert boundary((3, 5)).get((3,), 0) == 1
         assert boundary((3, 5)).get((4,), 0) == -1
@@ -121,11 +200,21 @@ class TestCubeStructure:
                     allowed = set()
                     for axis in set(cell) & set(FLAT_AXES):
                         rest = tuple(a for a in cell if a != axis)
-                        allowed |= {rest, twist_cell(rest, twist)[0]}
+                        allowed |= {rest, _twist_cell_reference(rest, twist)[0]}
                     chain = boundary(cell, twist)
                     assert set(chain) <= allowed, (twist, cell)
                     faces += len(chain)
         assert faces > 0
+
+    def test_boundary_matches_tuple_reference(self):
+        # Every (cell, twist) pair of the 384 B4 twists, chain order included.
+        cells = [cell for k in self.CUBE.degrees() for cell in self.CUBE.blades(k)]
+        for twist in all_b4_twists():
+            for cell in cells:
+                chain = boundary(cell, twist)
+                assert list(chain.items()) == list(_boundary_reference(cell, twist).items()), (
+                    twist, cell
+                )
 
     def test_quaternion_cells_are_cycles(self):
         for twist in SAMPLE_TWISTS:
@@ -352,11 +441,7 @@ class TestRouteAgreement:
         This is route agreement only: the paper-example claims (b2 = 7, a
         palindromic sequence) hold for the paper's twist, not for every one.
         """
-        twists = [
-            TwistMap(tuple(zip(perm, signs)))
-            for perm in itertools.permutations((1, 2, 3, 4))
-            for signs in itertools.product((1, -1), repeat=4)
-        ]
+        twists = all_b4_twists()
         assert len(set(twists)) == 384
         recorded = FINGERPRINTS["twists-b4.torsion"]
         for twist in twists:
@@ -382,13 +467,15 @@ class TestCrossCheck:
         for axis in (0, 5):
             with pytest.raises(ValueError, match=re.escape("(1, 2, 3, 4)")):
                 unit_translation_twist().with_sign_flip(axis)
+        # d^2 = 0 holds for any one twist, which commutes with itself, so the
+        # flip builds; against the paper twist's oracle the routes disagree,
+        # and the flipped twist reverses orientation, so palindromy fails too.
         twisted = unit_translation_twist().with_sign_flip(3)
-        try:
-            cx = build_complex(twisted)
-        except ComplexConsistencyError:
-            return  # detected at the boundary-squared gate
-        result = homology(cx, "integer")
+        result = homology(build_complex(twisted), "integer")
         report = cross_check(result, invariant_cohomology_oracle())
-        assert not report.passed
-        failure = next(item for item in report.items if not item.ok)
-        assert "differing degree" in failure.detail or "b2" in failure.name
+        failed = [item for item in report.items if not item.ok]
+        assert [item.name for item in failed] == [
+            "cellular betti = convolved oracle",
+            "betti sequence palindromic",
+        ]
+        assert failed[0].detail.startswith("first differing degree 1:")

@@ -8,7 +8,6 @@ import pytest
 from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable, epsilon
 from cosym3.exterior import ModelDims, Multivector, wedge, wedge_all
-from cosym3.linalg import sort_with_sign
 
 D1 = ModelDims(1)
 D2 = ModelDims(2)
@@ -16,21 +15,6 @@ D2 = ModelDims(2)
 
 def _phi(table, alpha, mv):
     return contact.phi_star(table, alpha, mv)
-
-
-def _pull_back_reference(blade, row, positions):
-    """(sign, mask) of the blade with the factors at ``positions`` replaced."""
-    indices = list(blade)
-    sign = 1
-    for pos in positions:
-        if row[blade[pos]] is None:
-            return 0, 0
-        indices[pos], s = row[blade[pos]]
-        sign *= s
-    if len(set(indices)) < len(indices):
-        return 0, 0
-    parity, image = sort_with_sign(indices)
-    return sign * parity, sum(1 << i for i in image)
 
 
 class TestEpsilon:
@@ -102,35 +86,6 @@ class TestPhiStarTable:
                 for blade in combinations(range(D1.dim), k):
                     if eta in blade:
                         assert not _phi(table, alpha, Multivector.blade(blade))
-
-    def test_coinciding_factors_give_sign_zero(self):
-        # zeta1 ^ phi1zeta1 with zeta1 replaced under alpha = 1 repeats phi1zeta1.
-        # Blades are masks here: bit i is coframe slot i.
-        row = PhiStarTable.build(D1).entries[1]
-        zeta1 = 1 << contact.zeta_index(D1, 1)
-        blade = zeta1 | 1 << contact.phi_zeta_index(D1, 1, 1)
-        assert contact._pull_back(blade, row, zeta1)[0] == 0
-        # Both factors: phi1zeta1 ^ -zeta1 = zeta1 ^ phi1zeta1.
-        assert contact._pull_back(blade, row, blade) == (1, blade)
-
-    @pytest.mark.parametrize("flip", [None, (2, 1), (1, 6)])
-    def test_pull_back_matches_tuple_reference(self, flip):
-        # Every blade and every subset of its factors, n = 1, against
-        # replacing the factors in a tuple and sorting it.
-        table = PhiStarTable.build(D1)
-        if flip:
-            table = table.with_sign_flip(*flip)
-        for alpha in ALPHAS:
-            row = table.entries[alpha]
-            for k in range(D1.dim + 1):
-                for blade in combinations(range(D1.dim), k):
-                    mask = sum(1 << i for i in blade)
-                    for s in range(k + 1):
-                        for positions in combinations(range(k), s):
-                            sub = sum(1 << blade[p] for p in positions)
-                            assert contact._pull_back(mask, row, sub) == _pull_back_reference(
-                                blade, row, positions
-                            ), (alpha, blade, positions)
 
     def test_sign_flip_hook(self):
         table = PhiStarTable.build(D1)

@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosym3 import contact
+from cosym3.cellular import TwistMap, unit_translation_twist
+from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import (
+    Basis,
     ModelDims,
     Multivector,
     _combine,
+    _pull_back,
     hodge_star,
     interior,
     leading_blade,
@@ -334,3 +338,74 @@ class TestKernelAgainstTuples:
         assert repr(form) == "1*0^5 + 1*1^2"
         assert leading_blade(form) == (0, 5)
         assert leading_blade(Multivector({(3,): 2, (0, 1, 2): -1})) == (0, 1, 2)
+
+
+def pull_back_reference(blade, row, positions):
+    """(sign, mask) of the blade with the factors at ``positions`` replaced."""
+    indices = list(blade)
+    sign = 1
+    for pos in positions:
+        if row[blade[pos]] is None:
+            return 0, 0
+        indices[pos], s = row[blade[pos]]
+        sign *= s
+    if len(set(indices)) < len(indices):
+        return 0, 0
+    parity, image = sort_with_sign(indices)
+    return sign * parity, sum(1 << i for i in image)
+
+
+class TestPullBack:
+    """The one substitution routine, on pullback rows and on twist rows."""
+
+    def test_coinciding_factors_give_sign_zero(self):
+        # zeta1 ^ phi1zeta1 with zeta1 replaced under alpha = 1 repeats phi1zeta1.
+        # Blades are masks here: bit i is coframe slot i.
+        row = PhiStarTable.build(D1).entries[1]
+        zeta1 = 1 << contact.zeta_index(D1, 1)
+        blade = zeta1 | 1 << contact.phi_zeta_index(D1, 1, 1)
+        assert _pull_back(blade, row, zeta1)[0] == 0
+        # Both factors: phi1zeta1 ^ -zeta1 = zeta1 ^ phi1zeta1.
+        assert _pull_back(blade, row, blade) == (1, blade)
+
+    @pytest.mark.parametrize("flip", [None, (2, 1), (1, 6)])
+    def test_pull_back_matches_tuple_reference(self, flip):
+        # Every blade and every subset of its factors, n = 1, against
+        # replacing the factors in a tuple and sorting it.
+        table = PhiStarTable.build(D1)
+        if flip:
+            table = table.with_sign_flip(*flip)
+        for alpha in ALPHAS:
+            row = table.entries[alpha]
+            for k in range(D1.dim + 1):
+                for blade in combinations(range(D1.dim), k):
+                    mask = sum(1 << i for i in blade)
+                    for s in range(k + 1):
+                        for positions in combinations(range(k), s):
+                            sub = sum(1 << blade[p] for p in positions)
+                            assert _pull_back(mask, row, sub) == pull_back_reference(
+                                blade, row, positions
+                            ), (alpha, blade, positions)
+
+    @pytest.mark.parametrize("twist", [
+        unit_translation_twist(),
+        TwistMap(((1, -1), (2, -1), (3, -1), (4, -1))),
+        TwistMap(((4, 1), (3, -1), (1, 1), (2, -1))),
+    ], ids=["paper", "minus_id", "four_cycle"])
+    def test_cube_rows_match_tuple_reference(self, twist):
+        # A twist row over the 7-cube's slots: every cell, every subset of its
+        # quaternion factors; the flat factors 5-7 are never substituted.
+        cube = Basis(range(1, 8))
+        for k in cube.degrees():
+            for cell in cube.blades(k):
+                mask = sum(1 << a for a in cell)
+                quaternion = [p for p, a in enumerate(cell) if a <= 4]
+                for s in range(len(quaternion) + 1):
+                    for positions in combinations(quaternion, s):
+                        sub = sum(1 << cell[p] for p in positions)
+                        got = _pull_back(mask, twist.row, sub)
+                        assert got == pull_back_reference(cell, twist.row, positions), (
+                            cell, positions
+                        )
+                        if s == len(quaternion):  # the boundary's case: never zero
+                            assert got[0] in (1, -1), cell
