@@ -22,12 +22,12 @@ the face at 1 minus the face at 0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
 from .exterior import Basis, _contraction_parity, _pull_back
-from .linalg import _subtract, det, rank, smith_normal_form, sparse_rank
+from .linalg import det, rank, smith_normal_form, sparse_rank
 
 Cell = tuple[int, ...]
 
@@ -37,12 +37,34 @@ TOTAL_DIM = len(QUATERNION_AXES) + len(FLAT_AXES)
 
 # The cells of every twist.  A face of a k-cell is a (k-1)-cell, so the one
 # position table of the basis keys every boundary column.  A cell's mask has
-# bit ``axis`` set per axis; ``_MASK_OF`` and ``_CELL_OF`` convert.
+# bit ``axis`` set per axis; ``_CELL_OF`` converts back.
 _CUBE = Basis(range(1, TOTAL_DIM + 1))
 _CELL_OF = {m: cell for k in _CUBE.degrees() for m, cell in zip(_CUBE._masks[k], _CUBE.blades(k))}
-_MASK_OF = {cell: m for m, cell in _CELL_OF.items()}
 _QUATERNION_MASK = sum(1 << axis for axis in QUATERNION_AXES)
 _FLAT_BITS = tuple(1 << axis for axis in FLAT_AXES)
+
+# The faces of every cell, whatever the twist: per flat bit in ascending
+# order, (outer sign, face at 0, its quaternion part q, its flat part).
+_FACES = {
+    cell: tuple(
+        (-1 if _contraction_parity(mask, bit) else 1, mask ^ bit,
+         (mask ^ bit) & _QUATERNION_MASK, (mask ^ bit) & ~_QUATERNION_MASK)
+        for bit in _FLAT_BITS
+        if mask & bit
+    )
+    for mask, cell in _CELL_OF.items()
+}
+# Submasks of the quaternion axes, the keys of a twist's image table.
+_QUATERNION_SUBMASKS = tuple(
+    q for q in range(_QUATERNION_MASK + 1) if not q & ~_QUATERNION_MASK
+)
+
+
+# One entry: build_complex asks for one twist's table 128 times in a row.
+@lru_cache(maxsize=1)
+def _image_table(row: tuple) -> dict[int, tuple[int, int]]:
+    """``_pull_back(q, row, q)`` for every quaternion submask q."""
+    return {q: _pull_back(q, row, q) for q in _QUATERNION_SUBMASKS}
 
 
 class ComplexConsistencyError(Exception):
@@ -132,19 +154,21 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     (plain torus identification), so the pair cancels and is never formed; a
     cell inside the quaternion axes is a cycle.  On the cell's mask the face
     at 1 substitutes the quaternion factors of the face at 0 through the row.
+
+    Both come from tables: the faces from ``_FACES``, the substitution from
+    the twist's image table over the quaternion part q alone.  That is exact
+    because every quaternion slot lies below every flat slot: ``_pull_back``
+    moves each substituted factor past all kept (flat) factors twice, an
+    even count, so the sign is that of q alone and the flat bits are kept.
     """
-    row = (twist if twist is not None else unit_translation_twist()).row
-    mask = _MASK_OF.get(cell)
-    if mask is None:
+    images = _image_table((twist if twist is not None else unit_translation_twist()).row)
+    faces = _FACES.get(cell)
+    if faces is None:
         raise ValueError(f"{cell} is not a cell of the unit 7-cube")
     chain: dict[int, int] = {}
-    for bit in _FLAT_BITS:
-        if not mask & bit:
-            continue
-        outer = -1 if _contraction_parity(mask, bit) else 1
-        rest = mask ^ bit
-        sign, image = _pull_back(rest, row, rest & _QUATERNION_MASK)
-        for face, value in ((image, outer * sign), (rest, -outer)):  # at 1, at 0
+    for outer, rest, q, flat in faces:
+        sign, image = images[q]
+        for face, value in ((image | flat, outer * sign), (rest, -outer)):  # at 1, at 0
             new = chain.get(face, 0) + value
             if new:
                 chain[face] = new
@@ -182,15 +206,18 @@ def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
         [{position[face]: v for face, v in boundary(cell, twist).items()} for cell in layer]
         for layer in cells
     ]
-    # d(d(cell)) must vanish cell by cell.
+    # d(d(cell)) must vanish cell by cell: one multiply-accumulate pass each.
     for k in range(2, TOTAL_DIM + 1):
         lower = boundaries[k - 1]
         for cell, column in zip(cells[k], boundaries[k]):
             acc: dict[int, int] = {}
             for i, value in column.items():
-                _subtract(acc, -value, lower[i])
-            if acc:
-                raise ComplexConsistencyError(cell, {cells[k - 2][i]: v for i, v in acc.items()})
+                for m, inner in lower[i].items():
+                    acc[m] = acc.get(m, 0) + value * inner
+            if any(acc.values()):
+                raise ComplexConsistencyError(
+                    cell, {cells[k - 2][m]: v for m, v in acc.items() if v}
+                )
     return ChainComplexZ(cells, boundaries)
 
 
@@ -261,7 +288,11 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
 
 
 def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
-    """Induced matrix on the k-th exterior power, entries as k x k minors."""
+    """Induced matrix on the k-th exterior power, entries as k x k minors.
+
+    A minor with an all-zero row is 0 without a ``det``; for a signed
+    permutation that leaves one nonzero minor per row subset.
+    """
     n = len(matrix)
     subsets = list(combinations(range(n), k))
     out = []
@@ -269,7 +300,7 @@ def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
         line = []
         for cols in subsets:
             minor = [[matrix[r][c] for c in cols] for r in rows]
-            line.append(int(det(minor)))
+            line.append(int(det(minor)) if all(any(row) for row in minor) else 0)
         out.append(line)
     return out
 

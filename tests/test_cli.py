@@ -107,7 +107,7 @@ class TestExitCodes:
         code, payload = run_json(capsys, ["homology", "--json"])
         assert code == EXIT_VERIFICATION_FAILURE
         assert payload["boundary_squared_zero"] is False
-        assert any("boundary squared nonzero" in f for f in payload["failures"])
+        assert "boundary squared nonzero on cell [3, 5, 6]" in payload["failures"]
 
     def test_betti_length_mismatch(self, capsys):
         code, _, err = run(capsys, ["betti", "--n", "1", "--bh", "1,0,4"])
