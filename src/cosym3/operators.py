@@ -10,11 +10,15 @@ contraction operators built from horizontal data preserve the sector, which
 is what lets the degree-weight and substitution operators live there.
 
 Every product reads an operator through its image table, source blade mask ->
-the column's own mask dict, built the first time a product needs it.  A
-bracket runs both of its accumulations inline, column by column, so the two
-composites are never materialized.  The double contractions Lambda_a are
-built on the blade mask: one pass over the structure pairs per column, with
-the contraction parity of ``exterior`` and the frame signs of ``eval_diag``.
+the column's own mask dict for each nonzero column, built the first time a
+product needs it.  ``compose`` and both brackets are one entry-wise routine:
+it walks the nonzero source columns of its operands, accumulates every
+(source, target) entry of the whole result in one dict, and splits the
+nonzero entries back into columns, so a bracket's two composites are never
+materialized and every zero column is one shared empty column.  The double
+contractions Lambda_a are built on the blade mask: one pass over the
+structure pairs per column, with the contraction parity of ``exterior`` and
+the frame signs of ``eval_diag``.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ class GradedOperator:
     """A degree-homogeneous linear operator stored as per-degree columns.
 
     Products read the columns through the image table, source mask -> the
-    column's own ``_terms`` dict, built on first use: most bracket results
-    are only compared, and never need one.
+    column's own ``_terms`` dict for each nonzero column, built on first use:
+    most bracket results are only compared, and never need one.
     """
 
     __slots__ = ("shift", "basis", "blocks", "_images")
@@ -57,6 +61,7 @@ class GradedOperator:
                 m: col._terms
                 for k, cols in self.blocks.items()
                 for m, col in zip(masks[k], cols)
+                if col._terms
             }
         return self._images
 
@@ -64,9 +69,11 @@ class GradedOperator:
     def from_function(
         cls, shift: int, basis: Basis, fn: Callable[[Multivector], Multivector]
     ) -> "GradedOperator":
+        """Columns ``fn(blade)`` over the basis; the blades passed in are the
+        basis's shared unit forms."""
         blocks: dict[int, list[Multivector]] = {}
         for k in basis.degrees():
-            cols = [fn(Multivector(_masks={mask: 1})) for mask in basis._masks[k]]
+            cols = [fn(unit) for unit in basis.units(k)]
             target = k + shift
             if {m.bit_count() for col in cols for m in col._terms} - {target}:
                 bad = next(
@@ -84,27 +91,20 @@ class GradedOperator:
 
     @classmethod
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
-        empty = Multivector.zero()
-        return cls.from_function(shift, basis, lambda mv: empty)
+        return cls.from_function(shift, basis, lambda mv: _EMPTY_COLUMN)
 
     def apply(self, mv: Multivector) -> Multivector:
         images = self._image_table()
         acc: dict[int, Coeff] = {}
         get = acc.get
         for m, coeff in mv._terms.items():
-            for image, c in images[m].items():
+            for image, c in images.get(m, _NO_TERMS).items():
                 acc[image] = get(image, 0) + coeff * c
         return Multivector(_masks=acc)
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other; zero columns of other are shared, not re-applied."""
-        if self.basis is not other.basis:
-            raise ValueError("operators on different bases do not compose")
-        blocks = {
-            k: [self.apply(col) if col else col for col in cols]
-            for k, cols in other.blocks.items()
-        }
-        return GradedOperator(self.shift + other.shift, self.basis, blocks)
+        """self after other."""
+        return _product(self, other, 0)
 
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
@@ -119,39 +119,67 @@ class GradedOperator:
         return self.shift == other.shift and self.blocks == other.blocks
 
 
-def _bracket(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
-    """a b + sign * b a, both accumulations inline in one pass per column;
-    a column empty in both operators is shared, as in ``compose``."""
+# The one empty column of every zero operator and product result, and the
+# image of a blade whose column is empty.
+_EMPTY_COLUMN = Multivector.zero()
+_NO_TERMS: dict[int, Coeff] = {}
+
+
+def _product(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
+    """a b + sign * b a, with sign 0 for the composite a b alone.
+
+    Entry by entry over the nonzero columns only: every product term adds to
+    one dict for the whole operator, keyed by source mask shifted past the
+    basis width, OR target mask.  The nonzero entries are then split back
+    into per-source columns, which are also the result's image table.
+    """
     if a.basis is not b.basis:
-        raise ValueError("operators on different bases have no bracket")
+        raise ValueError("operators on different bases have no product")
+    basis = a.basis
+    width = max(basis.indices, default=-1) + 1
     a_images, b_images = a._image_table(), b._image_table()
-    blocks = {}
-    for k, a_cols in a.blocks.items():
-        cols = []
-        for a_col, b_col in zip(a_cols, b.blocks[k]):
-            a_terms, b_terms = a_col._terms, b_col._terms
-            if a_terms or b_terms:
-                acc: dict[int, Coeff] = {}
-                get = acc.get
-                for m, coeff in b_terms.items():
-                    for image, c in a_images[m].items():
-                        acc[image] = get(image, 0) + coeff * c
-                for m, coeff in a_terms.items():
-                    coeff *= sign
-                    for image, c in b_images[m].items():
-                        acc[image] = get(image, 0) + coeff * c
-                a_col = Multivector(_masks=acc)
-            cols.append(a_col)
-        blocks[k] = cols
-    return GradedOperator(a.shift + b.shift, a.basis, blocks)
+    acc: dict[int, Coeff] = {}
+    get = acc.get
+    passes = [(a_images, b_images, 1)]
+    if sign:
+        passes.append((b_images, a_images, sign))
+    for outer, inner, scalar in passes:
+        for source, column in inner.items():
+            source <<= width
+            for middle, coeff in column.items():
+                image = outer.get(middle)
+                if image is not None:
+                    coeff *= scalar
+                    for target, c in image.items():
+                        key = source | target
+                        acc[key] = get(key, 0) + coeff * c
+    low = (1 << width) - 1
+    columns: dict[int, dict[int, Coeff]] = {}
+    for key, c in acc.items():
+        if c:
+            source = key >> width
+            if source in columns:
+                columns[source][key & low] = c
+            else:
+                columns[source] = {key & low: c}
+    blocks = {
+        k: [
+            _EMPTY_COLUMN if (column := columns.get(m)) is None else Multivector(_masks=column)
+            for m in masks
+        ]
+        for k, masks in basis._masks.items()
+    }
+    result = GradedOperator(a.shift + b.shift, basis, blocks)
+    result._images = columns
+    return result
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return _bracket(a, b, -1)
+    return _product(a, b, -1)
 
 
 def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return _bracket(a, b, 1)
+    return _product(a, b, 1)
 
 
 def _cached(build):

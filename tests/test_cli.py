@@ -40,6 +40,8 @@ PINNED_OUTPUTS = {
         "6aa61b7af363da16cbe37e993e6146349afd9058595308c9fadbac12ec7c10b1", 1),
     "betti --n 1 --bh 1,0,4,0,2 --json --strict": (
         "70be8f59afc8f3fff0162606023c6f86c32686c0ad99d578f604d00ed23074b0", 1),
+    "report --n 2 --json": (
+        "04742f1e19ec1da6b7708f96dd5c722a82c7277a222f9c0a9d8ee43b058b8be8", 0),
 }
 
 

@@ -1,5 +1,6 @@
 """Graded operators and the identity suite on the rank-one model."""
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -434,7 +435,31 @@ class TestGradedOperatorPlumbing:
         zero = GradedOperator.zero(HOR, 2)
         columns = [col for cols in zero.blocks.values() for col in cols]
         assert len(columns) == 2 ** HOR.max_degree
-        assert not columns[0] and all(col is columns[0] for col in columns)
+        empty = columns[0]
+        assert not empty and all(col is empty for col in columns)
+        # Compose and bracket results share that column; no image table holds
+        # an empty column, and a blade whose column is empty maps to zero.
+        operators = [OPS.l(1), OPS.lam(1), OPS.lam(2), OPS.e(1), OPS.L_full(1), OPS.Lambda_full(2)]
+        operators += [OPS.H, OPS.L(1), OPS.Lam(2), OPS.K(3), OPS.K_s(1, 2), zero]
+        products = [
+            product(a, b)
+            for a in operators
+            for b in operators
+            if a.basis is b.basis
+            for product in (GradedOperator.compose, commutator, anticommutator)
+        ]
+        for op in operators + products:
+            images = op._image_table()
+            assert all(images.values())
+            for k, cols in op.blocks.items():
+                for x, mask, col in zip(op.basis.blades(k), op.basis._masks[k], cols):
+                    if col:
+                        assert images[mask] is col._terms
+                    else:
+                        assert mask not in images
+                        assert not op.apply(Multivector.blade(x))
+        for op in products:
+            assert all(col is empty for cols in op.blocks.values() for col in cols if not col)
 
     def test_brackets_match_two_applications(self):
         # Reference route: on each basis blade x, [a, b] x = a(b x) - b(a x)
@@ -494,6 +519,32 @@ class TestProductsAgainstReference:
                             inner = contact.frame_interior(dims, second, mv)
                             expected = expected + contact.frame_interior(dims, first, inner)
                         assert column == expected, (n, a, op.basis is ops.full, b)
+
+    def test_products_of_the_so41_generators_at_rank_two(self):
+        # Every ordered pair of H, L_a, Lam_a and K_a at n = 2: compose and
+        # both brackets, column by column, against the reference route applied
+        # twice to each blade of the eta-free basis.
+        ops = OperatorSet(ModelDims(2))
+        generators = [("H", ops.H)] + [
+            (f"{name}{a}", getattr(ops, name)(a)) for name in ("L", "Lam", "K") for a in ALPHAS
+        ]
+        basis = ops.hor
+        once = {
+            label: {x: reference_apply(op, Multivector.blade(x)) for x in basis.positions}
+            for label, op in generators
+        }
+        for (la, a), (lb, b) in itertools.product(generators, repeat=2):
+            products = a.compose(b), commutator(a, b), anticommutator(a, b)
+            for k in basis.degrees():
+                for i, x in enumerate(basis.blades(k)):
+                    ab = reference_apply(a, once[lb][x])
+                    ba = reference_apply(b, once[la][x])
+                    got = [op.blocks[k][i] for op in products]
+                    assert got == [ab, ab - ba, ab + ba], (la, lb, x)
+            for op in products:
+                for cols in op.blocks.values():
+                    for col in cols:
+                        assert all(type(c) is int for c in col.terms.values()), (la, lb)
 
     @pytest.mark.parametrize(
         "flips", [(), ((1, 0), (2, 3), (3, 5))], ids=["built", "sign-flipped"]
