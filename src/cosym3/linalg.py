@@ -78,7 +78,8 @@ def _echelon(vectors: Sequence[Mapping[Hashable, Coeff]], combos: bool = False) 
     """
     pivots: dict = {}
     for i, vec in enumerate(vectors):
-        cur = {k: v for k, v in vec.items() if v}
+        # A new dict, reduced in place: a C-level copy unless an entry is zero.
+        cur = dict(vec) if all(vec.values()) else {k: v for k, v in vec.items() if v}
         combo = {i: 1} if combos else None
         lead = _reduce(cur, pivots, combo)
         if lead is not None:
@@ -93,7 +94,7 @@ def sparse_rank(vectors: Sequence[Mapping[Hashable, Coeff]]) -> int:
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix over the rationals."""
-    return len(_echelon([dict(enumerate(row)) for row in rows]))
+    return len(_echelon([{j: v for j, v in enumerate(row) if v} for row in rows]))
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -110,7 +111,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    pivots = _echelon([dict(enumerate(row)) for row in rows])
+    pivots = _echelon([{j: v for j, v in enumerate(row) if v} for row in rows])
     if len(pivots) < n:
         return Fraction(0)
     result = 1

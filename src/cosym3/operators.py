@@ -15,10 +15,12 @@ product needs it.  ``compose`` and both brackets are one entry-wise routine:
 it walks the nonzero source columns of its operands, accumulates every
 (source, target) entry of the whole result in one dict, and splits the
 nonzero entries back into columns, so a bracket's two composites are never
-materialized and every zero column is one shared empty column.  The double
-contractions Lambda_a are built on the blade mask: one pass over the
-structure pairs per column, with the contraction parity of ``exterior`` and
-the frame signs of ``eval_diag``.
+materialized and every zero column is one shared empty column.  The
+generator columns are built on the blade mask, one pass over terms taken once
+per operator: the double contractions Lambda_a and K_a over their frame
+slots, with the contraction parity of ``exterior`` and the frame signs of
+``eval_diag``, and L_a over Xi_a's blades, with the popcount sign of
+``wedge``.  Lambda_star conjugates L_full's cached image table by the star.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _combine, _contraction_parity, _interior, _pull_back,
-    hodge_star, interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _contraction_parity, _flips, _pull_back, hodge_star,
+    interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -110,7 +112,10 @@ class GradedOperator:
         return self.scale(-1)
 
     def scale(self, scalar) -> "GradedOperator":
-        blocks = {k: [scalar * col for col in cols] for k, cols in self.blocks.items()}
+        blocks = {
+            k: [scalar * col if col else _EMPTY_COLUMN for col in cols]
+            for k, cols in self.blocks.items()
+        }
         return GradedOperator(self.shift, self.basis, blocks)
 
     def __eq__(self, other: object) -> bool:
@@ -241,8 +246,20 @@ class OperatorSet:
         return self.l(a).compose(self.lam(a))
 
     def _wedge_xi(self, a: int, basis: Basis) -> GradedOperator:
-        xi = contact.xi_form(self.dims, a, self.table)
-        return GradedOperator.from_function(+2, basis, lambda mv: wedge(xi, mv))
+        """``wedge(Xi_a, -)`` on the mask, with Xi_a's ``_flips`` taken once."""
+        terms = contact.xi_form(self.dims, a, self.table)._terms
+        xi = [(x, c, _flips(x)) for x, c in terms.items()]
+
+        def column(mv: Multivector) -> Multivector:
+            acc: dict[int, Coeff] = {}
+            for x, c, flips in xi:
+                for m, coeff in mv._terms.items():
+                    if not x & m:
+                        value = -c * coeff if (m & flips).bit_count() & 1 else c * coeff
+                        acc[x | m] = acc.get(x | m, 0) + value
+            return Multivector(_masks=acc)
+
+        return GradedOperator.from_function(+2, basis, column)
 
     @_cached
     def L_full(self, a: int) -> GradedOperator:
@@ -259,9 +276,9 @@ class OperatorSet:
         """Adjoint of L_a by star conjugation (degree -2); the star needs the
         whole coframe, so this one lives on the full basis only."""
         dims = self.dims
-        xi = contact.xi_form(dims, a, self.table)
+        wedge_xi = self.L_full(a)
         return GradedOperator.from_function(
-            -2, self.full, lambda mv: hodge_star(wedge(xi, hodge_star(mv, dims)), dims)
+            -2, self.full, lambda mv: hodge_star(wedge_xi.apply(hodge_star(mv, dims)), dims)
         )
 
     def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
@@ -307,23 +324,25 @@ class OperatorSet:
         dims = self.dims
         negative = contact._negative_slots(dims)
         _, b, c = cyclic(a)
-        terms = []  # (wedge factor, contraction slot, scalar)
+        terms = []  # (wedge bit, contraction bit, parity of frame sign and scalar)
         for s in range(1, dims.n + 1):
             z = zeta_index(dims, s)
             pa = phi_zeta_index(dims, a, s)
             pb = phi_zeta_index(dims, b, s)
             pc = phi_zeta_index(dims, c, s)
-            terms.append((Multivector.blade((pa,)), z, 1))
-            terms.append((Multivector.blade((z,)), pa, 1))
-            terms.append((Multivector.blade((pc,)), pb, 1))
-            terms.append((Multivector.blade((pb,)), pc, -1))
+            for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
+                terms.append((1 << factor, 1 << slot, odd ^ (negative >> slot & 1)))
 
         def column(mv: Multivector) -> Multivector:
-            return _combine(
-                (scalar, wedge(factor, contracted))
-                for factor, slot, scalar in terms
-                if (contracted := _interior(slot, mv, negative >> slot & 1))
-            )
+            # Contract the slot out, then move the factor in from the front.
+            acc: dict[int, Coeff] = {}
+            for factor, bit, odd in terms:
+                for m, coeff in mv._terms.items():
+                    if m & bit and not (inner := m ^ bit) & factor:
+                        if odd ^ _contraction_parity(m, bit) ^ _contraction_parity(inner, factor):
+                            coeff = -coeff
+                        acc[inner | factor] = acc.get(inner | factor, 0) + coeff
+            return Multivector(_masks=acc)
 
         return GradedOperator.from_function(0, self.hor, column)
 

@@ -1,5 +1,6 @@
 """The sparse elimination core against dense and Leibniz references."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -263,6 +264,60 @@ class TestDet:
             det([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             det([[1, 2], [3]])
+
+
+class TestCallerInputs:
+    """The core reduces copies of its inputs: explicit zero entries are dropped,
+    and no caller's vector or target is changed or kept as a pivot."""
+
+    # v2 = 2 v0 + v1, v3 is zero, and the target is v0 + 2 v1.
+    VECTORS = [
+        {0: 2, 1: 0, 3: -1},
+        {0: 0, 1: 1, 2: 3},
+        {0: 4, 1: 1, 2: 3, 3: -2, 5: 0},
+        {2: 0},
+    ]
+    TARGET = {0: 2, 1: 2, 2: 6, 3: -1, 4: 0}
+
+    def test_explicit_zero_entries(self):
+        vectors = copy.deepcopy(self.VECTORS)
+        nonzero = [{k: v for k, v in vec.items() if v} for vec in vectors]
+        assert sparse_rank(vectors) == sparse_rank(nonzero) == 2
+        assert solve_in_span(vectors, dict(self.TARGET)) == [1, 2, 0, 0]
+        assert solve_in_span(nonzero, {k: v for k, v in self.TARGET.items() if v}) == [1, 2, 0, 0]
+        assert solve_in_span(vectors, {4: 0}) == [0, 0, 0, 0]
+        assert solve_in_span(vectors, {5: 1, 0: 0}) is None
+        rows = [[0, 2, 0], [0, 0, 0], [1, 0, 0]]
+        assert rank(rows) == 2 and det(rows) == 0
+        assert det([[0, 2, 0], [0, 0, 3], [1, 0, 0]]) == 6
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+    @pytest.mark.parametrize("zeros", [True, False])
+    def test_inputs_are_unchanged(self, zeros):
+        # Without zero entries a vector is copied whole; with them, filtered.
+        vectors = [{k: v for k, v in vec.items() if v or zeros} for vec in self.VECTORS]
+        target = dict(self.TARGET)
+        rows = [[0, 2, 1], [0, 0, 0], [1, 0, 2]]
+        before = copy.deepcopy((vectors, target, rows))
+        sparse_rank(vectors)
+        solve_in_span(vectors, target)
+        solve_in_span(vectors, {5: 1})
+        rank(rows)
+        det(rows)
+        assert (vectors, target, rows) == before
+        assert all(list(v.items()) == list(b.items()) for v, b in zip(vectors, before[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_repeated_solves_agree(self, system):
+        # A pivot that aliased a caller's dict would be reduced in place by the
+        # first solve, and the second would start from other vectors.
+        vectors, target, _ = system
+        before = copy.deepcopy((vectors, target))
+        first = solve_in_span(vectors, target)
+        assert solve_in_span(vectors, target) == first
+        assert sparse_rank(vectors) == sparse_rank(vectors)
+        assert (vectors, target) == before
 
 
 class TestSortWithSign:

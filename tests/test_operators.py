@@ -14,7 +14,10 @@ from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import _operator_differences, verify_identities
 from cosym3.operators import GradedOperator, OperatorSet, anticommutator, commutator
-from helpers import FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors
+from helpers import (
+    FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, reference_k,
+    reference_lambda_star, reference_wedge_xi,
+)
 
 D1 = ModelDims(1)
 OPS = OperatorSet(D1)
@@ -448,7 +451,14 @@ class TestGradedOperatorPlumbing:
             if a.basis is b.basis
             for product in (GradedOperator.compose, commutator, anticommutator)
         ]
-        for op in operators + products:
+        # A scaled or negated operator keeps the shared column where it is zero.
+        scaled = []
+        for op in operators:
+            for factor, result in ((3, op.scale(3)), (-1, -op)):
+                for k, cols in result.blocks.items():
+                    assert cols == [factor * col for col in op.blocks[k]]
+                scaled.append(result)
+        for op in operators + products + scaled:
             images = op._image_table()
             assert all(images.values())
             for k, cols in op.blocks.items():
@@ -458,7 +468,7 @@ class TestGradedOperatorPlumbing:
                     else:
                         assert mask not in images
                         assert not op.apply(Multivector.blade(x))
-        for op in products:
+        for op in products + scaled:
             assert all(col is empty for cols in op.blocks.values() for col in cols if not col)
 
     def test_brackets_match_two_applications(self):
@@ -519,6 +529,33 @@ class TestProductsAgainstReference:
                             inner = contact.frame_interior(dims, second, mv)
                             expected = expected + contact.frame_interior(dims, first, inner)
                         assert column == expected, (n, a, op.basis is ops.full, b)
+
+    @pytest.mark.parametrize(
+        "n, flip",
+        [(1, None), (2, None)] + [(1, flip) for flip in TABLE_FLIPS],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_generator_columns_match_products_of_forms(self, n, flip):
+        # K, L, L_full and Lambda_star are built on the blade mask; each column
+        # equals its reference as forms, key order included, with int entries.
+        dims = ModelDims(n)
+        table = PhiStarTable.build(dims)
+        if flip is not None:
+            table = table.with_sign_flip(*flip)
+        ops = OperatorSet(dims, table)
+        for a in ALPHAS:
+            cases = [
+                (ops.K(a), lambda mv: reference_k(dims, a, mv)),
+                (ops.L(a), lambda mv: reference_wedge_xi(dims, a, table, mv)),
+                (ops.L_full(a), lambda mv: reference_wedge_xi(dims, a, table, mv)),
+                (ops.Lambda_star(a), lambda mv: reference_lambda_star(dims, a, table, mv)),
+            ]
+            for op, reference in cases:
+                for k, cols in op.blocks.items():
+                    for x, col in zip(op.basis.blades(k), cols):
+                        expected = reference(Multivector.blade(x))
+                        assert list(col._terms.items()) == list(expected._terms.items()), (a, x)
+                        assert all(type(c) is int for c in col._terms.values()), (a, x)
 
     def test_products_of_the_so41_generators_at_rank_two(self):
         # Every ordered pair of H, L_a, Lam_a and K_a at n = 2: compose and

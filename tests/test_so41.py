@@ -201,7 +201,6 @@ class TestModule:
         assert any(p.detail for p in report.pairs if not p.ok)
         assert fingerprint(report.to_dict()) == FAULT_FINGERPRINTS[f"neg {name}"]
 
-    @pytest.mark.slow
     def test_rank_three_module(self):
         report = verify_module(3)
         assert report.passed
