@@ -67,7 +67,6 @@ class Basis:
         }
         # The same basis as masks, for the kernel.
         self._masks = {k: tuple(map(_mask_of, blades)) for k, blades in self._blades.items()}
-        self._units: dict[int, tuple[Multivector, ...]] = {}
 
     @property
     def max_degree(self) -> int:
@@ -78,14 +77,6 @@ class Basis:
 
     def blades(self, k: int) -> tuple[Blade, ...]:
         return self._blades.get(k, ())
-
-    def units(self, k: int) -> tuple[Multivector, ...]:
-        """The degree-k blades as unit forms, built on first use and then
-        shared by every caller; like every form they are never mutated."""
-        units = self._units.get(k)
-        if units is None:
-            units = self._units[k] = tuple(Multivector(_masks={m: 1}) for m in self._masks[k])
-        return units
 
 
 _EXACT = (int, Fraction)

@@ -4,9 +4,10 @@ Each identity family is a lazy stream of mismatches: a generator that yields
 ``(member, degree, blade_label, got, expected)`` for every place where the
 identity fails, in a fixed order, and nothing where it holds.  The first
 mismatch of a family is its witness, so a family stops building operators as
-soon as it fails.  Every operator identity is an exact comparison of
-materialized columns, blade by blade, through ``_differences``.  The suite is
-total: a corrupted structure table produces fail reports, never exceptions.
+soon as it fails.  Every operator identity is an exact comparison: whole
+operators by their image tables first, and the columns of unequal ones blade
+by blade, through ``_differences``.  The suite is total: a corrupted
+structure table produces fail reports, never exceptions.
 """
 
 from __future__ import annotations
@@ -71,11 +72,13 @@ def _operator_differences(ops: OperatorSet, members):
             raise ValueError("operators of different shifts are never equal")
         if lhs.basis is not rhs.basis:
             raise ValueError("operators on different bases are never compared")
+        # Equal operators, the usual case, are told apart by one comparison
+        # of their tables; only unequal ones are searched block by block.
+        if lhs._images == rhs._images:
+            continue
         basis = lhs.basis
         for k in basis.degrees():
             got, expected = lhs.blocks[k], rhs.blocks[k]
-            # Equal blocks, the usual case, are told apart in one pass over
-            # the term dicts; the comparator then locates the witness.
             if [col._terms for col in got] != [col._terms for col in expected]:
                 yield from _differences(ops, k, basis.blades(k), [(desc, got, expected)])
 
@@ -186,9 +189,9 @@ def _sector_preservation(ops: OperatorSet):
         for a in ALPHAS:
             op = build(a)
             for k in ops.hor.degrees():
-                for blade in ops.hor.blades(k):
-                    image = op.blocks[k][op.basis.positions[blade]]
-                    if any(m >> dims.horizontal_dim for m in image._terms):
+                for blade, mask in zip(ops.hor.blades(k), ops.hor._masks[k]):
+                    if any(m >> dims.horizontal_dim for m in op._images.get(mask, ())):
+                        image = op.blocks[k][op.basis.positions[blade]]
                         label = contact.format_blade(dims, blade)
                         yield f"{prefix}_{a}", k, label, image, "eta-free image"
 

@@ -1,32 +1,32 @@
-"""Graded operators on the blade algebra, materialized as per-degree blocks.
+"""Graded operators on the blade algebra, stored as image tables.
 
-Identity verification downstream reduces to exact equality of these blocks;
-at the ranks exercised here (n <= 3) every carrier is desk-scale, so the
-operators are stored column-by-column as multivector images of basis blades.
+An operator is stored whole, as one image table: the source mask of each
+nonzero column -> that column's mask dict, target mask -> nonzero
+coefficient (n <= 3 keeps every carrier desk-scale).  Equal operators have
+equal tables, so a whole identity is one dict comparison.  Two carriers
+appear: the full blade algebra, and the eta-free ("horizontal") sector
+spanned by blades missing all three Reeb one-forms, which the operators built
+from horizontal data preserve.
 
-Two carriers appear: the full blade algebra, and the eta-free ("horizontal")
-sector spanned by blades missing all three Reeb one-forms.  The wedge and
-contraction operators built from horizontal data preserve the sector, which
-is what lets the degree-weight and substitution operators live there.
+``from_function`` keeps the nonzero columns of a column function on the blade
+mask; ``compose`` and both brackets are one entry-wise routine over the
+nonzero columns.  The double contractions and K_a pass over their frame slots
+with ``exterior``'s contraction parity and ``eval_diag``'s frame signs, L_a
+over Xi_a's blades with ``wedge``'s popcount sign, K_{a,s} and I_a through
+``_pull_back``.  l_a, lambda_a and the star send distinct blades to distinct
+blades, so their signs come from one ``wedge``, ``interior`` or ``hodge_star``
+of a sum of blades.
 
-Every product reads an operator through its image table, source blade mask ->
-the column's own mask dict for each nonzero column, built the first time a
-product needs it.  ``compose`` and both brackets are one entry-wise routine:
-it walks the nonzero source columns of its operands, accumulates every
-(source, target) entry of the whole result in one dict, and splits the
-nonzero entries back into columns, so a bracket's two composites are never
-materialized and every zero column is one shared empty column.  The
-generator columns are built on the blade mask, one pass over terms taken once
-per operator: the double contractions Lambda_a and K_a over their frame
-slots, with the contraction parity of ``exterior`` and the frame signs of
-``eval_diag``, and L_a over Xi_a's blades, with the popcount sign of
-``wedge``.  Lambda_star conjugates L_full's cached image table by the star.
+``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
+read-only view built on first read, for the column-by-column identity
+families, witness formatting and the benchmark's operator counters; deleting
+it waits for a benchmark revision that counts the table.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable
 
 from . import contact
@@ -41,62 +41,69 @@ SUPPORTED_RANKS = (1, 2, 3)
 
 
 class GradedOperator:
-    """A degree-homogeneous linear operator stored as per-degree columns.
+    """A degree-homogeneous linear operator stored as its image table, which
+    holds no empty column and no zero coefficient; a blade missing from it has
+    an empty column."""
 
-    Products read the columns through the image table, source mask -> the
-    column's own ``_terms`` dict for each nonzero column, built on first use:
-    most bracket results are only compared, and never need one.
-    """
+    __slots__ = ("shift", "basis", "_images", "_blocks")
 
-    __slots__ = ("shift", "basis", "blocks", "_images")
-
-    def __init__(self, shift: int, basis: Basis, blocks: dict[int, list[Multivector]]):
+    def __init__(self, shift: int, basis: Basis, images: dict[int, dict[int, Coeff]]):
         self.shift = shift
         self.basis = basis
-        self.blocks = blocks
-        self._images: dict[int, dict[int, Coeff]] | None = None
+        self._images = images
+        self._blocks: dict[int, list[Multivector]] | None = None
 
-    def _image_table(self) -> dict[int, dict[int, Coeff]]:
-        if self._images is None:
-            masks = self.basis._masks
-            self._images = {
-                m: col._terms
-                for k, cols in self.blocks.items()
-                for m, col in zip(masks[k], cols)
-                if col._terms
+    @property
+    def blocks(self) -> dict[int, list[Multivector]]:
+        """Read-only view: the columns of each degree in basis order, forms on
+        the table's dicts, every zero column the one shared empty column."""
+        if self._blocks is None:
+            images = self._images
+            self._blocks = {
+                k: [Multivector(_masks=images[m]) if m in images else _EMPTY_COLUMN
+                    for m in masks]
+                for k, masks in self.basis._masks.items()
             }
-        return self._images
+        return self._blocks
 
     @classmethod
     def from_function(
-        cls, shift: int, basis: Basis, fn: Callable[[Multivector], Multivector]
+        cls, shift: int, basis: Basis, fn: Callable[[int], dict[int, Coeff]]
     ) -> "GradedOperator":
-        """Columns ``fn(blade)`` over the basis; the blades passed in are the
-        basis's shared unit forms."""
-        blocks: dict[int, list[Multivector]] = {}
-        for k in basis.degrees():
-            cols = [fn(unit) for unit in basis.units(k)]
-            target = k + shift
-            if {m.bit_count() for col in cols for m in col._terms} - {target}:
-                bad = next(
-                    col for col in cols if any(m.bit_count() != target for m in col._terms)
-                )
-                raise ValueError(
-                    f"image of degree-{k} blade has degree {bad.degree()}, expected {target}"
-                )
-            blocks[k] = cols
-        return cls(shift, basis, blocks)
+        """Column ``fn(mask)`` for each basis blade: a new dict, target mask ->
+        coefficient, whose zero coefficients are dropped."""
+        images: dict[int, dict[int, Coeff]] = {}
+        for m in chain.from_iterable(basis._masks.values()):
+            column = fn(m)
+            if not all(column.values()):
+                column = {t: c for t, c in column.items() if c}
+            if column:
+                images[m] = column
+        # On a term of the wrong degree, the first column (in basis order) with one.
+        if {t.bit_count() - m.bit_count() for m, column in images.items() for t in column} - {shift}:
+            m, column = next(
+                (m, column) for m, column in images.items()
+                if any(t.bit_count() - m.bit_count() != shift for t in column)
+            )
+            degrees = sorted({t.bit_count() for t in column})
+            if len(degrees) > 1:
+                raise ValueError(f"form is not homogeneous: degrees {degrees}")
+            k = m.bit_count()
+            raise ValueError(
+                f"image of degree-{k} blade has degree {degrees[0]}, expected {k + shift}"
+            )
+        return cls(shift, basis, images)
 
     @classmethod
     def identity(cls, basis: Basis) -> "GradedOperator":
-        return cls.from_function(0, basis, lambda mv: mv)
+        return cls.from_function(0, basis, lambda m: {m: 1})
 
     @classmethod
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
-        return cls.from_function(shift, basis, lambda mv: _EMPTY_COLUMN)
+        return cls.from_function(shift, basis, lambda m: {})
 
     def apply(self, mv: Multivector) -> Multivector:
-        images = self._image_table()
+        images = self._images
         acc: dict[int, Coeff] = {}
         get = acc.get
         for m, coeff in mv._terms.items():
@@ -111,21 +118,22 @@ class GradedOperator:
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
 
-    def scale(self, scalar) -> "GradedOperator":
-        blocks = {
-            k: [scalar * col if col else _EMPTY_COLUMN for col in cols]
-            for k, cols in self.blocks.items()
-        }
-        return GradedOperator(self.shift, self.basis, blocks)
+    def scale(self, scalar: Coeff) -> "GradedOperator":
+        images = self._images if scalar else {}
+        return GradedOperator(self.shift, self.basis, {
+            m: {t: scalar * c for t, c in column.items()} for m, column in images.items()
+        })
 
     def __eq__(self, other: object) -> bool:
+        """Same shift, same blades and the same image table."""
         if not isinstance(other, GradedOperator):
             return NotImplemented
-        return self.shift == other.shift and self.blocks == other.blocks
+        return (self.shift, self.basis.indices, self._images) == (
+            other.shift, other.basis.indices, other._images)
 
 
-# The one empty column of every zero operator and product result, and the
-# image of a blade whose column is empty.
+# The one empty column of every ``blocks`` view, and the image of a blade
+# missing from a table.
 _EMPTY_COLUMN = Multivector.zero()
 _NO_TERMS: dict[int, Coeff] = {}
 
@@ -136,18 +144,17 @@ def _product(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
     Entry by entry over the nonzero columns only: every product term adds to
     one dict for the whole operator, keyed by source mask shifted past the
     basis width, OR target mask.  The nonzero entries are then split back
-    into per-source columns, which are also the result's image table.
+    into per-source columns, the result's image table.
     """
     if a.basis is not b.basis:
         raise ValueError("operators on different bases have no product")
     basis = a.basis
     width = max(basis.indices, default=-1) + 1
-    a_images, b_images = a._image_table(), b._image_table()
     acc: dict[int, Coeff] = {}
     get = acc.get
-    passes = [(a_images, b_images, 1)]
+    passes = [(a._images, b._images, 1)]
     if sign:
-        passes.append((b_images, a_images, sign))
+        passes.append((b._images, a._images, sign))
     for outer, inner, scalar in passes:
         for source, column in inner.items():
             source <<= width
@@ -167,16 +174,7 @@ def _product(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
                 columns[source][key & low] = c
             else:
                 columns[source] = {key & low: c}
-    blocks = {
-        k: [
-            _EMPTY_COLUMN if (column := columns.get(m)) is None else Multivector(_masks=column)
-            for m in masks
-        ]
-        for k, masks in basis._masks.items()
-    }
-    result = GradedOperator(a.shift + b.shift, basis, blocks)
-    result._images = columns
-    return result
+    return GradedOperator(a.shift + b.shift, basis, columns)
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -228,17 +226,30 @@ class OperatorSet:
     def hor(self) -> Basis:
         return Basis(range(self.dims.horizontal_dim))
 
+    @cached_property
+    def _every_blade(self) -> Multivector:
+        """The sum of the blades of the full basis."""
+        return Multivector(_masks=dict.fromkeys(chain.from_iterable(self.full._masks.values()), 1))
+
     @_cached
     def l(self, a: int) -> GradedOperator:
-        """Wedge with eta_a (degree +1)."""
-        eta = Multivector.blade((contact.eta_index(self.dims, a),))
-        return GradedOperator.from_function(+1, self.full, lambda mv: wedge(eta, mv))
+        """Wedge with eta_a (degree +1), signs from one ``wedge`` of every blade."""
+        bit = 1 << contact.eta_index(self.dims, a)
+        signs = wedge(Multivector(_masks={bit: 1}), self._every_blade)._terms
+        return GradedOperator.from_function(
+            +1, self.full, lambda m: {} if m & bit else {m | bit: signs[m | bit]}
+        )
 
     @_cached
     def lam(self, a: int) -> GradedOperator:
-        """Contraction with the Reeb vector xi_a (degree -1)."""
+        """Contraction with the Reeb vector xi_a (degree -1), signs from one
+        ``interior`` of every blade."""
         idx = contact.eta_index(self.dims, a)
-        return GradedOperator.from_function(-1, self.full, lambda mv: interior(idx, mv))
+        bit = 1 << idx
+        signs = interior(idx, self._every_blade)._terms
+        return GradedOperator.from_function(
+            -1, self.full, lambda m: {m ^ bit: signs[m ^ bit]} if m & bit else {}
+        )
 
     @_cached
     def e(self, a: int) -> GradedOperator:
@@ -246,20 +257,15 @@ class OperatorSet:
         return self.l(a).compose(self.lam(a))
 
     def _wedge_xi(self, a: int, basis: Basis) -> GradedOperator:
-        """``wedge(Xi_a, -)`` on the mask, with Xi_a's ``_flips`` taken once."""
+        """``wedge(Xi_a, -)`` on the mask, with Xi_a's ``_flips`` taken once.
+        Distinct blades of Xi_a missing the blade land on distinct blades."""
         terms = contact.xi_form(self.dims, a, self.table)._terms
         xi = [(x, c, _flips(x)) for x, c in terms.items()]
-
-        def column(mv: Multivector) -> Multivector:
-            acc: dict[int, Coeff] = {}
-            for x, c, flips in xi:
-                for m, coeff in mv._terms.items():
-                    if not x & m:
-                        value = -c * coeff if (m & flips).bit_count() & 1 else c * coeff
-                        acc[x | m] = acc.get(x | m, 0) + value
-            return Multivector(_masks=acc)
-
-        return GradedOperator.from_function(+2, basis, column)
+        return GradedOperator.from_function(+2, basis, lambda m: {
+            x | m: -c if (m & flips).bit_count() & 1 else c
+            for x, c, flips in xi
+            if not x & m
+        })
 
     @_cached
     def L_full(self, a: int) -> GradedOperator:
@@ -273,13 +279,19 @@ class OperatorSet:
 
     @_cached
     def Lambda_star(self, a: int) -> GradedOperator:
-        """Adjoint of L_a by star conjugation (degree -2); the star needs the
-        whole coframe, so this one lives on the full basis only."""
-        dims = self.dims
-        wedge_xi = self.L_full(a)
-        return GradedOperator.from_function(
-            -2, self.full, lambda mv: hodge_star(wedge_xi.apply(hodge_star(mv, dims)), dims)
-        )
+        """Adjoint of L_a by star conjugation (degree -2): each blade starred,
+        sent through ``L_full``'s table and starred back, the star's signs from
+        one ``hodge_star`` per degree.  The star needs the whole coframe, so
+        this one lives on the full basis only."""
+        full = (1 << self.dims.dim) - 1
+        signs = {}  # blade -> the sign of its star, the complement blade
+        for masks in self.full._masks.values():
+            starred = hodge_star(Multivector(_masks=dict.fromkeys(masks, 1)), self.dims)
+            signs.update((full ^ image, sign) for image, sign in starred._terms.items())
+        images = self.L_full(a)._images
+        return GradedOperator.from_function(-2, self.full, lambda m: {
+            full ^ t: signs[m] * c * signs[t] for t, c in images.get(full ^ m, _NO_TERMS).items()
+        })
 
     def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
         """Sum of the frame contractions i_first i_second over the structure
@@ -289,23 +301,16 @@ class OperatorSet:
             (1 << first, 1 << second)
             for first, second in contact.structure_pairs(self.dims, a)[:-1]
         ]
-
-        def column(mv: Multivector) -> Multivector:
-            acc: dict[int, Coeff] = {}
-            for m, coeff in mv._terms.items():
-                for first, second in pairs:
-                    if m & first and m & second:
-                        inner = m ^ second
-                        odd = (
-                            _contraction_parity(m, second)
-                            ^ _contraction_parity(inner, first)
-                            ^ ((first | second) & negative).bit_count()
-                        )
-                        image = inner ^ first
-                        acc[image] = acc.get(image, 0) + (-coeff if odd & 1 else coeff)
-            return Multivector(_masks=acc)
-
-        return GradedOperator.from_function(-2, basis, column)
+        # Distinct pairs contract a blade to distinct blades.
+        return GradedOperator.from_function(-2, basis, lambda m: {
+            m ^ first ^ second: -1 if (
+                _contraction_parity(m, second)
+                ^ _contraction_parity(m ^ second, first)
+                ^ ((first | second) & negative).bit_count()
+            ) & 1 else 1
+            for first, second in pairs
+            if m & first and m & second
+        })
 
     @_cached
     def Lambda_full(self, a: int) -> GradedOperator:
@@ -332,28 +337,22 @@ class OperatorSet:
             pc = phi_zeta_index(dims, c, s)
             for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
                 terms.append((1 << factor, 1 << slot, odd ^ (negative >> slot & 1)))
-
-        def column(mv: Multivector) -> Multivector:
-            # Contract the slot out, then move the factor in from the front.
-            acc: dict[int, Coeff] = {}
-            for factor, bit, odd in terms:
-                for m, coeff in mv._terms.items():
-                    if m & bit and not (inner := m ^ bit) & factor:
-                        if odd ^ _contraction_parity(m, bit) ^ _contraction_parity(inner, factor):
-                            coeff = -coeff
-                        acc[inner | factor] = acc.get(inner | factor, 0) + coeff
-            return Multivector(_masks=acc)
-
-        return GradedOperator.from_function(0, self.hor, column)
+        # Contract the slot out, then move the factor in from the front.  The
+        # terms replace distinct slots by other slots: no two images coincide.
+        return GradedOperator.from_function(0, self.hor, lambda m: {
+            inner | factor: -1 if (
+                odd ^ _contraction_parity(m, bit) ^ _contraction_parity(inner, factor)
+            ) else 1
+            for factor, bit, odd in terms
+            if m & bit and not (inner := m ^ bit) & factor
+        })
 
     @property
     @_cached
     def H(self) -> GradedOperator:
         """Degree weight 2n - k on the eta-free sector."""
         n = self.dims.n
-        return GradedOperator.from_function(
-            0, self.hor, lambda mv: (2 * n - mv.degree()) * mv
-        )
+        return GradedOperator.from_function(0, self.hor, lambda m: {m: 2 * n - m.bit_count()})
 
     @_cached
     def K_s(self, a: int, s: int) -> GradedOperator:
@@ -369,24 +368,28 @@ class OperatorSet:
             raise ValueError("substitution count must be nonnegative")
         row = self.table.entries[a]
 
-        def column(mv: Multivector) -> Multivector:
+        def column(m: int) -> dict[int, Coeff]:
             acc: dict[int, Coeff] = {}
-            for m, coeff in mv._terms.items():
-                factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
-                for chosen in combinations(factors, s):
-                    sign, image = _pull_back(m, row, sum(chosen))
-                    if sign:
-                        acc[image] = acc.get(image, 0) + sign * coeff
-            return Multivector(_masks=acc)
+            factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+            for chosen in combinations(factors, s):
+                sign, image = _pull_back(m, row, sum(chosen))
+                if sign:
+                    acc[image] = acc.get(image, 0) + sign
+            return acc
 
         return GradedOperator.from_function(0, self.hor, column)
 
     @_cached
     def I(self, a: int) -> GradedOperator:
-        """Full substitution: the pullback of a form of any degree."""
-        return GradedOperator.from_function(
-            0, self.hor, lambda mv: contact.phi_star(self.table, a, mv)
-        )
+        """Full substitution: the pullback of a form of any degree, every
+        factor of the blade replaced, as in ``contact.phi_star``."""
+        row = self.table.entries[a]
+
+        def column(m: int) -> dict[int, Coeff]:
+            sign, image = _pull_back(m, row, m)
+            return {image: sign} if sign else {}
+
+        return GradedOperator.from_function(0, self.hor, column)
 
     @property
     @_cached

@@ -142,12 +142,12 @@ def bracket_table_checks() -> list[tuple[str, bool]]:
 
 
 def _flatten(op: GradedOperator) -> dict:
-    vec = {}
-    for k, cols in op.blocks.items():
-        for pos, col in enumerate(cols):
-            for m, coeff in col._terms.items():
-                vec[(k, pos, m)] = coeff
-    return vec
+    """The operator's entries as one sparse vector keyed (source, target)."""
+    return {
+        (source, target): coeff
+        for source, column in op._images.items()
+        for target, coeff in column.items()
+    }
 
 
 @cache

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cosym3 import contact
 from cosym3.exterior import Multivector, _combine, _interior, hodge_star, wedge
+from cosym3.identities import _differences
 
 
 def blades(dim: int, degree: int | None = None):
@@ -66,6 +67,30 @@ def reference_wedge_xi(dims, a, table, mv):
 def reference_lambda_star(dims, a, table, mv):
     """Lambda_star(a) mv: the wedge with Xi_a conjugated by the star."""
     return hodge_star(reference_wedge_xi(dims, a, table, hodge_star(mv, dims)), dims)
+
+
+def on_forms(fn):
+    """A mask column function for ``GradedOperator.from_function`` from a map
+    of forms: the blade mask as a unit form in, the image's mask dict out."""
+    return lambda m: fn(Multivector(_masks={m: 1}))._terms
+
+
+def reference_operator_differences(ops, members):
+    """The blockwise operator comparator: for each (description, lhs, rhs)
+    triple, every degree block of the ``blocks`` views whose columns differ
+    goes to ``identities._differences``, which locates the witnesses."""
+    for desc, lhs, rhs in members:
+        basis = lhs.basis
+        for k in basis.degrees():
+            got, expected = lhs.blocks[k], rhs.blocks[k]
+            if [col._terms for col in got] != [col._terms for col in expected]:
+                yield from _differences(ops, k, basis.blades(k), [(desc, got, expected)])
+
+
+def witnesses(stream) -> list[tuple]:
+    """A mismatch stream as (member, degree, blade, lhs, rhs) with both sides
+    formatted, as a report's witness holds them."""
+    return [(member, k, blade, str(got), str(expected)) for member, k, blade, got, expected in stream]
 
 
 # Read only: the benchmark's recorded verdict fingerprints.

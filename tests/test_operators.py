@@ -13,10 +13,12 @@ from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import _operator_differences, verify_identities
-from cosym3.operators import GradedOperator, OperatorSet, anticommutator, commutator
+from cosym3.operators import (
+    _EMPTY_COLUMN, GradedOperator, OperatorSet, anticommutator, commutator,
+)
 from helpers import (
-    FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, reference_k,
-    reference_lambda_star, reference_wedge_xi,
+    FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, on_forms, reference_k,
+    reference_lambda_star, reference_operator_differences, reference_wedge_xi, witnesses,
 )
 
 D1 = ModelDims(1)
@@ -223,12 +225,12 @@ class TestK:
 
         def wedge_op(slot):
             return GradedOperator.from_function(
-                1, FULL, lambda mv: wedge(Multivector.blade((slot,)), mv)
+                1, FULL, on_forms(lambda mv: wedge(Multivector.blade((slot,)), mv))
             )
 
         def contraction_op(slot):
             return GradedOperator.from_function(
-                -1, FULL, lambda mv: contact.frame_interior(D1, slot, mv)
+                -1, FULL, on_forms(lambda mv: contact.frame_interior(D1, slot, mv))
             )
 
         assert anticommutator(wedge_op(z), contraction_op(pa)) == OPS.zero_full(0)
@@ -425,25 +427,30 @@ class TestGradedOperatorPlumbing:
     def test_from_function_degree_validation(self):
         e0 = Multivector.blade((0,))
         with pytest.raises(ValueError, match=r"^image of degree-0 blade has degree 1, expected 0$"):
-            GradedOperator.from_function(0, FULL, lambda mv: wedge(e0, mv))
+            GradedOperator.from_function(0, FULL, on_forms(lambda mv: wedge(e0, mv)))
         # A wrong degree found past the first column names that column's degree.
         with pytest.raises(ValueError, match=r"^image of degree-1 blade has degree 2, expected 1$"):
             GradedOperator.from_function(
-                0, FULL, lambda mv: wedge(e0, mv) if mv.terms == {(1,): 1} else mv
+                0, FULL, on_forms(lambda mv: wedge(e0, mv) if mv.terms == {(1,): 1} else mv)
             )
         with pytest.raises(ValueError, match=r"^form is not homogeneous: degrees \[0, 1\]$"):
-            GradedOperator.from_function(0, FULL, lambda mv: mv + wedge(e0, mv))
+            GradedOperator.from_function(0, FULL, on_forms(lambda mv: mv + wedge(e0, mv)))
+        # A zero coefficient is no term, so its blade's degree is not checked.
+        op = GradedOperator.from_function(0, FULL, lambda m: {m: 1, m ^ 1: 0})
+        assert op == GradedOperator.identity(FULL)
 
     def test_zero_operator_shares_one_empty_column(self):
         zero = GradedOperator.zero(HOR, 2)
+        assert zero._images == {}
         columns = [col for cols in zero.blocks.values() for col in cols]
         assert len(columns) == 2 ** HOR.max_degree
-        empty = columns[0]
-        assert not empty and all(col is empty for col in columns)
-        # Compose and bracket results share that column; no image table holds
-        # an empty column, and a blade whose column is empty maps to zero.
-        operators = [OPS.l(1), OPS.lam(1), OPS.lam(2), OPS.e(1), OPS.L_full(1), OPS.Lambda_full(2)]
-        operators += [OPS.H, OPS.L(1), OPS.Lam(2), OPS.K(3), OPS.K_s(1, 2), zero]
+        assert all(col is _EMPTY_COLUMN for col in columns) and not _EMPTY_COLUMN
+        # Every operator from a column function (H's top-degree column is an
+        # explicit zero coefficient), every product, scaled and negated one.
+        ops = OperatorSet(D1)
+        operators = [ops.l(1), ops.lam(1), ops.lam(2), ops.e(1), ops.L_full(1), ops.Lambda_full(2)]
+        operators += [ops.Lambda_star(3), ops.H, ops.L(1), ops.Lam(2), ops.K(3), ops.K_s(1, 2)]
+        operators += [ops.I(2), ops.id_hor, zero]
         products = [
             product(a, b)
             for a in operators
@@ -451,25 +458,27 @@ class TestGradedOperatorPlumbing:
             if a.basis is b.basis
             for product in (GradedOperator.compose, commutator, anticommutator)
         ]
-        # A scaled or negated operator keeps the shared column where it is zero.
-        scaled = []
-        for op in operators:
-            for factor, result in ((3, op.scale(3)), (-1, -op)):
-                for k, cols in result.blocks.items():
-                    assert cols == [factor * col for col in op.blocks[k]]
-                scaled.append(result)
+        scaled = [result for op in operators for result in (op.scale(3), -op, op.scale(0))]
         for op in operators + products + scaled:
-            images = op._image_table()
-            assert all(images.values())
+            # No table holds an empty column or a zero coefficient ...
+            assert all(column and all(column.values()) for column in op._images.values())
+        for op in products + scaled:
+            # ... and the view is built on first read, once.
+            assert op._blocks is None
+            assert op.blocks is op.blocks
+        for op in operators + products + scaled:
+            images = op._images
             for k, cols in op.blocks.items():
                 for x, mask, col in zip(op.basis.blades(k), op.basis._masks[k], cols):
                     if col:
                         assert images[mask] is col._terms
                     else:
-                        assert mask not in images
+                        assert col is _EMPTY_COLUMN and mask not in images
                         assert not op.apply(Multivector.blade(x))
-        for op in products + scaled:
-            assert all(col is empty for cols in op.blocks.values() for col in cols if not col)
+        for op in operators:
+            for factor, result in ((3, op.scale(3)), (-1, -op), (0, op.scale(0))):
+                for k, cols in result.blocks.items():
+                    assert cols == [factor * col for col in op.blocks[k]]
 
     def test_brackets_match_two_applications(self):
         # Reference route: on each basis blade x, [a, b] x = a(b x) - b(a x)
@@ -602,3 +611,98 @@ class TestProductsAgainstReference:
                 ba = reference_apply(b, reference_apply(a, x))
                 got = [reference_apply(op, x) for op in after]
                 assert got == [ab, ab - ba, ab + ba], (la, lb)
+
+
+def one_column_changed(op: GradedOperator):
+    """Copies of ``op`` that differ from it in one column of one degree: the
+    first nonzero column with its first coefficient negated, the last nonzero
+    column emptied, and the first zero column given a term."""
+    basis = op.basis
+    masks = [m for k in basis.degrees() for m in basis._masks[k]]
+    nonzero = [m for m in masks if m in op._images]
+    changes = []
+    if nonzero:
+        first = dict(op._images[nonzero[0]])
+        target = next(iter(first))
+        first[target] = -first[target]
+        changes += [{nonzero[0]: first}, {nonzero[-1]: {}}]
+    for m in masks:
+        targets = basis._masks.get(m.bit_count() + op.shift, ())
+        if m not in op._images and targets:
+            changes.append({m: {targets[-1]: 5}})
+            break
+    return [
+        GradedOperator.from_function(
+            op.shift, basis, lambda m, change=change: dict(change.get(m, op._images.get(m, {})))
+        )
+        for change in changes
+    ]
+
+
+class TestWholeTableFastPath:
+    """``_operator_differences`` compares two whole image tables first and
+    searches block by block only when they differ: the witness stream must be
+    the blockwise comparator's."""
+
+    def test_one_changed_column_gives_the_reference_witnesses(self):
+        for label, op in EVERY_OPERATOR:
+            for changed in one_column_changed(op):
+                assert changed != op
+                for members in (
+                    [(label, op, changed)],
+                    [(label, changed, op)],
+                    [("same", op, op), (label, op, changed), ("again", changed, changed)],
+                ):
+                    got = witnesses(_operator_differences(OPS, members))
+                    assert got == witnesses(reference_operator_differences(OPS, members)), label
+                    assert len(got) == 1 and got[0][0] == label, label
+
+    def test_explicit_zero_coefficients_compare_equal(self):
+        n = D1.n
+        # H's column function gives its top-degree blades the coefficient 0,
+        # and this identity gives every blade one more term, with coefficient 0.
+        weight = GradedOperator.from_function(0, HOR, lambda m: {m: 2 * n - m.bit_count()})
+        identity = GradedOperator.from_function(0, HOR, lambda m: {m: 1, m ^ 1: 0})
+        for label, op, expected in (("H", weight, OPS.H), ("id", identity, OPS.id_hor)):
+            members = [(label, op, expected), (label, expected, op)]
+            assert op == expected
+            assert witnesses(_operator_differences(OPS, members)) == []
+            assert witnesses(reference_operator_differences(OPS, members)) == []
+
+    def test_products_of_the_rank_two_generators(self):
+        # All 100 composites a b of the n = 2 generators, each against the
+        # reference route applied twice and against b a.
+        ops = OperatorSet(ModelDims(2))
+        generators = [("H", ops.H)] + [
+            (f"{name}{a}", getattr(ops, name)(a)) for name in ("L", "Lam", "K") for a in ALPHAS
+        ]
+        basis = ops.hor
+        blade_of = {m: x for k in basis.degrees() for x, m in zip(basis.blades(k), basis._masks[k])}
+        once = {
+            label: {m: reference_apply(op, Multivector.blade(x)) for m, x in blade_of.items()}
+            for label, op in generators
+        }
+        unequal = 0
+        for (la, a), (lb, b) in itertools.product(generators, repeat=2):
+            product = a.compose(b)
+            reference = GradedOperator.from_function(
+                a.shift + b.shift, basis, lambda m: reference_apply(a, once[lb][m])._terms
+            )
+            reversed_order = b.compose(a)
+            label = f"{la} {lb}"
+            for other in (reference, reversed_order):
+                members = [(label, product, other)]
+                got = witnesses(_operator_differences(ops, members))
+                assert got == witnesses(reference_operator_differences(ops, members)), label
+                assert (product == other) == (product.blocks == other.blocks) == (not got)
+            assert product == reference, label
+            unequal += product != reversed_order
+        assert unequal
+
+    def test_equality_agrees_with_blockwise_views(self):
+        operators = [op for _, op in EVERY_OPERATOR]
+        operators += [op.scale(-1) for op in operators[:6]]
+        operators += [commutator(OPS.L(1), OPS.Lam(1)), -OPS.H, OPS.zero_hor(0), OPS.zero_full(0)]
+        for a, b in itertools.product(operators, repeat=2):
+            blockwise = a.shift == b.shift and a.blocks == b.blocks
+            assert (a == b) == blockwise
