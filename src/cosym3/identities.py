@@ -4,10 +4,14 @@ Each identity family is a lazy stream of mismatches: a generator that yields
 ``(member, degree, blade_label, got, expected)`` for every place where the
 identity fails, in a fixed order, and nothing where it holds.  The first
 mismatch of a family is its witness, so a family stops building operators as
-soon as it fails.  Every operator identity is an exact comparison: whole
-operators by their image tables first, and the columns of unequal ones blade
-by blade, through ``_differences``.  The suite is total: a corrupted
-structure table produces fail reports, never exceptions.
+soon as it fails.  Every operator identity is stated one way, as a
+(description, lhs, rhs) triple of whole operators, and compared by one
+comparator, ``_operator_differences``: by image tables first, and the
+columns of unequal ones blade by blade.  Triples that must be searched
+together form a group, whose members are compared on each blade in turn.
+What is not an operator statement (dimension counts, forms and tables) is a
+data check.  The suite is total: a corrupted structure table produces fail
+reports, never exceptions.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from math import comb
 from . import contact
 from .contact import ALPHAS, PhiStarTable, cyclic, epsilon
 from .exterior import ModelDims, Multivector, _combine, wedge
-from .operators import SUPPORTED_RANKS, OperatorSet, anticommutator, commutator
+from .operators import (
+    SUPPORTED_RANKS, GradedOperator, OperatorSet, _product, anticommutator, commutator,
+)
 
 
 @dataclass
@@ -45,42 +51,44 @@ class IdentityReport:
         return asdict(self)
 
 
-def _differences(ops: OperatorSet, k: int, blades, members):
-    """Columns where the members of one degree-k block differ.
+def _column(op: GradedOperator, mask: int) -> Multivector:
+    """The column of ``op`` on one blade, as a form: one side of a witness."""
+    return op.apply(Multivector(_masks={mask: 1}))
 
-    Each member is ``(description, got_columns, expected_columns)``, two
-    column iterables over ``blades``.  Blade by blade, in basis order, every
-    member is compared.  Columns are consumed lazily, so a caller that stops
-    at its witness computes no column of a later blade.
+
+def _operator_differences(ops: OperatorSet, groups):
+    """Differing columns of operator identities, each a (description, lhs,
+    rhs) triple.
+
+    ``groups`` holds triples and lists of triples.  A list is one group,
+    searched blade by blade in basis order with every member compared on each
+    blade in turn; a triple alone is a group of one.  A description is a
+    string, or a function of the witness degree such as a bound
+    ``str.format``.  Equal operators, the usual case, are told apart by one
+    comparison of their tables; only unequal ones are searched.  ``groups``
+    is consumed lazily, so the operators of later groups are not built once
+    the caller has its witness.
     """
-    descs = [desc for desc, _, _ in members]
-    for blade, *pairs in zip(blades, *(zip(got, exp) for _, got, exp in members)):
-        for desc, (got, expected) in zip(descs, pairs):
-            if got._terms != expected._terms:
-                yield desc, k, contact.format_blade(ops.dims, blade), got, expected
-
-
-def _operator_differences(ops: OperatorSet, members):
-    """Differing columns of each (description, lhs, rhs) operator triple,
-    degree block by degree block.
-
-    ``members`` is consumed lazily, so the operators of later triples are not
-    built once the caller has its witness.
-    """
-    for desc, lhs, rhs in members:
-        if lhs.shift != rhs.shift:
-            raise ValueError("operators of different shifts are never equal")
-        if lhs.basis is not rhs.basis:
-            raise ValueError("operators on different bases are never compared")
-        # Equal operators, the usual case, are told apart by one comparison
-        # of their tables; only unequal ones are searched block by block.
-        if lhs._images == rhs._images:
+    for group in groups:
+        members = group if isinstance(group, list) else [group]
+        basis = members[0][1].basis
+        for _, lhs, rhs in members:
+            if lhs.shift != rhs.shift:
+                raise ValueError("operators of different shifts are never equal")
+            if lhs.basis is not basis or rhs.basis is not basis:
+                raise ValueError("operators on different bases are never compared")
+        unequal = [(desc, lhs, rhs) for desc, lhs, rhs in members if lhs._images != rhs._images]
+        if not unequal:
             continue
-        basis = lhs.basis
         for k in basis.degrees():
-            got, expected = lhs.blocks[k], rhs.blocks[k]
-            if [col._terms for col in got] != [col._terms for col in expected]:
-                yield from _differences(ops, k, basis.blades(k), [(desc, got, expected)])
+            for blade, mask in zip(basis.blades(k), basis._masks[k]):
+                for desc, lhs, rhs in unequal:
+                    if lhs._images.get(mask) != rhs._images.get(mask):
+                        yield (
+                            desc(k) if callable(desc) else desc, k,
+                            contact.format_blade(ops.dims, blade),
+                            _column(lhs, mask), _column(rhs, mask),
+                        )
 
 
 def _operator_family(members):
@@ -118,22 +126,15 @@ def _projections(ops: OperatorSet):
 
 
 def _cube_isomorphisms(ops: OperatorSet):
-    """The wedge/contraction pair restricts to inverse isomorphisms between
-    the eta_a-free and eta_a-containing sectors, which therefore have the
+    """{lambda_a, l_a} = id: l_a lambda_a vanishes off the eta_a sector and
+    lambda_a l_a on it, so each round trip is the identity where the other
+    vanishes.  The pair restricts to inverse isomorphisms between the
+    eta_a-free and eta_a-containing sectors, which therefore have the
     binomial dimensions."""
     dims = ops.dims
-    for a in ALPHAS:
-        eta_idx = contact.eta_index(dims, a)
-        l, lam = ops.l(a), ops.lam(a)
-        for k in ops.full.degrees():
-            blades = ops.full.blades(k)
-            round_trip = (
-                l.apply(lam_col) if eta_idx in blade else lam.apply(l_col)
-                for blade, lam_col, l_col in zip(blades, lam.blocks[k], l.blocks[k])
-            )
-            yield from _differences(
-                ops, k, blades, [(f"alpha={a}", round_trip, ops.id_full.blocks[k])]
-            )
+    yield from _operator_differences(ops, (
+        (f"alpha={a}", anticommutator(ops.lam(a), ops.l(a)), ops.id_full) for a in ALPHAS
+    ))
     # Sector dimension count: blades sorted by eta-pattern.
     for k in ops.full.degrees():
         counts: dict[tuple[int, int, int], int] = {}
@@ -191,9 +192,8 @@ def _sector_preservation(ops: OperatorSet):
             for k in ops.hor.degrees():
                 for blade, mask in zip(ops.hor.blades(k), ops.hor._masks[k]):
                     if any(m >> dims.horizontal_dim for m in op._images.get(mask, ())):
-                        image = op.blocks[k][op.basis.positions[blade]]
                         label = contact.format_blade(dims, blade)
-                        yield f"{prefix}_{a}", k, label, image, "eta-free image"
+                        yield f"{prefix}_{a}", k, label, _column(op, mask), "eta-free image"
 
 
 @_operator_family
@@ -232,67 +232,54 @@ def _bracket_closure(ops: OperatorSet):
         yield f"[K_{a}, K_{b}]", commutator(K, ops.K(b)), ops.K(c).scale(-2)
 
 
+@_operator_family
 def _substitution_recursion(ops: OperatorSet):
-    """K_a K_{a,s} = (s+1) K_{a,s+1} - (k-s+1) K_{a,s-1}, blockwise in k.
-
-    The right side's second coefficient depends on the degree, so the check
-    runs per degree block.
-    """
+    """K_a K_{a,s} = (s+1) K_{a,s+1} - K_{a,s-1} D_s, where D_s is k - s + 1
+    on degree k.  Both sides vanish below degree s."""
     for a in ALPHAS:
-        K = ops.K(a)
-        for k in ops.hor.degrees():
-            for s in range(1, k + 1):
-                lower = ops.K_s(a, s - 1).blocks[k]
-                mid = ops.K_s(a, s).blocks[k]
-                upper = ops.K_s(a, s + 1).blocks[k]
-                rhs = (_combine(((s + 1, u), (-(k - s + 1), v))) for u, v in zip(upper, lower))
-                yield from _differences(
-                    ops, k, ops.hor.blades(k),
-                    [(f"alpha={a}, k={k}, s={s}", map(K.apply, mid), rhs)],
-                )
+        for s in range(1, ops.hor.max_degree + 1):
+            weight = GradedOperator.diagonal(ops.hor, lambda k: k - s + 1)
+            yield (
+                f"alpha={a}, k={{}}, s={s}".format,
+                ops.K(a).compose(ops.K_s(a, s)),
+                _product((s + 1, ops.K_s(a, s + 1), ops.id_hor), (-1, ops.K_s(a, s - 1), weight)),
+            )
 
 
+@_operator_family
 def _substitution_endpoints(ops: OperatorSet):
     """Zero substitutions is the identity, one substitution is K_a, and
-    substituting every factor of a degree-k blade is the full pullback."""
+    substituting every factor of a degree-k blade is the full pullback:
+    K_{a,k} E_k = I_a E_k, where E_k projects onto degree k."""
     for a in ALPHAS:
-        yield from _operator_differences(ops, (
-            (f"K_{a},0 = id", ops.K_s(a, 0), ops.id_hor),
-            (f"K_{a},1 = K_{a}", ops.K_s(a, 1), ops.K(a)),
-        ))
+        yield f"K_{a},0 = id", ops.K_s(a, 0), ops.id_hor
+        yield f"K_{a},1 = K_{a}", ops.K_s(a, 1), ops.K(a)
         for k in ops.hor.degrees():
-            yield from _differences(ops, k, ops.hor.blades(k), [
-                (f"K_{a},{k} = I_{a}", ops.K_s(a, k).blocks[k], ops.I(a).blocks[k])
-            ])
+            degree_k = GradedOperator.diagonal(ops.hor, lambda j: int(j == k))
+            yield f"K_{a},{k} = I_{a}", ops.K_s(a, k).compose(degree_k), ops.I(a).compose(degree_k)
 
 
+@_operator_family
 def _quaternion_relations(ops: OperatorSet):
     """On odd degrees the full substitutions generate the quaternions.
 
     Composition is written apply-first-then-second: doing I_a and then I_b
     equals I_c for cyclic (a, b, c), the reverse order gives -I_c, and each
     I_a squares to minus the identity; on even degrees the squares are +id.
+    With P = (-1)^k and Q the projection onto odd degrees: I_a^2 = P,
+    I_b I_a Q = I_c Q and I_a I_b Q = -I_c Q, the three searched as one group.
     """
-    for k in ops.hor.degrees():
-        odd = k % 2 == 1
-        ident = ops.id_hor.blocks[k]
-        for a in ALPHAS:
-            _, b, c = cyclic(a)
-            Ia = ops.I(a)
-            members = [(
-                f"I_{a}^2, k={k}",
-                map(Ia.apply, Ia.blocks[k]),
-                (-col for col in ident) if odd else ident,
-            )]
-            if odd:
-                Ib, Ic = ops.I(b), ops.I(c)
-                members += [
-                    (f"I_{a} then I_{b} = I_{c}, k={k}", map(Ib.apply, Ia.blocks[k]),
-                     Ic.blocks[k]),
-                    (f"I_{b} then I_{a} = -I_{c}, k={k}", map(Ia.apply, Ib.blocks[k]),
-                     (-col for col in Ic.blocks[k])),
-                ]
-            yield from _differences(ops, k, ops.hor.blades(k), members)
+    parity = GradedOperator.diagonal(ops.hor, lambda k: (-1) ** k)
+    odd = GradedOperator.diagonal(ops.hor, lambda k: k % 2)
+    for a in ALPHAS:
+        _, b, c = cyclic(a)
+        Ia, Ib = ops.I(a), ops.I(b)
+        Ic_odd = ops.I(c).compose(odd)
+        yield [
+            (f"I_{a}^2, k={{}}".format, Ia.compose(Ia), parity),
+            (f"I_{a} then I_{b} = I_{c}, k={{}}".format, Ib.compose(Ia).compose(odd), Ic_odd),
+            (f"I_{b} then I_{a} = -I_{c}, k={{}}".format, Ia.compose(Ib).compose(odd), -Ic_odd),
+        ]
 
 
 def _xi_consistency(ops: OperatorSet):

@@ -9,18 +9,21 @@ spanned by blades missing all three Reeb one-forms, which the operators built
 from horizontal data preserve.
 
 ``from_function`` keeps the nonzero columns of a column function on the blade
-mask; ``compose`` and both brackets are one entry-wise routine over the
-nonzero columns.  The double contractions and K_a pass over their frame slots
-with ``exterior``'s contraction parity and ``eval_diag``'s frame signs, L_a
-over Xi_a's blades with ``wedge``'s popcount sign, K_{a,s} and I_a through
-``_pull_back``.  l_a, lambda_a and the star send distinct blades to distinct
-blades, so their signs come from one ``wedge``, ``interior`` or ``hodge_star``
-of a sum of blades.
+mask, and ``diagonal`` weights each blade by a function of its degree.
+``_product`` is the one sum-of-products routine: it takes (scalar, outer,
+inner) terms and works entry-wise over the nonzero columns, so ``compose``,
+both brackets and any sum of composites are one call.  The double
+contractions and K_a pass over their frame slots with ``exterior``'s
+contraction parity and ``eval_diag``'s frame signs, L_a over Xi_a's blades
+with ``wedge``'s popcount sign, K_{a,s} and I_a through ``_pull_back``.
+l_a, lambda_a and the star send distinct blades to distinct blades, so their
+signs come from one ``wedge``, ``interior`` or ``hodge_star`` of a sum of
+blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
-read-only view built on first read, for the column-by-column identity
-families, witness formatting and the benchmark's operator counters; deleting
-it waits for a benchmark revision that counts the table.
+read-only view built on first read.  Only the tests and the benchmark's
+operator counters read it; deleting it waits for a benchmark revision that
+counts the table.
 """
 
 from __future__ import annotations
@@ -95,8 +98,13 @@ class GradedOperator:
         return cls(shift, basis, images)
 
     @classmethod
+    def diagonal(cls, basis: Basis, weight: Callable[[int], Coeff]) -> "GradedOperator":
+        """Degree 0: each blade of degree k times ``weight(k)``."""
+        return cls.from_function(0, basis, lambda m: {m: weight(m.bit_count())})
+
+    @classmethod
     def identity(cls, basis: Basis) -> "GradedOperator":
-        return cls.from_function(0, basis, lambda m: {m: 1})
+        return cls.diagonal(basis, lambda k: 1)
 
     @classmethod
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
@@ -113,7 +121,7 @@ class GradedOperator:
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other."""
-        return _product(self, other, 0)
+        return _product((1, self, other))
 
     def __neg__(self) -> "GradedOperator":
         return self.scale(-1)
@@ -138,25 +146,27 @@ _EMPTY_COLUMN = Multivector.zero()
 _NO_TERMS: dict[int, Coeff] = {}
 
 
-def _product(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
-    """a b + sign * b a, with sign 0 for the composite a b alone.
+def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOperator:
+    """The sum of ``scalar * outer inner`` over the (scalar, outer, inner) terms.
 
     Entry by entry over the nonzero columns only: every product term adds to
     one dict for the whole operator, keyed by source mask shifted past the
     basis width, OR target mask.  The nonzero entries are then split back
     into per-source columns, the result's image table.
     """
-    if a.basis is not b.basis:
-        raise ValueError("operators on different bases have no product")
-    basis = a.basis
+    _, first, second = terms[0]
+    basis, shift = first.basis, first.shift + second.shift
+    for _, outer, inner in terms:
+        if outer.basis is not basis or inner.basis is not basis:
+            raise ValueError("operators on different bases have no product")
+        if outer.shift + inner.shift != shift:
+            raise ValueError("products of different shifts have no sum")
     width = max(basis.indices, default=-1) + 1
     acc: dict[int, Coeff] = {}
     get = acc.get
-    passes = [(a._images, b._images, 1)]
-    if sign:
-        passes.append((b._images, a._images, sign))
-    for outer, inner, scalar in passes:
-        for source, column in inner.items():
+    for scalar, outer, inner in terms:
+        outer = outer._images
+        for source, column in inner._images.items():
             source <<= width
             for middle, coeff in column.items():
                 image = outer.get(middle)
@@ -174,15 +184,15 @@ def _product(a: GradedOperator, b: GradedOperator, sign: int) -> GradedOperator:
                 columns[source][key & low] = c
             else:
                 columns[source] = {key & low: c}
-    return GradedOperator(a.shift + b.shift, basis, columns)
+    return GradedOperator(shift, basis, columns)
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return _product(a, b, -1)
+    return _product((1, a, b), (-1, b, a))
 
 
 def anticommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return _product(a, b, 1)
+    return _product((1, a, b), (1, b, a))
 
 
 def _cached(build):
@@ -352,7 +362,7 @@ class OperatorSet:
     def H(self) -> GradedOperator:
         """Degree weight 2n - k on the eta-free sector."""
         n = self.dims.n
-        return GradedOperator.from_function(0, self.hor, lambda m: {m: 2 * n - m.bit_count()})
+        return GradedOperator.diagonal(self.hor, lambda k: 2 * n - k)
 
     @_cached
     def K_s(self, a: int, s: int) -> GradedOperator:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cosym3 import contact
 from cosym3.exterior import Multivector, _combine, _interior, hodge_star, wedge
-from cosym3.identities import _differences
 
 
 def blades(dim: int, degree: int | None = None):
@@ -75,16 +74,34 @@ def on_forms(fn):
     return lambda m: fn(Multivector(_masks={m: 1}))._terms
 
 
-def reference_operator_differences(ops, members):
-    """The blockwise operator comparator: for each (description, lhs, rhs)
-    triple, every degree block of the ``blocks`` views whose columns differ
-    goes to ``identities._differences``, which locates the witnesses."""
-    for desc, lhs, rhs in members:
-        basis = lhs.basis
+def reference_differences(ops, k, blades, members):
+    """Columns where the members of one degree-k block differ.
+
+    Each member is ``(description, got_columns, expected_columns)``, two
+    column lists over ``blades``.  Blade by blade, in basis order, every
+    member is compared, in member order.
+    """
+    descs = [desc for desc, _, _ in members]
+    for blade, *pairs in zip(blades, *(zip(got, exp) for _, got, exp in members)):
+        for desc, (got, expected) in zip(descs, pairs):
+            if got._terms != expected._terms:
+                yield desc, k, contact.format_blade(ops.dims, blade), got, expected
+
+
+def reference_operator_differences(ops, groups):
+    """The blockwise operator comparator: each group (a (description, lhs,
+    rhs) triple, or a list of triples compared together) is read through the
+    ``blocks`` views, degree block by degree block, and
+    ``reference_differences`` locates the witnesses.  A description may be
+    a function of the degree."""
+    for group in groups:
+        members = group if isinstance(group, list) else [group]
+        basis = members[0][1].basis
         for k in basis.degrees():
-            got, expected = lhs.blocks[k], rhs.blocks[k]
-            if [col._terms for col in got] != [col._terms for col in expected]:
-                yield from _differences(ops, k, basis.blades(k), [(desc, got, expected)])
+            yield from reference_differences(ops, k, basis.blades(k), [
+                (desc(k) if callable(desc) else desc, lhs.blocks[k], rhs.blocks[k])
+                for desc, lhs, rhs in members
+            ])
 
 
 def witnesses(stream) -> list[tuple]:

@@ -14,7 +14,7 @@ from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, wedge
 from cosym3.identities import _operator_differences, verify_identities
 from cosym3.operators import (
-    _EMPTY_COLUMN, GradedOperator, OperatorSet, anticommutator, commutator,
+    _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, anticommutator, commutator,
 )
 from helpers import (
     FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, on_forms, reference_k,
@@ -350,7 +350,6 @@ class TestVerifySuite:
         assert len(reports) == 20
         assert all(r.witness is not None for r in reports if not r.passed)
 
-    @pytest.mark.slow
     def test_rank_two_single_flip_reports_are_pinned(self):
         table = PhiStarTable.build(ModelDims(2))
         pinned = {
@@ -362,6 +361,17 @@ class TestVerifySuite:
             if entry is not None
         }
         assert pinned == RANK_TWO_FLIP_FINGERPRINTS
+
+    def test_a_passing_suite_reads_tables_only(self, monkeypatch):
+        # Every operator identity is compared on image tables: a suite that
+        # passes builds no column view and applies no operator to a form.
+        def refuse(*_):
+            raise AssertionError("a passing suite read a column")
+
+        monkeypatch.setattr(GradedOperator, "blocks", property(refuse))
+        monkeypatch.setattr(GradedOperator, "apply", refuse)
+        for n in (1, 2):
+            assert all(r.passed for r in verify_identities(n)), n
 
     def test_unsupported_rank_rejected(self):
         with pytest.raises(ValueError):
@@ -418,6 +428,9 @@ class TestGradedOperatorPlumbing:
             lambda: OPS.L_full(1).compose(OPS.K(1)),
             lambda: commutator(OPS.L_full(1), OPS.L(1)),
             lambda: anticommutator(OPS.id_hor, OPS.id_full),
+            lambda: _product((1, OPS.K(1), OPS.K(2)), (1, OPS.l(1), OPS.lam(1))),
+            # A sum of products of different shifts is not graded.
+            lambda: _product((1, OPS.l(1), OPS.lam(1)), (1, OPS.l(1), OPS.l(2))),
             lambda: list(_operator_differences(OPS, [("", OPS.L_full(1), OPS.L(1))])),
             lambda: list(_operator_differences(OPS, [("", OPS.l(1), OPS.lam(1))])),
         ):
@@ -592,6 +605,24 @@ class TestProductsAgainstReference:
                     for col in cols:
                         assert all(type(c) is int for c in col.terms.values()), (la, lb)
 
+    def test_sums_of_products_match_the_reference_route(self):
+        # Three terms, scalars other than 1 and -1, and a diagonal weight: on
+        # each blade x of degree k, the sum against the same sum on forms.
+        weight = GradedOperator.diagonal(HOR, lambda k: k - 1)
+        for a in ALPHAS:
+            K, K0, K1, K2 = OPS.K(a), OPS.K_s(a, 0), OPS.K_s(a, 1), OPS.K_s(a, 2)
+            total = _product((2, K2, OPS.id_hor), (-1, K0, weight), (3, K, K1))
+            assert total.shift == 0 and total.basis is HOR
+            for k in HOR.degrees():
+                for x, col in zip(HOR.blades(k), total.blocks[k]):
+                    mv = Multivector.blade(x)
+                    expected = (
+                        2 * reference_apply(K2, mv)
+                        - (k - 1) * reference_apply(K0, mv)
+                        + 3 * reference_apply(K, reference_apply(K1, mv))
+                    )
+                    assert col == expected, (a, x)
+
     @pytest.mark.parametrize(
         "flips", [(), ((1, 0), (2, 3), (3, 5))], ids=["built", "sign-flipped"]
     )
@@ -646,16 +677,30 @@ class TestWholeTableFastPath:
 
     def test_one_changed_column_gives_the_reference_witnesses(self):
         for label, op in EVERY_OPERATOR:
-            for changed in one_column_changed(op):
+            changes = one_column_changed(op)
+            for changed in changes:
                 assert changed != op
                 for members in (
                     [(label, op, changed)],
                     [(label, changed, op)],
                     [("same", op, op), (label, op, changed), ("again", changed, changed)],
+                    [(f"{label}, k={{}}".format, op, changed)],
                 ):
                     got = witnesses(_operator_differences(OPS, members))
                     assert got == witnesses(reference_operator_differences(OPS, members)), label
-                    assert len(got) == 1 and got[0][0] == label, label
+                    assert len(got) == 1 and got[0][0] in (label, f"{label}, k={got[0][1]}")
+                # A group: two members that differ on the same blade come out
+                # in member order, the equal member not at all.
+                members = [[(label, op, changed), ("same", op, op), ("again", changed, op)]]
+                got = witnesses(_operator_differences(OPS, members))
+                assert got == witnesses(reference_operator_differences(OPS, members)), label
+                assert [w[0] for w in got] == [label, "again"] and got[0][1:3] == got[1][1:3]
+            # A reversed group of every change comes out blade by blade, each
+            # member on its own blade.
+            members = [[(f"change {i}, k={{}}".format, op, c) for i, c in enumerate(changes)][::-1]]
+            got = witnesses(_operator_differences(OPS, members))
+            assert got == witnesses(reference_operator_differences(OPS, members)), label
+            assert len(got) == len(changes), label
 
     def test_explicit_zero_coefficients_compare_equal(self):
         n = D1.n
