@@ -254,7 +254,7 @@ def s_k_rank(n: int, k: int) -> PowerProductRank:
         for k2 in range(k - k1, -1, -1):
             powers = (k1, k2, k - k1 - k2)
             product = _xi_power_product(dims, powers)
-            vectors.append(dict(product.terms))
+            vectors.append(product._terms)
             lead = leading_blade(product)
             if lead is None:
                 lead = ()

@@ -12,13 +12,13 @@ from horizontal data preserve.
 mask, and ``diagonal`` weights each blade by a function of its degree.
 ``_product`` is the one sum-of-products routine: it takes (scalar, outer,
 inner) terms and works entry-wise over the nonzero columns, so ``compose``,
-both brackets and any sum of composites are one call.  The double
-contractions and K_a pass over their frame slots with ``exterior``'s
-contraction parity and ``eval_diag``'s frame signs, L_a over Xi_a's blades
-with ``wedge``'s popcount sign, K_{a,s} and I_a through ``_pull_back``.
-l_a, lambda_a and the star send distinct blades to distinct blades, so their
-signs come from one ``wedge``, ``interior`` or ``hodge_star`` of a sum of
-blades.
+both brackets and any sum of composites are one call.  ``_replacements`` is
+the one slot-replacement rule of L_a, Lambda_a and K_a: a (r, w, c) term
+writes a blade as r times the kept slots, r's slots in ascending order,
+drops r and puts w in front, times c.  K_{a,s} and I_a go through
+``_pull_back``.  l_a, lambda_a and the star send distinct blades to distinct
+blades, so their signs come from one ``wedge``, ``interior`` or
+``hodge_star`` of a sum of blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
 read-only view built on first read.  Only the tests and the benchmark's
@@ -35,8 +35,7 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _contraction_parity, _flips, _pull_back, hodge_star,
-    interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _flips, _pull_back, hodge_star, interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -187,6 +186,29 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
     return GradedOperator(shift, basis, columns)
 
 
+def _replacements(
+    shift: int, basis: Basis, terms: list[tuple[int, int, Coeff]]
+) -> GradedOperator:
+    """The sum of the slot replacements over the (r, w, c) terms.
+
+    A blade m holding the slots r, whose kept slots m ^ r miss w, is written
+    as r times the kept slots, r's slots in ascending order; r is dropped and
+    w put in front, so the image is c times the blade of kept | w, negated
+    once for each kept slot below an odd number of r's slots and once for
+    each below an odd number of w's.  Distinct terms must send a blade to
+    distinct blades.
+    """
+    # Each test reads m alone: m & (r | w) == r holds just when r is in m and
+    # the kept slots miss w, the image kept | w is m ^ r ^ w, and the sign
+    # mask drops r, since the kept slots are m's outside r.
+    moves = [(r | w, r, r ^ w, (_flips(r) ^ _flips(w)) & ~r, c) for r, w, c in terms]
+    return GradedOperator.from_function(shift, basis, lambda m: {
+        m ^ swap: -c if (m & flips).bit_count() & 1 else c
+        for read, r, swap, flips, c in moves
+        if m & read == r
+    })
+
+
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return _product((1, a, b), (-1, b, a))
 
@@ -266,26 +288,19 @@ class OperatorSet:
         """Projection onto blades containing eta_a (l_a after lambda_a)."""
         return self.l(a).compose(self.lam(a))
 
-    def _wedge_xi(self, a: int, basis: Basis) -> GradedOperator:
-        """``wedge(Xi_a, -)`` on the mask, with Xi_a's ``_flips`` taken once.
-        Distinct blades of Xi_a missing the blade land on distinct blades."""
-        terms = contact.xi_form(self.dims, a, self.table)._terms
-        xi = [(x, c, _flips(x)) for x, c in terms.items()]
-        return GradedOperator.from_function(+2, basis, lambda m: {
-            x | m: -c if (m & flips).bit_count() & 1 else c
-            for x, c, flips in xi
-            if not x & m
-        })
+    def _xi_terms(self, a: int) -> list[tuple[int, int, Coeff]]:
+        """Wedge with Xi_a: each of its blades put in front, nothing dropped."""
+        return [(0, x, c) for x, c in contact.xi_form(self.dims, a, self.table)._terms.items()]
 
     @_cached
     def L_full(self, a: int) -> GradedOperator:
         """Wedge with the horizontal two-form Xi_a (degree +2)."""
-        return self._wedge_xi(a, self.full)
+        return _replacements(+2, self.full, self._xi_terms(a))
 
     @_cached
     def L(self, a: int) -> GradedOperator:
         """L_a on the eta-free sector, which it preserves."""
-        return self._wedge_xi(a, self.hor)
+        return _replacements(+2, self.hor, self._xi_terms(a))
 
     @_cached
     def Lambda_star(self, a: int) -> GradedOperator:
@@ -303,34 +318,26 @@ class OperatorSet:
             full ^ t: signs[m] * c * signs[t] for t, c in images.get(full ^ m, _NO_TERMS).items()
         })
 
-    def _double_contraction(self, a: int, basis: Basis) -> GradedOperator:
-        """Sum of the frame contractions i_first i_second over the structure
-        pairs of ``a`` but the eta pair, one pass over the pairs per blade."""
+    def _lambda_terms(self, a: int) -> list[tuple[int, int, Coeff]]:
+        """i_first i_second over the structure pairs of ``a`` but the eta pair,
+        negated once per negative frame slot and once more when first < second
+        (contracting in ascending order is then i_second i_first)."""
         negative = contact._negative_slots(self.dims)
-        pairs = [
-            (1 << first, 1 << second)
+        return [
+            (1 << first | 1 << second, 0,
+             -1 if (first < second) ^ (negative >> first ^ negative >> second) & 1 else 1)
             for first, second in contact.structure_pairs(self.dims, a)[:-1]
         ]
-        # Distinct pairs contract a blade to distinct blades.
-        return GradedOperator.from_function(-2, basis, lambda m: {
-            m ^ first ^ second: -1 if (
-                _contraction_parity(m, second)
-                ^ _contraction_parity(m ^ second, first)
-                ^ ((first | second) & negative).bit_count()
-            ) & 1 else 1
-            for first, second in pairs
-            if m & first and m & second
-        })
 
     @_cached
     def Lambda_full(self, a: int) -> GradedOperator:
         """Adjoint of L_a as the explicit double-contraction sum (degree -2)."""
-        return self._double_contraction(a, self.full)
+        return _replacements(-2, self.full, self._lambda_terms(a))
 
     @_cached
     def Lam(self, a: int) -> GradedOperator:
         """Lambda_a on the eta-free sector, which it preserves."""
-        return self._double_contraction(a, self.hor)
+        return _replacements(-2, self.hor, self._lambda_terms(a))
 
     @_cached
     def K(self, a: int) -> GradedOperator:
@@ -339,23 +346,16 @@ class OperatorSet:
         dims = self.dims
         negative = contact._negative_slots(dims)
         _, b, c = cyclic(a)
-        terms = []  # (wedge bit, contraction bit, parity of frame sign and scalar)
+        terms = []  # (contraction bit, wedge bit, frame sign and scalar)
         for s in range(1, dims.n + 1):
             z = zeta_index(dims, s)
             pa = phi_zeta_index(dims, a, s)
             pb = phi_zeta_index(dims, b, s)
             pc = phi_zeta_index(dims, c, s)
             for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
-                terms.append((1 << factor, 1 << slot, odd ^ (negative >> slot & 1)))
-        # Contract the slot out, then move the factor in from the front.  The
-        # terms replace distinct slots by other slots: no two images coincide.
-        return GradedOperator.from_function(0, self.hor, lambda m: {
-            inner | factor: -1 if (
-                odd ^ _contraction_parity(m, bit) ^ _contraction_parity(inner, factor)
-            ) else 1
-            for factor, bit, odd in terms
-            if m & bit and not (inner := m ^ bit) & factor
-        })
+                terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
+        # The terms replace distinct slots by other slots: no two images coincide.
+        return _replacements(0, self.hor, terms)
 
     @property
     @_cached

@@ -99,13 +99,6 @@ _IMAGES: dict[str, Mat5] = {
 GENERATOR_NAMES = list(_IMAGES)
 
 
-def iso_map(name: str) -> Mat5:
-    """Matrix image of an operator-span generator."""
-    if name not in _IMAGES:
-        raise ValueError(f"unknown generator name: {name}")
-    return dict(_IMAGES[name])
-
-
 def bracket_table_checks() -> list[tuple[str, bool]]:
     """All published bracket patterns of the t_ij basis, checked exactly."""
     checks: list[tuple[str, bool]] = []

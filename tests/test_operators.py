@@ -6,15 +6,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable
-from cosym3.exterior import ModelDims, Multivector, wedge
+from cosym3.exterior import ModelDims, Multivector, _mask_of, interior, wedge
 from cosym3.identities import _operator_differences, verify_identities
 from cosym3.operators import (
-    _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, anticommutator, commutator,
+    _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, _replacements, anticommutator,
+    commutator,
 )
 from helpers import (
     FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, on_forms, reference_k,
@@ -642,6 +643,62 @@ class TestProductsAgainstReference:
                 ba = reference_apply(b, reference_apply(a, x))
                 got = [reference_apply(op, x) for op in after]
                 assert got == [ab, ab - ba, ab + ba], (la, lb)
+
+
+@st.composite
+def replacement_terms(draw):
+    """(shift, terms): one to three (r, w, c) terms of slot tuples on the n = 1
+    coframe, r and w of at most three slots each, all of shift |w| - |r|."""
+    shift = draw(st.integers(-3, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(max(0, -shift), min(3, 3 - shift)))
+        r, w = (
+            tuple(sorted(draw(st.sets(st.integers(0, D1.dim - 1), min_size=k, max_size=k))))
+            for k in (size, size + shift)
+        )
+        terms.append((r, w, draw(st.integers(-3, 3).filter(bool))))
+    return shift, terms
+
+
+def replaced_on_forms(r, w, c, mv):
+    """c times: contract r's slots in ascending order, then wedge w in front."""
+    for slot in r:
+        mv = interior(slot, mv)
+    return c * wedge(Multivector.blade(w), mv)
+
+
+class TestReplacementRule:
+    @given(replacement_terms())
+    @example((-1, [((0, 2, 5), (1, 3), 1), ((1, 4), (6,), -2)]))
+    @example((0, [((1, 4, 6), (0, 2, 5), 3), ((3,), (1,), -1)]))
+    def test_rule_matches_contractions_then_wedge(self, case):
+        # On every blade of the full n = 1 basis where no two terms meet.
+        shift, terms = case
+        op = _replacements(shift, FULL, [(_mask_of(r), _mask_of(w), c) for r, w, c in terms])
+        for k in FULL.degrees():
+            for x in FULL.blades(k):
+                mv = Multivector.blade(x)
+                images = [replaced_on_forms(r, w, c, mv) for r, w, c in terms]
+                targets = [t for image in images for t in image._terms]
+                if len(set(targets)) < len(targets):
+                    continue
+                assert op.apply(mv) == sum(images, Multivector.zero()), (terms, x)
+
+    @given(n=st.sampled_from([1, 2]), a=st.sampled_from(ALPHAS), data=st.data())
+    def test_lambda_terms_are_frame_double_contractions(self, n, a, data):
+        # Each term of Lambda_a through the rule is i_first i_second, each step
+        # one frame contraction, on a blade holding the pair.
+        dims = ModelDims(n)
+        ops = OperatorSet(dims)
+        pairs = contact.structure_pairs(dims, a)[:-1]
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        first, second = pairs[i]
+        others = data.draw(st.sets(st.integers(0, dims.horizontal_dim - 1)))
+        mv = Multivector.blade(sorted(others | {first, second}))
+        op = _replacements(-2, ops.hor, [ops._lambda_terms(a)[i]])
+        inner = contact.frame_interior(dims, second, mv)
+        assert op.apply(mv) == contact.frame_interior(dims, first, inner)
 
 
 def one_column_changed(op: GradedOperator):
