@@ -290,17 +290,23 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
 def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
     """Induced matrix on the k-th exterior power, entries as k x k minors.
 
-    A minor with an all-zero row is 0 without a ``det``; for a signed
-    permutation that leaves one nonzero minor per row subset.
+    A minor is built and passed to ``det`` only when each of its rows meets
+    its columns, read off each row's support (its nonzero columns as a mask);
+    any other minor has an all-zero row and is 0.  For a signed permutation
+    that leaves one minor per row subset.
     """
     n = len(matrix)
     subsets = list(combinations(range(n), k))
+    column_masks = [sum(1 << c for c in cols) for cols in subsets]
+    support = [sum(1 << c for c, v in enumerate(row) if v) for row in matrix]
     out = []
     for rows in subsets:
         line = []
-        for cols in subsets:
-            minor = [[matrix[r][c] for c in cols] for r in rows]
-            line.append(int(det(minor)) if all(any(row) for row in minor) else 0)
+        for cols, mask in zip(subsets, column_masks):
+            if all(support[r] & mask for r in rows):
+                line.append(int(det([[matrix[r][c] for c in cols] for r in rows])))
+            else:
+                line.append(0)
         out.append(line)
     return out
 

@@ -17,6 +17,7 @@ reports, never exceptions.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -235,14 +236,19 @@ def _bracket_closure(ops: OperatorSet):
 @_operator_family
 def _substitution_recursion(ops: OperatorSet):
     """K_a K_{a,s} = (s+1) K_{a,s+1} - K_{a,s-1} D_s, where D_s is k - s + 1
-    on degree k.  Both sides vanish below degree s."""
+    on degree k.  Both sides vanish below degree s.  Each D_s is built once,
+    on first use, for all three a."""
+
+    @cache
+    def D(s: int) -> GradedOperator:
+        return GradedOperator.diagonal(ops.hor, lambda k: k - s + 1)
+
     for a in ALPHAS:
         for s in range(1, ops.hor.max_degree + 1):
-            weight = GradedOperator.diagonal(ops.hor, lambda k: k - s + 1)
             yield (
                 f"alpha={a}, k={{}}, s={s}".format,
                 ops.K(a).compose(ops.K_s(a, s)),
-                _product((s + 1, ops.K_s(a, s + 1), ops.id_hor), (-1, ops.K_s(a, s - 1), weight)),
+                _product((s + 1, ops.K_s(a, s + 1), ops.id_hor), (-1, ops.K_s(a, s - 1), D(s))),
             )
 
 
@@ -250,13 +256,18 @@ def _substitution_recursion(ops: OperatorSet):
 def _substitution_endpoints(ops: OperatorSet):
     """Zero substitutions is the identity, one substitution is K_a, and
     substituting every factor of a degree-k blade is the full pullback:
-    K_{a,k} E_k = I_a E_k, where E_k projects onto degree k."""
+    K_{a,k} E_k = I_a E_k, where E_k projects onto degree k.  Each E_k is
+    built once, on first use, for all three a."""
+
+    @cache
+    def E(k: int) -> GradedOperator:
+        return GradedOperator.diagonal(ops.hor, lambda j: int(j == k))
+
     for a in ALPHAS:
         yield f"K_{a},0 = id", ops.K_s(a, 0), ops.id_hor
         yield f"K_{a},1 = K_{a}", ops.K_s(a, 1), ops.K(a)
         for k in ops.hor.degrees():
-            degree_k = GradedOperator.diagonal(ops.hor, lambda j: int(j == k))
-            yield f"K_{a},{k} = I_{a}", ops.K_s(a, k).compose(degree_k), ops.I(a).compose(degree_k)
+            yield f"K_{a},{k} = I_{a}", ops.K_s(a, k).compose(E(k)), ops.I(a).compose(E(k))
 
 
 @_operator_family

@@ -16,8 +16,10 @@ both brackets and any sum of composites are one call.  ``_replacements`` is
 the one slot-replacement rule of L_a, Lambda_a and K_a: a (r, w, c) term
 writes a blade as r times the kept slots, r's slots in ascending order,
 drops r and puts w in front, times c.  K_{a,s} and I_a go through
-``_pull_back``.  l_a, lambda_a and the star send distinct blades to distinct
-blades, so their signs come from one ``wedge``, ``interior`` or
+``_pull_back``; ``exterior._live_subsets`` walks a blade's factors once and
+keeps only the subsets whose pullback is nonzero, so one walk per blade
+fills every K_{a,s}.  l_a, lambda_a and the star send distinct blades to
+distinct blades, so their signs come from one ``wedge``, ``interior`` or
 ``hodge_star`` of a sum of blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
@@ -29,13 +31,14 @@ counts the table.
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _flips, _pull_back, hodge_star, interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _flips, _live_subsets, _pull_back, hodge_star, interior,
+    wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -107,7 +110,7 @@ class GradedOperator:
 
     @classmethod
     def zero(cls, basis: Basis, shift: int = 0) -> "GradedOperator":
-        return cls.from_function(shift, basis, lambda m: {})
+        return cls(shift, basis, {})
 
     def apply(self, mv: Multivector) -> Multivector:
         images = self._images
@@ -364,7 +367,6 @@ class OperatorSet:
         n = self.dims.n
         return GradedOperator.diagonal(self.hor, lambda k: 2 * n - k)
 
-    @_cached
     def K_s(self, a: int, s: int) -> GradedOperator:
         """s-fold substitution operator on the eta-free sector.
 
@@ -376,18 +378,25 @@ class OperatorSet:
         """
         if s < 0:
             raise ValueError("substitution count must be nonnegative")
+        every = self._substitutions(a)
+        return every[min(s, len(every) - 1)]
+
+    @_cached
+    def _substitutions(self, a: int) -> tuple[GradedOperator, ...]:
+        """K_{a,s} for s = 0 ... max_degree + 1 (the last one zero), from one
+        ``_live_subsets`` walk per blade: each subset it keeps is pulled back
+        once, into the column of its size."""
         row = self.table.entries[a]
-
-        def column(m: int) -> dict[int, Coeff]:
-            acc: dict[int, Coeff] = {}
-            factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
-            for chosen in combinations(factors, s):
-                sign, image = _pull_back(m, row, sum(chosen))
-                if sign:
-                    acc[image] = acc.get(image, 0) + sign
-            return acc
-
-        return GradedOperator.from_function(0, self.hor, column)
+        by_size: list[dict[int, dict[int, Coeff]]] = [{} for _ in range(self.hor.max_degree + 2)]
+        for m in chain.from_iterable(self.hor._masks.values()):
+            for sub in _live_subsets(m, row):
+                sign, image = _pull_back(m, row, sub)
+                column = by_size[sub.bit_count()].setdefault(m, {})
+                column[image] = column.get(image, 0) + sign
+        return tuple(
+            GradedOperator.from_function(0, self.hor, lambda m: columns.get(m, _NO_TERMS))
+            for columns in by_size
+        )
 
     @_cached
     def I(self, a: int) -> GradedOperator:

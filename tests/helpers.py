@@ -3,12 +3,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from cosym3 import contact
-from cosym3.exterior import Multivector, _combine, _interior, hodge_star, wedge
+from cosym3.exterior import Multivector, _combine, _interior, _pull_back, hodge_star, wedge
+from cosym3.operators import GradedOperator
 
 
 def blades(dim: int, degree: int | None = None):
@@ -56,6 +58,29 @@ def reference_k(dims, a, mv):
         for factor, slot, scalar in terms
         if (contracted := _interior(slot, mv, negative >> slot & 1))
     )
+
+
+def reference_k_s(ops, a, s):
+    """K_{a,s} by enumerating every s-subset of each blade's factors, in
+    ``combinations`` order, and pulling each back."""
+    row = ops.table.entries[a]
+
+    def column(m):
+        acc = {}
+        factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+        for chosen in combinations(factors, s):
+            sign, image = _pull_back(m, row, sum(chosen))
+            if sign:
+                acc[image] = acc.get(image, 0) + sign
+        return acc
+
+    return GradedOperator.from_function(0, ops.hor, column)
+
+
+def image_items(op):
+    """An operator's image table as nested item lists: equal exactly when the
+    tables are equal with every key order the same."""
+    return [(m, list(column.items())) for m, column in op._images.items()]
 
 
 def reference_wedge_xi(dims, a, table, mv):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -448,6 +449,39 @@ class TestOracle:
                 ]
                 assert exterior_power_matrix(matrix, k) == expected, (matrix, k)
         assert min(shapes.values()) >= 10
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(0, 4), shape=st.sampled_from(
+        ["dense", "zero rows", "zero columns", "any"]
+    ))
+    def test_exterior_power_against_all_minors(self, data, n, shape):
+        # Against ``det`` of every k x k minor; ``det`` itself runs on exactly
+        # the minors without an all-zero row.
+        entries = st.integers(-2, 2).filter(bool) if shape == "dense" else st.integers(-2, 2)
+        matrix = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
+                                    max_size=n))
+        if shape != "dense" and n:
+            for i in data.draw(st.sets(st.integers(0, n - 1), min_size=int(shape != "any"))):
+                for j in range(n):
+                    if shape == "zero columns":
+                        matrix[j][i] = 0
+                    else:
+                        matrix[i][j] = 0
+        calls = []
+        with unittest.mock.patch.object(
+            cellular, "det", lambda minor: calls.append(minor) or det(minor)
+        ):
+            for k in range(n + 1):
+                subsets = list(itertools.combinations(range(n), k))
+                minors = [[[[matrix[r][c] for c in cols] for r in rows] for cols in subsets]
+                          for rows in subsets]
+                calls.clear()
+                assert exterior_power_matrix(matrix, k) == [
+                    [int(det(minor)) for minor in line] for line in minors
+                ], (matrix, k)
+                assert calls == [
+                    minor for line in minors for minor in line if all(any(row) for row in minor)
+                ], (matrix, k)
 
     def test_exterior_power_endpoints(self):
         matrix = unit_translation_twist().matrix()

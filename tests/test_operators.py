@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosym3 import contact
+from cosym3 import contact, operators
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, _mask_of, interior, wedge
 from cosym3.identities import _operator_differences, verify_identities
@@ -18,20 +18,29 @@ from cosym3.operators import (
     commutator,
 )
 from helpers import (
-    FAULT_FINGERPRINTS, coefficients, fingerprint, multivectors, on_forms, reference_k,
-    reference_lambda_star, reference_operator_differences, reference_wedge_xi, witnesses,
+    FAULT_FINGERPRINTS, coefficients, fingerprint, image_items, multivectors, on_forms,
+    reference_k, reference_k_s, reference_lambda_star, reference_operator_differences,
+    reference_wedge_xi, witnesses,
 )
 
 D1 = ModelDims(1)
 OPS = OperatorSet(D1)
 FULL = OPS.full
 HOR = OPS.hor
-TABLE_FLIPS = [
-    (alpha, index)
-    for alpha, entries in sorted(PhiStarTable.build(D1).entries.items())
-    for index, entry in enumerate(entries)
-    if entry is not None
-]
+
+
+def sign_flips(dims: ModelDims) -> list[tuple[int, int]]:
+    """(alpha, slot) of every signed entry of the built table."""
+    return [
+        (alpha, index)
+        for alpha, entries in sorted(PhiStarTable.build(dims).entries.items())
+        for index, entry in enumerate(entries)
+        if entry is not None
+    ]
+
+
+TABLE_FLIPS = sign_flips(D1)
+RANK_FLIPS = [(n, alpha, index) for n in (1, 2) for alpha, index in sign_flips(ModelDims(n))]
 # Report fingerprints of the n = 1 tables drawn by ``seeded_table``.  Several
 # relations fail in one degree block on these tables, so the pins fix which
 # member and blade each family reports first, not only that it fails.
@@ -274,6 +283,76 @@ class TestSubstitutionOperators:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             OPS.K_s(1, -1)
+
+
+def assert_walk_matches_reference(ops):
+    """Every K_{a,s}, s = 0 ... max_degree + 2, has the enumerated table, key
+    order included."""
+    for a in ALPHAS:
+        for s in range(ops.hor.max_degree + 3):
+            assert image_items(ops.K_s(a, s)) == image_items(reference_k_s(ops, a, s)), (a, s)
+
+
+class TestSubstitutionWalk:
+    """K_{a,s} from one pruned walk per blade, against the enumeration of
+    every s-subset of the blade's factors."""
+
+    @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+    def test_walk_matches_reference_on_the_built_table(self, n):
+        assert_walk_matches_reference(OperatorSet(ModelDims(n)))
+
+    @pytest.mark.parametrize(
+        "n, alpha, index", RANK_FLIPS, ids=[f"n{n}-phi{a}[{i}]" for n, a, i in RANK_FLIPS]
+    )
+    def test_walk_matches_reference_on_corrupted_table(self, n, alpha, index):
+        dims = ModelDims(n)
+        table = PhiStarTable.build(dims).with_sign_flip(alpha, index)
+        assert_walk_matches_reference(OperatorSet(dims, table))
+
+    @pytest.mark.parametrize("seed", sorted(MULTI_FLIP_FINGERPRINTS))
+    def test_walk_matches_reference_on_multi_flip_table(self, seed):
+        assert_walk_matches_reference(OperatorSet(D1, seeded_table(seed)))
+
+    def test_walk_matches_reference_on_corrupted_table_images(self):
+        # Images moved, not only signs: a horizontal slot killed, two slots
+        # sent to one image and a slot sent to itself.  The walk reads the
+        # row, not the pair structure, so the enumeration still agrees.
+        dims = ModelDims(2)
+        entries = dict(PhiStarTable.build(dims).entries)
+        row = list(entries[1])
+        row[0], row[2], row[5] = None, row[3], (5, -1)
+        entries[1] = tuple(row)
+        ops = OperatorSet(dims, PhiStarTable(dims, entries))
+        assert_walk_matches_reference(ops)
+        assert ops.K_s(1, 1) != OperatorSet(dims).K_s(1, 1)
+
+    @pytest.mark.parametrize(
+        "n, calls", [(1, 147), (2, 7203), pytest.param(3, 352947, marks=pytest.mark.slow)]
+    )
+    def test_every_pull_back_is_nonzero(self, monkeypatch, n, calls):
+        # 3 * 7^(2n): the pullback swaps the 4n horizontal slots in 2n pairs,
+        # and a blade holding no slot of a pair leaves it alone, one slot
+        # keeps or substitutes it, both keep both or swap them.
+        signs = []
+        pull_back = operators._pull_back
+
+        def recorded(*args):
+            result = pull_back(*args)
+            signs.append(result[0])
+            return result
+
+        monkeypatch.setattr(operators, "_pull_back", recorded)
+        ops = OperatorSet(ModelDims(n))
+        for a in ALPHAS:
+            for s in range(ops.hor.max_degree + 2):
+                ops.K_s(a, s)
+        assert len(signs) == calls and all(signs)
+
+    def test_counts_past_the_top_degree_are_zero(self):
+        ops = OperatorSet(D1)
+        top = ops.hor.max_degree
+        assert ops.K_s(2, top + 1) == ops.K_s(2, top + 5) == ops.zero_hor(0)
+        assert ops.K_s(2, top) != ops.zero_hor(0)
 
 
 class TestQuaternionAction:
