@@ -153,7 +153,11 @@ def smith_normal_form(vectors: Sequence[Mapping[Hashable, int]]) -> list[int]:
     row and column are clear, else a smaller remainder is the next pivot (Dumas,
     Saunders and Villard, J. Symbolic Comput. 32, 2001).  Arbitrary precision.
     """
-    rows = [{j: v for j, v in vec.items() if v} for vec in vectors]
+    # New dicts, reduced in place: C-level copies unless an entry is zero.
+    rows = [
+        dict(vec) if all(vec.values()) else {j: v for j, v in vec.items() if v}
+        for vec in vectors
+    ]
     diag: list[int] = []
     while rows := [row for row in rows if row]:
         unit = next(

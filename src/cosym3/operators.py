@@ -9,10 +9,14 @@ spanned by blades missing all three Reeb one-forms, which the operators built
 from horizontal data preserve.
 
 ``from_function`` keeps the nonzero columns of a column function on the blade
-mask, and ``diagonal`` weights each blade by a function of its degree.
+mask, and ``diagonal`` writes the table {m: {m: w}} of a weight of the degree
+directly.  An operator is diagonal when its shift is 0 and every column is
+{m: w}; a cached flag, found from the table on first use, records it.
 ``_product`` is the one sum-of-products routine: it takes (scalar, outer,
-inner) terms and works entry-wise over the nonzero columns, so ``compose``,
-both brackets and any sum of composites are one call.  ``_replacements`` is
+inner) terms, so ``compose``, both brackets and any sum of composites are one
+call.  When every term is one operator times a diagonal it is one scaling
+pass over that operator's table; otherwise it works entry-wise over the
+nonzero columns.  ``_replacements`` is
 the one slot-replacement rule of L_a, Lambda_a and K_a: a (r, w, c) term
 writes a blade as r times the kept slots, r's slots in ascending order,
 drops r and puts w in front, times c.  K_{a,s} and I_a go through
@@ -50,13 +54,15 @@ class GradedOperator:
     holds no empty column and no zero coefficient; a blade missing from it has
     an empty column."""
 
-    __slots__ = ("shift", "basis", "_images", "_blocks")
+    __slots__ = ("shift", "basis", "_images", "_blocks", "_diagonal")
 
     def __init__(self, shift: int, basis: Basis, images: dict[int, dict[int, Coeff]]):
         self.shift = shift
         self.basis = basis
         self._images = images
         self._blocks: dict[int, list[Multivector]] | None = None
+        # Whether every column is {m: w}, found on first use in ``_product``.
+        self._diagonal: bool | None = None
 
     @property
     def blocks(self) -> dict[int, list[Multivector]]:
@@ -101,8 +107,16 @@ class GradedOperator:
 
     @classmethod
     def diagonal(cls, basis: Basis, weight: Callable[[int], Coeff]) -> "GradedOperator":
-        """Degree 0: each blade of degree k times ``weight(k)``."""
-        return cls.from_function(0, basis, lambda m: {m: weight(m.bit_count())})
+        """Degree 0: each blade of degree k times ``weight(k)``, in basis order;
+        the columns of a zero weight are empty."""
+        images = {}
+        for k, masks in basis._masks.items():
+            w = weight(k)
+            if w:
+                images.update((m, {m: w}) for m in masks)
+        op = cls(0, basis, images)
+        op._diagonal = True
+        return op
 
     @classmethod
     def identity(cls, basis: Basis) -> "GradedOperator":
@@ -151,10 +165,13 @@ _NO_TERMS: dict[int, Coeff] = {}
 def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOperator:
     """The sum of ``scalar * outer inner`` over the (scalar, outer, inner) terms.
 
-    Entry by entry over the nonzero columns only: every product term adds to
-    one dict for the whole operator, keyed by source mask shifted past the
-    basis width, OR target mask.  The nonzero entries are then split back
-    into per-source columns, the result's image table.
+    When every term is a scaled copy of one operator X, its other factor
+    diagonal, the result is one scaling pass over X's table
+    (``_scaled_copy``).  Otherwise it is built entry by entry over the
+    nonzero columns only: every product term adds to one dict for the whole
+    operator, keyed by source mask shifted past the basis width, OR target
+    mask.  The nonzero entries are then split back into per-source columns,
+    the result's image table.
     """
     _, first, second = terms[0]
     basis, shift = first.basis, first.shift + second.shift
@@ -163,6 +180,9 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
             raise ValueError("operators on different bases have no product")
         if outer.shift + inner.shift != shift:
             raise ValueError("products of different shifts have no sum")
+    scaled = _scaled_copy(terms)
+    if scaled is not None:
+        return GradedOperator(shift, basis, scaled)
     width = max(basis.indices, default=-1) + 1
     acc: dict[int, Coeff] = {}
     get = acc.get
@@ -187,6 +207,63 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
             else:
                 columns[source] = {key & low: c}
     return GradedOperator(shift, basis, columns)
+
+
+def _is_diagonal(op: GradedOperator) -> bool:
+    """Whether op has shift 0 and every column {m: w}; found once per operator."""
+    if op._diagonal is None:
+        op._diagonal = op.shift == 0 and all(
+            len(column) == 1 and m in column for m, column in op._images.items()
+        )
+    return op._diagonal
+
+
+def _scaled_copy(
+    terms: tuple[tuple[Coeff, GradedOperator, GradedOperator], ...]
+) -> dict[int, dict[int, Coeff]] | None:
+    """The table of the sum when every term is X after a diagonal or a
+    diagonal after X, for one operator X; None otherwise.
+
+    Each entry (m -> t) of X is multiplied by the sum of scalar * w(m) over
+    the terms with the diagonal inner and of scalar * w(t) over those with
+    it outer, w read from the diagonal's table; zero entries and empty
+    columns are dropped.
+    """
+    sources: dict[int, Coeff] = {}  # m -> sum of scalar * w(m), diagonal inner
+    targets: dict[int, Coeff] = {}  # t -> sum of scalar * w(t), diagonal outer
+    for x in terms[0][1:]:
+        plan = []  # (scalar, diagonal, the weights it adds to) for each term
+        for scalar, outer, inner in terms:
+            if outer is x and _is_diagonal(inner):
+                plan.append((scalar, inner, sources))
+            elif inner is x and _is_diagonal(outer):
+                plan.append((scalar, outer, targets))
+            else:
+                break
+        else:
+            break
+    else:
+        return None
+    for scalar, diagonal, weights in plan:
+        for m, column in diagonal._images.items():
+            weights[m] = weights.get(m, 0) + scalar * column[m]
+    columns: dict[int, dict[int, Coeff]] = {}
+    if not any(targets.values()):
+        for m, column in x._images.items():
+            a = sources.get(m)
+            if a:
+                columns[m] = dict(column) if a == 1 else {t: a * c for t, c in column.items()}
+        return columns
+    for m, column in x._images.items():
+        a = sources.get(m, 0)
+        scaled = {}
+        for t, c in column.items():
+            factor = a + targets.get(t, 0)
+            if factor:
+                scaled[t] = factor * c
+        if scaled:
+            columns[m] = scaled
+    return columns
 
 
 def _replacements(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosym3 import contact, operators
+from cosym3 import contact, identities, operators
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import ModelDims, Multivector, _mask_of, interior, wedge
 from cosym3.identities import _operator_differences, verify_identities
@@ -532,6 +532,26 @@ class TestGradedOperatorPlumbing:
         op = GradedOperator.from_function(0, FULL, lambda m: {m: 1, m ^ 1: 0})
         assert op == GradedOperator.identity(FULL)
 
+    @pytest.mark.parametrize("weight", [
+        lambda k: 1,
+        lambda k: 2 - k,
+        lambda k: int(k == 2),
+        lambda k: Fraction(k, 3) - 1,
+        lambda k: (-1) ** k * Fraction(k % 3, 2),
+        lambda k: 0,
+    ])
+    def test_diagonal_is_the_column_function_route(self, weight):
+        # Zero weights leave their columns out; key order, values and their
+        # types are the column function's, and weight is read once per degree.
+        for basis in (FULL, HOR):
+            degrees = []
+            op = GradedOperator.diagonal(basis, lambda k: degrees.append(k) or weight(k))
+            old = GradedOperator.from_function(0, basis, lambda m: {m: weight(m.bit_count())})
+            assert image_items(op) == image_items(old)
+            assert [type(c) for column in op._images.values() for c in column.values()] == [
+                type(c) for column in old._images.values() for c in column.values()]
+            assert degrees == list(basis.degrees())
+
     def test_zero_operator_shares_one_empty_column(self):
         zero = GradedOperator.zero(HOR, 2)
         assert zero._images == {}
@@ -887,3 +907,76 @@ class TestWholeTableFastPath:
         for a, b in itertools.product(operators, repeat=2):
             blockwise = a.shift == b.shift and a.blocks == b.blocks
             assert (a == b) == blockwise
+
+
+def general_path(terms):
+    """``_product`` of the terms on the general path: each operand copied
+    once, with its diagonal flag cleared."""
+    copies = {}
+    for _, *pair in terms:
+        for op in pair:
+            if id(op) not in copies:
+                copies[id(op)] = GradedOperator(op.shift, op.basis, op._images)
+                copies[id(op)]._diagonal = False
+    return _product(*[(scalar, copies[id(o)], copies[id(i)]) for scalar, o, i in terms])
+
+
+def extra_products(ops):
+    """Products with diagonal factors that the suite does not make: -H and
+    Fraction weights, on either side, in sums and with both factors diagonal."""
+    minus_h = -ops.H
+    thirds = GradedOperator.diagonal(ops.hor, lambda k: Fraction(k, 3) - 1)
+    K, L, Lam = ops.K(1), ops.L(2), ops.Lam(3)
+    return [
+        ((1, K, minus_h),),
+        ((1, minus_h, L), (-1, L, minus_h)),
+        ((Fraction(1, 2), thirds, Lam), (3, Lam, thirds), (-1, Lam, minus_h)),
+        ((Fraction(-2, 3), thirds, minus_h),),
+        ((1, thirds, thirds), (Fraction(1, 2), thirds, minus_h)),
+        ((1, ops.I(2), ops.id_hor), (1, ops.id_hor, ops.I(2))),
+    ]
+
+
+class TestScalingPass:
+    """A product whose every term is one operator X scaled by a diagonal
+    factor is one pass over X's table: it must give the general path's
+    table, on built and corrupted tables."""
+
+    @pytest.mark.parametrize(
+        "n, flip", [(1, None), *((1, flip) for flip in TABLE_FLIPS), (2, None)],
+        ids=["n1", *(f"n1-phi{a}[{i}]" for a, i in TABLE_FLIPS), "n2"],
+    )
+    def test_suite_products_match_the_general_path(self, monkeypatch, n, flip):
+        calls = []
+
+        def recorded(*terms):
+            calls.append(terms)
+            return _product(*terms)
+
+        monkeypatch.setattr(operators, "_product", recorded)
+        monkeypatch.setattr(identities, "_product", recorded)
+        table = PhiStarTable.build(ModelDims(n))
+        verify_identities(n, table if flip is None else table.with_sign_flip(*flip))
+        if flip is None:
+            calls += extra_products(OperatorSet(ModelDims(n)))
+        scaled = [terms for terms in calls if operators._scaled_copy(terms) is not None]
+        for terms in calls:
+            product, general = _product(*terms), general_path(terms)
+            assert (product.shift, product._images) == (general.shift, general._images)
+        assert scaled
+        if flip is None:
+            diagonals = [op for terms in scaled for _, *pair in terms for op in pair
+                         if operators._is_diagonal(op)]
+            minus_h = -OperatorSet(ModelDims(n)).H
+            # An E_k (one degree of the eta-free sector kept, every other
+            # weight zero); Fraction weights; -H; a term with both factors
+            # diagonal.
+            assert any(
+                op.basis.max_degree == 4 * n and len({m.bit_count() for m in op._images}) == 1
+                for op in diagonals
+            )
+            assert any(type(c) is Fraction for op in diagonals
+                       for column in op._images.values() for c in column.values())
+            assert any(op == minus_h for op in diagonals)
+            assert any(operators._is_diagonal(outer) and operators._is_diagonal(inner)
+                       for terms in scaled for _, outer, inner in terms)
