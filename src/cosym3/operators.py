@@ -9,17 +9,19 @@ spanned by blades missing all three Reeb one-forms, which the operators built
 from horizontal data preserve.
 
 ``from_function`` keeps the nonzero columns of a column function on the blade
-mask, and ``diagonal`` writes the table {m: {m: w}} of a weight of the degree
-directly.  An operator is diagonal when its shift is 0 and every column is
-{m: w}; a cached flag, found from the table on first use, records it.
-``_product`` is the one sum-of-products routine: it takes (scalar, outer,
-inner) terms, so ``compose``, both brackets and any sum of composites are one
-call.  When every term is one operator times a diagonal it is one scaling
-pass over that operator's table; otherwise it works entry-wise over the
-nonzero columns.  ``_replacements`` is
-the one slot-replacement rule of L_a, Lambda_a and K_a: a (r, w, c) term
-writes a blade as r times the kept slots, r's slots in ascending order,
-drops r and puts w in front, times c.  K_{a,s} and I_a go through
+mask; only K_{a,s} and I_a go through it, every other operator writes its
+table directly.  ``diagonal`` writes {m: {m: w}} for a weight of the degree.
+An operator is diagonal when its shift is 0 and every column is {m: w}; a
+cached flag, found from the table on first use, records it.  ``_product`` is
+the one sum-of-products routine: it takes (scalar, outer, inner) terms, so
+``compose``, both brackets and any sum of composites are one call.  When
+every term is an operator times a diagonal it is one scaling pass over each
+such operator's table; otherwise it works entry-wise over the nonzero
+columns.  ``_replacements`` is the one slot-replacement rule of L_a, Lambda_a
+and K_a: a (r, w, c) term writes a blade as r times the kept slots, r's
+slots in ascending order, drops r and puts w in front, times c; each term
+checks its degree once and adds into the table on just the blades it reads,
+so columns come in the order of the terms.  K_{a,s} and I_a go through
 ``_pull_back``; ``exterior._live_subsets`` walks a blade's factors once and
 keeps only the subsets whose pullback is nonzero, so one walk per blade
 fills every K_{a,s}.  l_a, lambda_a and the star send distinct blades to
@@ -41,8 +43,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _flips, _live_subsets, _pull_back, hodge_star, interior,
-    wedge,
+    Basis, Coeff, ModelDims, Multivector, _flips, _live_subsets, _mask_of, _pull_back, hodge_star,
+    interior, wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -165,13 +167,12 @@ _NO_TERMS: dict[int, Coeff] = {}
 def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOperator:
     """The sum of ``scalar * outer inner`` over the (scalar, outer, inner) terms.
 
-    When every term is a scaled copy of one operator X, its other factor
-    diagonal, the result is one scaling pass over X's table
-    (``_scaled_copy``).  Otherwise it is built entry by entry over the
-    nonzero columns only: every product term adds to one dict for the whole
-    operator, keyed by source mask shifted past the basis width, OR target
-    mask.  The nonzero entries are then split back into per-source columns,
-    the result's image table.
+    When every term is an operator times a diagonal, the result is one
+    scaling pass per such operator's table (``_scaled_copy``).  Otherwise it
+    is built entry by entry over the nonzero columns only: every product
+    term adds to one dict for the whole operator, keyed by source mask
+    shifted past the basis width, OR target mask.  The nonzero entries are
+    then split back into per-source columns, the result's image table.
     """
     _, first, second = terms[0]
     basis, shift = first.basis, first.shift + second.shift
@@ -221,48 +222,55 @@ def _is_diagonal(op: GradedOperator) -> bool:
 def _scaled_copy(
     terms: tuple[tuple[Coeff, GradedOperator, GradedOperator], ...]
 ) -> dict[int, dict[int, Coeff]] | None:
-    """The table of the sum when every term is X after a diagonal or a
-    diagonal after X, for one operator X; None otherwise.
+    """The table of the sum when every term is an operator X after a diagonal
+    or a diagonal after X, X free to differ between terms; None otherwise.
 
-    Each entry (m -> t) of X is multiplied by the sum of scalar * w(m) over
-    the terms with the diagonal inner and of scalar * w(t) over those with
-    it outer, w read from the diagonal's table; zero entries and empty
-    columns are dropped.
+    Each entry (m -> t) of each X is multiplied by the sum of scalar * w(m)
+    over X's terms with the diagonal inner and of scalar * w(t) over those
+    with it outer, w read from the diagonal's table; the scaled entries of
+    every X are added into one table, zero entries and empty columns dropped.
     """
-    sources: dict[int, Coeff] = {}  # m -> sum of scalar * w(m), diagonal inner
-    targets: dict[int, Coeff] = {}  # t -> sum of scalar * w(t), diagonal outer
-    for x in terms[0][1:]:
-        plan = []  # (scalar, diagonal, the weights it adds to) for each term
-        for scalar, outer, inner in terms:
-            if outer is x and _is_diagonal(inner):
-                plan.append((scalar, inner, sources))
-            elif inner is x and _is_diagonal(outer):
-                plan.append((scalar, outer, targets))
-            else:
-                break
+    # id(X) -> (X, m -> sum of scalar * w(m), t -> sum of scalar * w(t))
+    weights: dict[int, tuple] = {}
+    for scalar, outer, inner in terms:
+        # X is the factor that is not diagonal; of two diagonals, one met before.
+        if _is_diagonal(outer) and (id(inner) in weights or not _is_diagonal(inner)):
+            x, diagonal, side = inner, outer, 2
+        elif _is_diagonal(inner):
+            x, diagonal, side = outer, inner, 1
         else:
-            break
-    else:
-        return None
-    for scalar, diagonal, weights in plan:
+            return None
+        sums = weights.setdefault(id(x), (x, {}, {}))[side]
         for m, column in diagonal._images.items():
-            weights[m] = weights.get(m, 0) + scalar * column[m]
+            sums[m] = sums.get(m, 0) + scalar * column[m]
+    (x, sources, targets), *rest = weights.values()
     columns: dict[int, dict[int, Coeff]] = {}
     if not any(targets.values()):
         for m, column in x._images.items():
             a = sources.get(m)
             if a:
                 columns[m] = dict(column) if a == 1 else {t: a * c for t, c in column.items()}
-        return columns
-    for m, column in x._images.items():
-        a = sources.get(m, 0)
-        scaled = {}
-        for t, c in column.items():
-            factor = a + targets.get(t, 0)
-            if factor:
-                scaled[t] = factor * c
-        if scaled:
-            columns[m] = scaled
+    else:
+        for m, column in x._images.items():
+            a = sources.get(m, 0)
+            scaled = {}
+            for t, c in column.items():
+                factor = a + targets.get(t, 0)
+                if factor:
+                    scaled[t] = factor * c
+            if scaled:
+                columns[m] = scaled
+    for x, sources, targets in rest:  # each further X added entry by entry
+        for m, column in x._images.items():
+            a = sources.get(m, 0)
+            total = columns.setdefault(m, {})
+            for t, c in column.items():
+                if entry := total.get(t, 0) + (a + targets.get(t, 0)) * c:
+                    total[t] = entry
+                else:
+                    total.pop(t, None)
+            if not total:
+                del columns[m]
     return columns
 
 
@@ -275,18 +283,37 @@ def _replacements(
     as r times the kept slots, r's slots in ascending order; r is dropped and
     w put in front, so the image is c times the blade of kept | w, negated
     once for each kept slot below an odd number of r's slots and once for
-    each below an odd number of w's.  Distinct terms must send a blade to
-    distinct blades.
+    each below an odd number of w's.  A term of shift |w| - |r| other than
+    ``shift`` raises ValueError; a zero term, or one with a slot outside the
+    basis, writes nothing.  Each term walks only its blades, the kept slots
+    running over the submasks of the basis outside r | w; images that two
+    terms share add, and sums of zero are dropped.
     """
-    # Each test reads m alone: m & (r | w) == r holds just when r is in m and
-    # the kept slots miss w, the image kept | w is m ^ r ^ w, and the sign
-    # mask drops r, since the kept slots are m's outside r.
-    moves = [(r | w, r, r ^ w, (_flips(r) ^ _flips(w)) & ~r, c) for r, w, c in terms]
-    return GradedOperator.from_function(shift, basis, lambda m: {
-        m ^ swap: -c if (m & flips).bit_count() & 1 else c
-        for read, r, swap, flips, c in moves
-        if m & read == r
-    })
+    every = _mask_of(basis.indices)
+    images: dict[int, dict[int, Coeff]] = {}
+    for r, w, c in terms:
+        if w.bit_count() - r.bit_count() != shift:
+            raise ValueError(f"a term of shift {w.bit_count() - r.bit_count()}, expected {shift}")
+        if not c or (r | w) & ~every:
+            continue
+        free, swap, flips = every & ~(r | w), r ^ w, (_flips(r) ^ _flips(w)) & ~r
+        kept = free
+        while True:
+            m = r | kept
+            image, coeff = m ^ swap, -c if (kept & flips).bit_count() & 1 else c
+            column = images.get(m)
+            if column is None:
+                images[m] = {image: coeff}
+            elif total := column.get(image, 0) + coeff:
+                column[image] = total
+            else:  # two terms cancel
+                del column[image]
+                if not column:
+                    del images[m]
+            if not kept:
+                break
+            kept = (kept - 1) & free
+    return GradedOperator(shift, basis, images)
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -347,10 +374,8 @@ class OperatorSet:
     def l(self, a: int) -> GradedOperator:
         """Wedge with eta_a (degree +1), signs from one ``wedge`` of every blade."""
         bit = 1 << contact.eta_index(self.dims, a)
-        signs = wedge(Multivector(_masks={bit: 1}), self._every_blade)._terms
-        return GradedOperator.from_function(
-            +1, self.full, lambda m: {} if m & bit else {m | bit: signs[m | bit]}
-        )
+        images = wedge(Multivector(_masks={bit: 1}), self._every_blade)._terms
+        return GradedOperator(+1, self.full, {t ^ bit: {t: c} for t, c in images.items()})
 
     @_cached
     def lam(self, a: int) -> GradedOperator:
@@ -358,10 +383,8 @@ class OperatorSet:
         ``interior`` of every blade."""
         idx = contact.eta_index(self.dims, a)
         bit = 1 << idx
-        signs = interior(idx, self._every_blade)._terms
-        return GradedOperator.from_function(
-            -1, self.full, lambda m: {m ^ bit: signs[m ^ bit]} if m & bit else {}
-        )
+        images = interior(idx, self._every_blade)._terms
+        return GradedOperator(-1, self.full, {t ^ bit: {t: c} for t, c in images.items()})
 
     @_cached
     def e(self, a: int) -> GradedOperator:
@@ -384,18 +407,18 @@ class OperatorSet:
 
     @_cached
     def Lambda_star(self, a: int) -> GradedOperator:
-        """Adjoint of L_a by star conjugation (degree -2): each blade starred,
-        sent through ``L_full``'s table and starred back, the star's signs from
-        one ``hodge_star`` per degree.  The star needs the whole coframe, so
+        """Adjoint of L_a by star conjugation (degree -2): one pass over
+        ``L_full``'s table, both ends of each entry starred, the star's signs
+        from one ``hodge_star`` per degree.  The star needs the whole coframe, so
         this one lives on the full basis only."""
         full = (1 << self.dims.dim) - 1
         signs = {}  # blade -> the sign of its star, the complement blade
         for masks in self.full._masks.values():
             starred = hodge_star(Multivector(_masks=dict.fromkeys(masks, 1)), self.dims)
             signs.update((full ^ image, sign) for image, sign in starred._terms.items())
-        images = self.L_full(a)._images
-        return GradedOperator.from_function(-2, self.full, lambda m: {
-            full ^ t: signs[m] * c * signs[t] for t, c in images.get(full ^ m, _NO_TERMS).items()
+        return GradedOperator(-2, self.full, {
+            full ^ m: {full ^ t: signs[full ^ m] * c * signs[t] for t, c in column.items()}
+            for m, column in self.L_full(a)._images.items()
         })
 
     def _lambda_terms(self, a: int) -> list[tuple[int, int, Coeff]]:
@@ -434,7 +457,6 @@ class OperatorSet:
             pc = phi_zeta_index(dims, c, s)
             for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
                 terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
-        # The terms replace distinct slots by other slots: no two images coincide.
         return _replacements(0, self.hor, terms)
 
     @property

@@ -134,10 +134,12 @@ def bracket_table_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def _flatten(op: GradedOperator) -> dict:
-    """The operator's entries as one sparse vector keyed (source, target)."""
+def _flatten(op: GradedOperator) -> dict[int, Coeff]:
+    """The operator's entries as one sparse vector keyed source << width |
+    target, as ``_product`` packs them: ordered as the (source, target) pairs."""
+    width = max(op.basis.indices, default=-1) + 1
     return {
-        (source, target): coeff
+        source << width | target: coeff
         for source, column in op._images.items()
         for target, coeff in column.items()
     }

@@ -9,7 +9,9 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from cosym3 import contact
-from cosym3.exterior import Multivector, _combine, _interior, _pull_back, hodge_star, wedge
+from cosym3.exterior import (
+    Multivector, _combine, _flips, _interior, _pull_back, hodge_star, interior, wedge,
+)
 from cosym3.operators import GradedOperator
 
 
@@ -81,6 +83,77 @@ def image_items(op):
     """An operator's image table as nested item lists: equal exactly when the
     tables are equal with every key order the same."""
     return [(m, list(column.items())) for m, column in op._images.items()]
+
+
+# The per-blade column functions of the generators that write their tables
+# directly: ``from_function`` over these is the reference route.
+
+
+def reference_replacements(shift, basis, terms):
+    """The slot replacements of the (r, w, c) terms, each blade testing every
+    term; terms that meet on a blade must not occur."""
+    moves = [(r | w, r, r ^ w, (_flips(r) ^ _flips(w)) & ~r, c) for r, w, c in terms]
+    return GradedOperator.from_function(shift, basis, lambda m: {
+        m ^ swap: -c if (m & flips).bit_count() & 1 else c
+        for read, r, swap, flips, c in moves
+        if m & read == r
+    })
+
+
+def reference_k_terms(dims, a):
+    """K_a's (contraction bit, wedge bit, sign) replacement terms."""
+    negative = contact._negative_slots(dims)
+    _, b, c = contact.cyclic(a)
+    terms = []
+    for s in range(1, dims.n + 1):
+        z = contact.zeta_index(dims, s)
+        pa, pb, pc = (contact.phi_zeta_index(dims, x, s) for x in (a, b, c))
+        for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
+            terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
+    return terms
+
+
+def reference_tables(ops, a):
+    """(name, operator) for l_a, lambda_a, L_full, L, Lambda_full, Lam, K_a and
+    Lambda_star through ``from_function``: l_a and lambda_a read one ``wedge``
+    or ``interior`` of every blade, Lambda_star stars each blade, reads the
+    reference L_full and stars back."""
+    dims = ops.dims
+    idx = contact.eta_index(dims, a)
+    bit = 1 << idx
+    every = Multivector(_masks={m: 1 for masks in ops.full._masks.values() for m in masks})
+    wedged = wedge(Multivector(_masks={bit: 1}), every)._terms
+    contracted = interior(idx, every)._terms
+    xi = [(0, x, c) for x, c in contact.xi_form(dims, a, ops.table)._terms.items()]
+    pairs = ops._lambda_terms(a)
+    l_full = reference_replacements(+2, ops.full, xi)
+    full = (1 << dims.dim) - 1
+    signs = {}  # blade -> the sign of its star, the complement blade
+    for masks in ops.full._masks.values():
+        starred = hodge_star(Multivector(_masks=dict.fromkeys(masks, 1)), dims)
+        signs.update((full ^ image, sign) for image, sign in starred._terms.items())
+    return [
+        ("l", GradedOperator.from_function(
+            +1, ops.full, lambda m: {} if m & bit else {m | bit: wedged[m | bit]})),
+        ("lam", GradedOperator.from_function(
+            -1, ops.full, lambda m: {m ^ bit: contracted[m ^ bit]} if m & bit else {})),
+        ("L_full", l_full),
+        ("L", reference_replacements(+2, ops.hor, xi)),
+        ("Lambda_full", reference_replacements(-2, ops.full, pairs)),
+        ("Lam", reference_replacements(-2, ops.hor, pairs)),
+        ("K", reference_replacements(0, ops.hor, reference_k_terms(dims, a))),
+        ("Lambda_star", GradedOperator.from_function(-2, ops.full, lambda m: {
+            full ^ t: signs[m] * c * signs[t]
+            for t, c in l_full._images.get(full ^ m, {}).items()
+        })),
+    ]
+
+
+def column_items(op):
+    """An operator's image table with each column as an item list: equal
+    exactly when the tables are equal with each column's key order the same,
+    whatever the order of the columns."""
+    return {m: list(column.items()) for m, column in op._images.items()}
 
 
 def reference_wedge_xi(dims, a, table, mv):

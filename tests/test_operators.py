@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 from cosym3 import contact, identities, operators
 from cosym3.contact import ALPHAS, PhiStarTable
-from cosym3.exterior import ModelDims, Multivector, _mask_of, interior, wedge
+from cosym3.exterior import Basis, ModelDims, Multivector, _mask_of, interior, wedge
 from cosym3.identities import _operator_differences, verify_identities
 from cosym3.operators import (
     _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, _replacements, anticommutator,
     commutator,
 )
 from helpers import (
-    FAULT_FINGERPRINTS, coefficients, fingerprint, image_items, multivectors, on_forms,
-    reference_k, reference_k_s, reference_lambda_star, reference_operator_differences,
-    reference_wedge_xi, witnesses,
+    FAULT_FINGERPRINTS, coefficients, column_items, fingerprint, image_items, multivectors,
+    on_forms, reference_k, reference_k_s, reference_lambda_star, reference_operator_differences,
+    reference_tables, reference_wedge_xi, witnesses,
 )
 
 D1 = ModelDims(1)
@@ -771,18 +771,37 @@ class TestReplacementRule:
     @given(replacement_terms())
     @example((-1, [((0, 2, 5), (1, 3), 1), ((1, 4), (6,), -2)]))
     @example((0, [((1, 4, 6), (0, 2, 5), 3), ((3,), (1,), -1)]))
+    @example((1, [((), (0,), 1), ((), (0,), 1)]))
+    @example((1, [((), (0,), 1), ((), (0,), -1), ((2,), (0, 1), 2)]))
     def test_rule_matches_contractions_then_wedge(self, case):
-        # On every blade of the full n = 1 basis where no two terms meet.
+        # On every blade of the full n = 1 basis: terms that meet add.
         shift, terms = case
         op = _replacements(shift, FULL, [(_mask_of(r), _mask_of(w), c) for r, w, c in terms])
+        assert all(c for column in op._images.values() for c in column.values())
+        assert all(op._images.values())
         for k in FULL.degrees():
             for x in FULL.blades(k):
                 mv = Multivector.blade(x)
                 images = [replaced_on_forms(r, w, c, mv) for r, w, c in terms]
-                targets = [t for image in images for t in image._terms]
-                if len(set(targets)) < len(targets):
-                    continue
                 assert op.apply(mv) == sum(images, Multivector.zero()), (terms, x)
+
+    def test_terms_that_meet_add(self):
+        basis = Basis(range(3))
+        once = {m: {m | 1: 1} for m in (0b000, 0b010, 0b100, 0b110)}
+        twice = {m: {m | 1: 2} for m in once}
+        assert _replacements(1, basis, [(0, 1, 1), (0, 1, 1)])._images == twice
+        # Terms that cancel leave no entry and no column, a third term puts
+        # the entries back, and a zero term writes nothing.
+        assert _replacements(1, basis, [(0, 1, 1), (0, 1, -1)])._images == {}
+        assert _replacements(1, basis, [(0, 1, 1), (0, 1, -1), (0, 1, 1)])._images == once
+        assert _replacements(1, basis, [(0, 1, 0)])._images == {}
+        # Terms whose slots fall outside the basis write nothing.
+        assert _replacements(1, basis, [(0, 0b1000, 1), (0b1000, 0b11000, 1)])._images == {}
+
+    def test_a_term_of_another_shift_is_rejected(self):
+        for terms in ([(0, 0b11, 1)], [(0, 0b1, 1), (0b1, 0b10, 1)], [(0, 0b11000, 1)]):
+            with pytest.raises(ValueError, match="expected 1"):
+                _replacements(1, Basis(range(3)), terms)
 
     @given(n=st.sampled_from([1, 2]), a=st.sampled_from(ALPHAS), data=st.data())
     def test_lambda_terms_are_frame_double_contractions(self, n, a, data):
@@ -798,6 +817,28 @@ class TestReplacementRule:
         op = _replacements(-2, ops.hor, [ops._lambda_terms(a)[i]])
         inner = contact.frame_interior(dims, second, mv)
         assert op.apply(mv) == contact.frame_interior(dims, first, inner)
+
+
+class TestDirectTables:
+    """l_a, lambda_a, the slot replacements and Lambda_star write their tables
+    directly; each table must be the one ``from_function`` builds from the
+    per-blade column functions, every column's entry order included."""
+
+    @pytest.mark.parametrize(
+        "n, flip", [(1, None), (2, None), *((1, flip) for flip in TABLE_FLIPS)],
+        ids=["n1", "n2", *(f"n1-phi{a}[{i}]" for a, i in TABLE_FLIPS)],
+    )
+    def test_direct_tables_match_the_column_route(self, n, flip):
+        table = PhiStarTable.build(ModelDims(n))
+        ops = OperatorSet(ModelDims(n), table if flip is None else table.with_sign_flip(*flip))
+        for a in ALPHAS:
+            references = reference_tables(ops, a)
+            assert [name for name, _ in references] == [
+                "l", "lam", "L_full", "L", "Lambda_full", "Lam", "K", "Lambda_star"]
+            for name, reference in references:
+                op = getattr(ops, name)(a)
+                assert (op.shift, op.basis) == (reference.shift, reference.basis), (name, a)
+                assert column_items(op) == column_items(reference), (name, a)
 
 
 def one_column_changed(op: GradedOperator):
@@ -947,14 +988,20 @@ class TestScalingPass:
         ids=["n1", *(f"n1-phi{a}[{i}]" for a, i in TABLE_FLIPS), "n2"],
     )
     def test_suite_products_match_the_general_path(self, monkeypatch, n, flip):
-        calls = []
+        calls, recursion = [], []
 
         def recorded(*terms):
             calls.append(terms)
             return _product(*terms)
 
+        def recursion_side(*terms):
+            recursion.append(terms)
+            return recorded(*terms)
+
         monkeypatch.setattr(operators, "_product", recorded)
-        monkeypatch.setattr(identities, "_product", recorded)
+        # The suite's only direct sums: the substitution recursion's right
+        # sides, K_{a,s+1} and K_{a,s-1} each times a diagonal.
+        monkeypatch.setattr(identities, "_product", recursion_side)
         table = PhiStarTable.build(ModelDims(n))
         verify_identities(n, table if flip is None else table.with_sign_flip(*flip))
         if flip is None:
@@ -964,7 +1011,10 @@ class TestScalingPass:
             product, general = _product(*terms), general_path(terms)
             assert (product.shift, product._images) == (general.shift, general._images)
         assert scaled
+        assert recursion and all(terms in scaled for terms in recursion)
+        assert all(terms[0][1] is not terms[1][1] for terms in recursion)
         if flip is None:
+            assert len(recursion) == 3 * 4 * n
             diagonals = [op for terms in scaled for _, *pair in terms for op in pair
                          if operators._is_diagonal(op)]
             minus_h = -OperatorSet(ModelDims(n)).H
