@@ -322,33 +322,6 @@ def _pull_back(mask: int, row: tuple, sub: int) -> tuple[int, int]:
     return (-sign if moves & 1 else sign), image
 
 
-def _live_subsets(mask: int, row: tuple) -> list[int]:
-    """The submasks whose ``_pull_back(mask, row, sub)`` is nonzero: each
-    substituted factor's image exists and misses every kept factor and every
-    other image.
-
-    One walk over the factors in ascending order, substituting before
-    keeping: a partial subset is dropped as soon as an image hits a factor
-    kept so far or an earlier image, or a kept factor is an earlier image.
-    Subsets of one size come out in ``combinations`` order.
-    """
-    walks = [(0, 0, 0)]  # (substituted, kept, images) so far
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        hit = row[bit.bit_length() - 1]
-        target = 1 << hit[0] if hit is not None else 0
-        grown = []
-        for sub, kept, images in walks:
-            if target and not target & (kept | images):
-                grown.append((sub | bit, kept, images | target))
-            if not bit & images:
-                grown.append((sub, kept | bit, images))
-        walks = grown
-    return [sub for sub, _, _ in walks]
-
-
 def hodge_star(omega: Multivector, dims: ModelDims) -> Multivector:
     """Hodge star for the orthonormal coframe, volume = the full blade.
 

@@ -9,8 +9,8 @@ spanned by blades missing all three Reeb one-forms, which the operators built
 from horizontal data preserve.
 
 ``from_function`` keeps the nonzero columns of a column function on the blade
-mask; only K_{a,s} and I_a go through it, every other operator writes its
-table directly.  ``diagonal`` writes {m: {m: w}} for a weight of the degree.
+mask; only I_a goes through it, every other operator writes its table
+directly.  ``diagonal`` writes {m: {m: w}} for a weight of the degree.
 An operator is diagonal when its shift is 0 and every column is {m: w}; a
 cached flag, found from the table on first use, records it.  ``_product`` is
 the one sum-of-products routine: it takes (scalar, outer, inner) terms, so
@@ -21,12 +21,11 @@ columns.  ``_replacements`` is the one slot-replacement rule of L_a, Lambda_a
 and K_a: a (r, w, c) term writes a blade as r times the kept slots, r's
 slots in ascending order, drops r and puts w in front, times c; each term
 checks its degree once and adds into the table on just the blades it reads,
-so columns come in the order of the terms.  K_{a,s} and I_a go through
-``_pull_back``; ``exterior._live_subsets`` walks a blade's factors once and
-keeps only the subsets whose pullback is nonzero, so one walk per blade
-fills every K_{a,s}.  l_a, lambda_a and the star send distinct blades to
-distinct blades, so their signs come from one ``wedge``, ``interior`` or
-``hodge_star`` of a sum of blades.
+so columns come in the order of the terms.  I_a goes through
+``_pull_back``; the K_{a,s} share no code with it, as one recursion over
+each blade's lowest factor writes all of them.  l_a, lambda_a and the star
+send distinct blades to distinct blades, so their signs come from one
+``wedge``, ``interior`` or ``hodge_star`` of a sum of blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
 read-only view built on first read.  Only the tests and the benchmark's
@@ -43,8 +42,8 @@ from typing import Callable
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
 from .exterior import (
-    Basis, Coeff, ModelDims, Multivector, _flips, _live_subsets, _mask_of, _pull_back, hodge_star,
-    interior, wedge,
+    Basis, Coeff, ModelDims, Multivector, _flips, _mask_of, _pull_back, hodge_star, interior,
+    wedge,
 )
 
 # The quaternionic ranks n of the identity suite and the so(4,1) module check.
@@ -85,13 +84,7 @@ class GradedOperator:
     ) -> "GradedOperator":
         """Column ``fn(mask)`` for each basis blade: a new dict, target mask ->
         coefficient, whose zero coefficients are dropped."""
-        images: dict[int, dict[int, Coeff]] = {}
-        for m in chain.from_iterable(basis._masks.values()):
-            column = fn(m)
-            if not all(column.values()):
-                column = {t: c for t, c in column.items() if c}
-            if column:
-                images[m] = column
+        images = _nonzero({m: fn(m) for m in chain.from_iterable(basis._masks.values())})
         # On a term of the wrong degree, the first column (in basis order) with one.
         if {t.bit_count() - m.bit_count() for m, column in images.items() for t in column} - {shift}:
             m, column = next(
@@ -316,6 +309,27 @@ def _replacements(
     return GradedOperator(shift, basis, images)
 
 
+def _prepend(column: dict[int, Coeff], bit: int, sign: Coeff, images: dict[int, Coeff]) -> None:
+    """Add sign times the slot ``bit`` put in front of each image t into column:
+    negated when t has an odd number of slots below bit, dropped when t holds it."""
+    below = bit - 1
+    for t, c in images.items():
+        if not t & bit:
+            c = -sign * c if (t & below).bit_count() & 1 else sign * c
+            column[t | bit] = column.get(t | bit, 0) + c
+
+
+def _nonzero(columns: dict[int, dict[int, Coeff]]) -> dict[int, dict[int, Coeff]]:
+    """The columns without their zero coefficients, empty columns dropped."""
+    images = {}
+    for m, column in columns.items():
+        if not all(column.values()):
+            column = {t: c for t, c in column.items() if c}
+        if column:
+            images[m] = column
+    return images
+
+
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return _product((1, a, b), (-1, b, a))
 
@@ -405,17 +419,22 @@ class OperatorSet:
         """L_a on the eta-free sector, which it preserves."""
         return _replacements(+2, self.hor, self._xi_terms(a))
 
-    @_cached
-    def Lambda_star(self, a: int) -> GradedOperator:
-        """Adjoint of L_a by star conjugation (degree -2): one pass over
-        ``L_full``'s table, both ends of each entry starred, the star's signs
-        from one ``hodge_star`` per degree.  The star needs the whole coframe, so
-        this one lives on the full basis only."""
+    @cached_property
+    def _star_signs(self) -> dict[int, Coeff]:
+        """Blade -> the sign of its star: one ``hodge_star`` per degree."""
         full = (1 << self.dims.dim) - 1
-        signs = {}  # blade -> the sign of its star, the complement blade
+        signs = {}
         for masks in self.full._masks.values():
             starred = hodge_star(Multivector(_masks=dict.fromkeys(masks, 1)), self.dims)
             signs.update((full ^ image, sign) for image, sign in starred._terms.items())
+        return signs
+
+    @_cached
+    def Lambda_star(self, a: int) -> GradedOperator:
+        """Adjoint of L_a by star conjugation (degree -2): one pass over
+        ``L_full``'s table, both ends of each entry starred.  The star needs
+        the whole coframe, so this one lives on the full basis only."""
+        full, signs = (1 << self.dims.dim) - 1, self._star_signs
         return GradedOperator(-2, self.full, {
             full ^ m: {full ^ t: signs[full ^ m] * c * signs[t] for t, c in column.items()}
             for m, column in self.L_full(a)._images.items()
@@ -482,20 +501,28 @@ class OperatorSet:
 
     @_cached
     def _substitutions(self, a: int) -> tuple[GradedOperator, ...]:
-        """K_{a,s} for s = 0 ... max_degree + 1 (the last one zero), from one
-        ``_live_subsets`` walk per blade: each subset it keeps is pulled back
-        once, into the column of its size."""
+        """K_{a,s} for s = 0 ... max_degree + 1 (the last one zero), by a
+        recursion over each blade's lowest factor e: column s of e ^ rest is
+        the image of e put in front of column s - 1 of rest, then e put in
+        front of column s of rest, both built before it in basis order.  The
+        columns the recursion reads keep their sums of zero, so every key
+        lands where the enumeration of the s-subsets in ``combinations`` order
+        first puts it; the tables drop them."""
         row = self.table.entries[a]
         by_size: list[dict[int, dict[int, Coeff]]] = [{} for _ in range(self.hor.max_degree + 2)]
-        for m in chain.from_iterable(self.hor._masks.values()):
-            for sub in _live_subsets(m, row):
-                sign, image = _pull_back(m, row, sub)
-                column = by_size[sub.bit_count()].setdefault(m, {})
-                column[image] = column.get(image, 0) + sign
-        return tuple(
-            GradedOperator.from_function(0, self.hor, lambda m: columns.get(m, _NO_TERMS))
-            for columns in by_size
-        )
+        blades = chain.from_iterable(self.hor._masks.values())
+        by_size[0][next(blades)] = {0: 1}  # the empty blade comes first
+        for m in blades:
+            low = m & -m
+            rest, hit = m ^ low, row[low.bit_length() - 1]
+            for s in range(m.bit_count() + 1):
+                column: dict[int, Coeff] = {}
+                if s and hit is not None:
+                    _prepend(column, 1 << hit[0], hit[1], by_size[s - 1].get(rest, _NO_TERMS))
+                _prepend(column, low, 1, by_size[s].get(rest, _NO_TERMS))
+                if column:
+                    by_size[s][m] = column
+        return tuple(GradedOperator(0, self.hor, _nonzero(columns)) for columns in by_size)
 
     @_cached
     def I(self, a: int) -> GradedOperator:

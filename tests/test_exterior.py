@@ -6,7 +6,7 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosym3 import contact
@@ -17,7 +17,6 @@ from cosym3.exterior import (
     ModelDims,
     Multivector,
     _combine,
-    _live_subsets,
     _pull_back,
     hodge_star,
     interior,
@@ -356,35 +355,8 @@ def pull_back_reference(blade, row, positions):
     return sign * parity, sum(1 << i for i in image)
 
 
-@st.composite
-def pull_back_rows(draw, width: int = 6):
-    """A row over ``width`` slots: each slot killed or sent to any slot (two
-    slots may share an image, and a slot may be its own), with a sign."""
-    entry = st.none() | st.tuples(st.integers(0, width - 1), st.sampled_from([1, -1]))
-    return tuple(draw(st.lists(entry, min_size=width, max_size=width)))
-
-
 class TestPullBack:
     """The one substitution routine, on pullback rows and on twist rows."""
-
-    @given(row=pull_back_rows(), mask=st.integers(0, 63))
-    @example(row=((1, 1), (0, -1), None, (3, 1), (3, -1), (0, 1)), mask=0b111011)
-    def test_live_subsets_are_the_nonzero_pull_backs(self, row, mask):
-        # Of each size, in ``combinations`` order.
-        factors = [1 << i for i in range(6) if mask >> i & 1]
-        live = _live_subsets(mask, row)
-        for s in range(len(factors) + 1):
-            expected = [
-                sum(chosen) for chosen in combinations(factors, s)
-                if _pull_back(mask, row, sum(chosen))[0]
-            ]
-            assert [sub for sub in live if sub.bit_count() == s] == expected, s
-
-    def test_live_subsets_drop_a_lone_swap(self):
-        # zeta1 ^ phi1zeta1 under alpha = 1: either factor alone lands on the
-        # other, so only both or neither survive.
-        row = PhiStarTable.build(D1).entries[1]
-        assert _live_subsets(0b11, row) == [0b11, 0]
 
     def test_coinciding_factors_give_sign_zero(self):
         # zeta1 ^ phi1zeta1 with zeta1 replaced under alpha = 1 repeats phi1zeta1.

@@ -294,8 +294,8 @@ def assert_walk_matches_reference(ops):
 
 
 class TestSubstitutionWalk:
-    """K_{a,s} from one pruned walk per blade, against the enumeration of
-    every s-subset of the blade's factors."""
+    """K_{a,s} from one recursion over each blade's lowest factor, against
+    the enumeration of every s-subset of the blade's factors."""
 
     @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
     def test_walk_matches_reference_on_the_built_table(self, n):
@@ -326,27 +326,43 @@ class TestSubstitutionWalk:
         assert_walk_matches_reference(ops)
         assert ops.K_s(1, 1) != OperatorSet(dims).K_s(1, 1)
 
-    @pytest.mark.parametrize(
-        "n, calls", [(1, 147), (2, 7203), pytest.param(3, 352947, marks=pytest.mark.slow)]
-    )
-    def test_every_pull_back_is_nonzero(self, monkeypatch, n, calls):
-        # 3 * 7^(2n): the pullback swaps the 4n horizontal slots in 2n pairs,
-        # and a blade holding no slot of a pair leaves it alone, one slot
-        # keeps or substitutes it, both keep both or swap them.
-        signs = []
+    @settings(deadline=None, max_examples=20)
+    @given(row=st.lists(
+        st.none() | st.tuples(st.integers(0, 7), st.sampled_from([1, -1])), min_size=8, max_size=8
+    ))
+    @example(row=[(6, -1), None, (7, -1), (5, 1), (4, -1), (5, -1), (0, -1), (7, 1)])
+    @example(row=[(0, 1), (1, -1), (7, -1), (4, 1), (4, 1), (7, -1), (5, 1), (5, -1)])
+    def test_walk_matches_reference_on_random_rows(self, row):
+        # Any row over the n = 2 horizontal slots: two slots may share an
+        # image and a slot may be its own, so sums of zero occur on the way.
+        # On the two examples a recursion that dropped those sums would put
+        # some key later than the enumeration does.
+        dims = ModelDims(2)
+        entries = dict(PhiStarTable.build(dims).entries)
+        entries[1] = tuple(row) + entries[1][8:]
+        ops = OperatorSet(dims, PhiStarTable(dims, entries))
+        for s in range(ops.hor.max_degree + 2):
+            assert image_items(ops.K_s(1, s)) == image_items(reference_k_s(ops, 1, s)), s
+
+    @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+    def test_no_pull_back_builds_a_substitution(self, monkeypatch, n):
+        # The recursion writes every column itself; I_a, built after, is the
+        # only operator here that pulls back, once per blade.
+        calls = []
         pull_back = operators._pull_back
 
         def recorded(*args):
-            result = pull_back(*args)
-            signs.append(result[0])
-            return result
+            calls.append(args)
+            return pull_back(*args)
 
         monkeypatch.setattr(operators, "_pull_back", recorded)
         ops = OperatorSet(ModelDims(n))
         for a in ALPHAS:
             for s in range(ops.hor.max_degree + 2):
                 ops.K_s(a, s)
-        assert len(signs) == calls and all(signs)
+        assert calls == []
+        ops.I(1)
+        assert len(calls) == 2 ** ops.hor.max_degree
 
     def test_counts_past_the_top_degree_are_zero(self):
         ops = OperatorSet(D1)
@@ -441,6 +457,25 @@ class TestVerifySuite:
             if entry is not None
         }
         assert pinned == RANK_TWO_FLIP_FINGERPRINTS
+
+    def test_a_pull_back_without_image_signs_splits_the_two_routes(self, monkeypatch):
+        # I_a pulls back through ``_pull_back``, K_{a,s} does not: dropping
+        # the image signs there changes I_a alone, so the endpoint K_{a,k} =
+        # I_a fails, and so does I_a's own square; the recursion does not.
+        pull_back = operators._pull_back
+
+        def unsigned(mask, row, sub):
+            return pull_back(mask, tuple(hit and (hit[0], 1) for hit in row), sub)
+
+        monkeypatch.setattr(operators, "_pull_back", unsigned)
+        reports = {r.name: r for r in verify_identities(1)}
+        assert {name for name, r in reports.items() if not r.passed} == {
+            "quaternion_relations", "substitution_endpoints"}
+        witness = reports["substitution_endpoints"].witness
+        assert (witness.member, witness.degree, witness.blade) == ("K_1,1 = I_1", 1, "phi1zeta1")
+        ops = OperatorSet(D1)
+        assert ops.I(1) != OPS.I(1)
+        assert all(ops.K_s(a, s) == OPS.K_s(a, s) for a in ALPHAS for s in range(6))
 
     def test_a_passing_suite_reads_tables_only(self, monkeypatch):
         # Every operator identity is compared on image tables: a suite that
