@@ -6,8 +6,9 @@ multiplication.  Cells are the coordinate subcubes of the unit 7-cube,
 indexed by subsets of {1, ..., 7}: coordinates 1-4 are the quaternion axes
 (1, i, j, k) and 5-7 the flat directions.  A cell is a blade over the axes,
 so the cells of every twist are one ``exterior.Basis``, built once, and a
-twist substitutes a cell's quaternion factors through ``exterior._pull_back``,
-the routine of the structure pullbacks ``phi_a^*``, with its own row.
+twist sends the quaternion part of a cell to its image through
+``exterior._pull_back``, the routine of the structure pullbacks ``phi_a^*``,
+with its own row.
 
 Bringing a point with a flat coordinate at 1 back to the fundamental domain
 multiplies the quaternion by the *inverse* generator, q -> q * i^(-1); that
@@ -63,8 +64,8 @@ _QUATERNION_SUBMASKS = tuple(
 # One entry: build_complex asks for one twist's table 128 times in a row.
 @lru_cache(maxsize=1)
 def _image_table(row: tuple) -> dict[int, tuple[int, int]]:
-    """``_pull_back(q, row, q)`` for every quaternion submask q."""
-    return {q: _pull_back(q, row, q) for q in _QUATERNION_SUBMASKS}
+    """``_pull_back(q, row)`` for every quaternion submask q."""
+    return {q: _pull_back(q, row) for q in _QUATERNION_SUBMASKS}
 
 
 class ComplexConsistencyError(Exception):
@@ -152,14 +153,14 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     the face at 1 carries the remaining cell through the unit-translation
     twist.  In a quaternion direction the face at 1 is the face at 0 itself
     (plain torus identification), so the pair cancels and is never formed; a
-    cell inside the quaternion axes is a cycle.  On the cell's mask the face
-    at 1 substitutes the quaternion factors of the face at 0 through the row.
+    cell inside the quaternion axes is a cycle.
 
-    Both come from tables: the faces from ``_FACES``, the substitution from
-    the twist's image table over the quaternion part q alone.  That is exact
-    because every quaternion slot lies below every flat slot: ``_pull_back``
-    moves each substituted factor past all kept (flat) factors twice, an
-    even count, so the sign is that of q alone and the flat bits are kept.
+    Both faces come from tables: the face at 0 from ``_FACES``, and the face
+    at 1 is the twist's image of its quaternion part q, read from the twist's
+    image table, with the flat bits ORed back in.  Every quaternion slot lies
+    below every flat slot, so the face is q times its flat part, and the
+    image of q is again a quaternion blade in front of that same flat part:
+    the sign is the image's alone.
     """
     images = _image_table((twist if twist is not None else unit_translation_twist()).row)
     faces = _FACES.get(cell)

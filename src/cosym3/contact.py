@@ -5,14 +5,14 @@ this block order):
 
     zeta_1 .. zeta_n | phi1*zeta_* | phi2*zeta_* | phi3*zeta_* | eta_1, eta_2, eta_3
 
-The three structure endomorphisms act on one-forms by pullback, and on a blade
-factor by factor (``phi_star``, through ``exterior._pull_back``, the
-substitution routine that the twists of ``cellular`` share).  Because the
-pullback of ``phi_a`` applied to the pulled-back elements picks up a minus
-sign (``phi_a`` squares to minus the identity off the Reeb directions), the
-frame vector paired with the coframe slot ``phi_a*zeta_s`` is minus
-``phi_a X_s``; the ``eval_diag`` table records exactly these signs, and every
-contraction by a frame vector routes through it.
+The three structure endomorphisms act on one-forms by pullback, and on a whole
+blade with every factor replaced by its image (``phi_star``, through
+``exterior._pull_back``, the substitution routine that the twists of
+``cellular`` share).  Because the pullback of ``phi_a`` applied to the
+pulled-back elements picks up a minus sign (``phi_a`` squares to minus the
+identity off the Reeb directions), the frame vector paired with the coframe
+slot ``phi_a*zeta_s`` is minus ``phi_a X_s``; the ``eval_diag`` table records
+exactly these signs, and every contraction by a frame vector routes through it.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def phi_star(table: PhiStarTable, alpha: int, omega: Multivector) -> Multivector
     row = table.entries[alpha]
     acc: dict[int, Coeff] = {}
     for m, coeff in omega._terms.items():
-        sign, image = _pull_back(m, row, m)
+        sign, image = _pull_back(m, row)
         if sign:
             acc[image] = acc.get(image, 0) + sign * coeff
     return Multivector(_masks=acc)

@@ -291,32 +291,29 @@ def _contraction_parity(mask: int, bit: int) -> int:
     return (mask & (bit - 1)).bit_count() & 1
 
 
-def _pull_back(mask: int, row: tuple, sub: int) -> tuple[int, int]:
-    """The blade ``mask`` with its factors in ``sub`` (a submask) replaced by
-    their images ``row[i] = (j, s)``, s times slot j, or None when killed:
-    ``(sign, mask)``, with sign 0 when an image is killed or lands on a factor
-    already there.  The rows are ``contact``'s pullbacks and ``cellular``'s twists.
+def _pull_back(mask: int, row: tuple) -> tuple[int, int]:
+    """The blade ``mask`` with every factor i replaced by its image
+    ``row[i] = (j, s)``, s times slot j, or None when killed: ``(sign, mask)``,
+    with sign 0 when a factor is killed or two factors share an image.
+    The rows are ``contact``'s pullbacks and ``cellular``'s twists.
 
-    The blade is the kept factors times the substituted ones, reordered past
-    them; each image is then added to the right of what is built so far and
-    moved past the slots above it.  Both moves are popcounts.
+    The images are taken in ascending factor order, each added to the right
+    of what is built so far and moved past the slots above it: a popcount.
     """
-    kept = mask ^ sub
-    image = kept
+    image = 0
     sign = 1
     moves = 0
-    while sub:
-        low = sub & -sub
-        sub ^= low
-        i = low.bit_length() - 1
-        hit = row[i]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        hit = row[low.bit_length() - 1]
         if hit is None:
             return 0, 0
         j, s = hit
         bit = 1 << j
         if image & bit:
             return 0, 0
-        moves += (kept >> i).bit_count() + (image >> j).bit_count()
+        moves += (image >> j).bit_count()
         image |= bit
         sign *= s
     return (-sign if moves & 1 else sign), image

@@ -23,7 +23,7 @@ from math import comb
 
 from . import contact
 from .contact import ALPHAS, PhiStarTable, cyclic, epsilon
-from .exterior import ModelDims, Multivector, _combine, wedge
+from .exterior import ModelDims, Multivector, _blade_of, _combine, wedge
 from .operators import (
     SUPPORTED_RANKS, GradedOperator, OperatorSet, _product, anticommutator, commutator,
 )
@@ -82,12 +82,12 @@ def _operator_differences(ops: OperatorSet, groups):
         if not unequal:
             continue
         for k in basis.degrees():
-            for blade, mask in zip(basis.blades(k), basis._masks[k]):
+            for mask in basis._masks[k]:
                 for desc, lhs, rhs in unequal:
                     if lhs._images.get(mask) != rhs._images.get(mask):
                         yield (
                             desc(k) if callable(desc) else desc, k,
-                            contact.format_blade(ops.dims, blade),
+                            contact.format_blade(ops.dims, _blade_of(mask)),
                             _column(lhs, mask), _column(rhs, mask),
                         )
 
@@ -136,18 +136,18 @@ def _cube_isomorphisms(ops: OperatorSet):
     yield from _operator_differences(ops, (
         (f"alpha={a}", anticommutator(ops.lam(a), ops.l(a)), ops.id_full) for a in ALPHAS
     ))
-    # Sector dimension count: blades sorted by eta-pattern.
+    # Sector dimension count: blades sorted by eta-pattern, the eta bits of
+    # the mask (eta_a at bit a - 1).
     for k in ops.full.degrees():
-        counts: dict[tuple[int, int, int], int] = {}
-        for blade in ops.full.blades(k):
-            pattern = tuple(
-                1 if contact.eta_index(dims, a) in blade else 0 for a in ALPHAS
-            )
+        counts: dict[int, int] = {}
+        for mask in ops.full._masks[k]:
+            pattern = mask >> dims.horizontal_dim
             counts[pattern] = counts.get(pattern, 0) + 1
         for pattern, count in counts.items():
-            expected = comb(dims.horizontal_dim, k - sum(pattern))
+            expected = comb(dims.horizontal_dim, k - pattern.bit_count())
             if count != expected:
-                yield f"k={k}, sector={pattern}", k, "-", count, expected
+                sector = tuple(pattern >> (a - 1) & 1 for a in ALPHAS)
+                yield f"k={k}, sector={sector}", k, "-", count, expected
 
 
 @_operator_family
@@ -191,9 +191,9 @@ def _sector_preservation(ops: OperatorSet):
         for a in ALPHAS:
             op = build(a)
             for k in ops.hor.degrees():
-                for blade, mask in zip(ops.hor.blades(k), ops.hor._masks[k]):
+                for mask in ops.hor._masks[k]:
                     if any(m >> dims.horizontal_dim for m in op._images.get(mask, ())):
-                        label = contact.format_blade(dims, blade)
+                        label = contact.format_blade(dims, _blade_of(mask))
                         yield f"{prefix}_{a}", k, label, _column(op, mask), "eta-free image"
 
 

@@ -21,11 +21,12 @@ columns.  ``_replacements`` is the one slot-replacement rule of L_a, Lambda_a
 and K_a: a (r, w, c) term writes a blade as r times the kept slots, r's
 slots in ascending order, drops r and puts w in front, times c; each term
 checks its degree once and adds into the table on just the blades it reads,
-so columns come in the order of the terms.  I_a goes through
-``_pull_back``; the K_{a,s} share no code with it, as one recursion over
-each blade's lowest factor writes all of them.  l_a, lambda_a and the star
-send distinct blades to distinct blades, so their signs come from one
-``wedge``, ``interior`` or ``hodge_star`` of a sum of blades.
+so columns come in the order of the terms.  I_a, which replaces every
+factor of a blade, goes through ``_pull_back``; the K_{a,s}, which replace s
+of them, share no code with it, as one recursion over each blade's lowest
+factor writes all of them.  l_a, lambda_a and the star send distinct blades
+to distinct blades, so their signs come from one ``wedge``, ``interior`` or
+``hodge_star`` of a sum of blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
 read-only view built on first read.  Only the tests and the benchmark's
@@ -478,8 +479,7 @@ class OperatorSet:
                 terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
         return _replacements(0, self.hor, terms)
 
-    @property
-    @_cached
+    @cached_property
     def H(self) -> GradedOperator:
         """Degree weight 2n - k on the eta-free sector."""
         n = self.dims.n
@@ -531,18 +531,16 @@ class OperatorSet:
         row = self.table.entries[a]
 
         def column(m: int) -> dict[int, Coeff]:
-            sign, image = _pull_back(m, row, m)
+            sign, image = _pull_back(m, row)
             return {image: sign} if sign else {}
 
         return GradedOperator.from_function(0, self.hor, column)
 
-    @property
-    @_cached
+    @cached_property
     def id_full(self) -> GradedOperator:
         return GradedOperator.identity(self.full)
 
-    @property
-    @_cached
+    @cached_property
     def id_hor(self) -> GradedOperator:
         return GradedOperator.identity(self.hor)
 

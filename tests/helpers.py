@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cosym3 import contact
 from cosym3.exterior import (
-    Multivector, _combine, _flips, _interior, _pull_back, hodge_star, interior, wedge,
+    Multivector, _combine, _flips, _interior, hodge_star, interior, wedge,
 )
+from cosym3.linalg import sort_with_sign
 from cosym3.operators import GradedOperator
 
 
@@ -62,16 +63,34 @@ def reference_k(dims, a, mv):
     )
 
 
+def pull_back_reference(blade, row, positions):
+    """(sign, mask) of the tuple blade with the factors at ``positions``
+    replaced by their images in ``row``, then sorted back into order; sign 0
+    when an image is killed or repeats a slot of the result."""
+    indices = list(blade)
+    sign = 1
+    for pos in positions:
+        if row[blade[pos]] is None:
+            return 0, 0
+        indices[pos], s = row[blade[pos]]
+        sign *= s
+    if len(set(indices)) < len(indices):
+        return 0, 0
+    parity, image = sort_with_sign(indices)
+    return sign * parity, sum(1 << i for i in image)
+
+
 def reference_k_s(ops, a, s):
     """K_{a,s} by enumerating every s-subset of each blade's factors, in
-    ``combinations`` order, and pulling each back."""
+    ``combinations`` order, and substituting each on the tuple blade through
+    ``pull_back_reference``: no code shared with either route in the package."""
     row = ops.table.entries[a]
 
     def column(m):
         acc = {}
-        factors = [1 << i for i in range(m.bit_length()) if m >> i & 1]
-        for chosen in combinations(factors, s):
-            sign, image = _pull_back(m, row, sum(chosen))
+        blade = tuple(i for i in range(m.bit_length()) if m >> i & 1)
+        for positions in combinations(range(len(blade)), s):
+            sign, image = pull_back_reference(blade, row, positions)
             if sign:
                 acc[image] = acc.get(image, 0) + sign
         return acc

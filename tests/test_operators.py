@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosym3 import contact, identities, operators
+from cosym3 import contact, exterior, identities, operators
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import Basis, ModelDims, Multivector, _mask_of, interior, wedge
 from cosym3.identities import _operator_differences, verify_identities
@@ -344,6 +344,21 @@ class TestSubstitutionWalk:
         for s in range(ops.hor.max_degree + 2):
             assert image_items(ops.K_s(1, s)) == image_items(reference_k_s(ops, 1, s)), s
 
+    def test_reference_shares_no_code_with_pull_back(self, monkeypatch):
+        # The enumerated reference substitutes on tuple blades: with the
+        # package's one pull-back routine refusing every call it still gives
+        # every K_{a,s}.
+        ops = OperatorSet(D1)
+
+        def refuse(*_):
+            raise AssertionError("the reference reached _pull_back")
+
+        monkeypatch.setattr(exterior, "_pull_back", refuse)
+        monkeypatch.setattr(operators, "_pull_back", refuse)
+        for a in ALPHAS:
+            for s in range(ops.hor.max_degree + 2):
+                assert reference_k_s(ops, a, s) == ops.K_s(a, s), (a, s)
+
     @pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
     def test_no_pull_back_builds_a_substitution(self, monkeypatch, n):
         # The recursion writes every column itself; I_a, built after, is the
@@ -351,9 +366,9 @@ class TestSubstitutionWalk:
         calls = []
         pull_back = operators._pull_back
 
-        def recorded(*args):
-            calls.append(args)
-            return pull_back(*args)
+        def recorded(mask, row):
+            calls.append(mask)
+            return pull_back(mask, row)
 
         monkeypatch.setattr(operators, "_pull_back", recorded)
         ops = OperatorSet(ModelDims(n))
@@ -464,8 +479,8 @@ class TestVerifySuite:
         # I_a fails, and so does I_a's own square; the recursion does not.
         pull_back = operators._pull_back
 
-        def unsigned(mask, row, sub):
-            return pull_back(mask, tuple(hit and (hit[0], 1) for hit in row), sub)
+        def unsigned(mask, row):
+            return pull_back(mask, tuple(hit and (hit[0], 1) for hit in row))
 
         monkeypatch.setattr(operators, "_pull_back", unsigned)
         reports = {r.name: r for r in verify_identities(1)}
