@@ -80,10 +80,6 @@ class ConstraintItem:
     warning: bool = False
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
 class ConstraintReport:
     name: str

@@ -341,10 +341,6 @@ class CrossCheckItem:
     ok: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
 class CrossCheckReport:
     items: list[CrossCheckItem]

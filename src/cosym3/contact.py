@@ -30,7 +30,7 @@ def epsilon(a: int, b: int, c: int) -> int:
     """Totally antisymmetric symbol with epsilon(1, 2, 3) = +1."""
     if {a, b, c} != {1, 2, 3}:
         return 0
-    return 1 if (a, b, c) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+    return 1 if (a, b, c) in _CYCLIC.values() else -1
 
 
 def cyclic(alpha: int) -> tuple[int, int, int]:

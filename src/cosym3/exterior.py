@@ -14,15 +14,16 @@ Orientation convention: the volume form is the full blade ``(0, ..., dim-1)``
 with coefficient +1.  The blade order follows the coframe index order, so the
 lexicographic order used for leading-blade arguments is plain tuple order.
 Mask order is not that order ((0, 5) is mask 33, (1, 2) is mask 6), so
-whatever is ordered for output sorts by tuple.  A ``Basis`` lists the blades
-of each degree in tuple order; operator columns and the cells of
-``cellular`` are both indexed by one.
+whatever is ordered for output sorts by tuple.  A ``Basis`` holds the masks
+of each degree, listed in the tuple order of their blades; operator columns
+and the cells of ``cellular`` are both indexed by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping
@@ -52,21 +53,14 @@ class ModelDims:
 
 
 class Basis:
-    """Ordered blade basis over a fixed index set, graded by degree."""
+    """Ordered blade basis over a fixed index set, graded by degree: masks,
+    with the tuple blades and their positions as views built on first read."""
 
     def __init__(self, indices: Iterable[int]):
         self.indices = tuple(sorted(indices))
-        self._blades = {
-            k: tuple(combinations(self.indices, k))
-            for k in range(len(self.indices) + 1)
-        }
-        # Blade -> index in its degree's column list; blades of different
-        # degrees are different keys, so one dict serves every degree.
-        self.positions = {
-            blade: i for blades in self._blades.values() for i, blade in enumerate(blades)
-        }
-        # The same basis as masks, for the kernel.
-        self._masks = {k: tuple(map(_mask_of, blades)) for k, blades in self._blades.items()}
+        _mask_of(self.indices)  # rejects repeated and negative indices
+        bits = [1 << i for i in self.indices]
+        self._masks = {k: tuple(map(sum, combinations(bits, k))) for k in self.degrees()}
 
     @property
     def max_degree(self) -> int:
@@ -75,23 +69,25 @@ class Basis:
     def degrees(self) -> range:
         return range(self.max_degree + 1)
 
+    @cached_property
+    def _blades(self) -> dict[int, tuple[Blade, ...]]:
+        return {k: tuple(combinations(self.indices, k)) for k in self.degrees()}
+
     def blades(self, k: int) -> tuple[Blade, ...]:
         return self._blades.get(k, ())
+
+    @cached_property
+    def positions(self) -> dict[Blade, int]:
+        """Blade -> index in its degree's column list; blades of different
+        degrees are different keys, so one dict serves every degree."""
+        return {blade: i for blades in self._blades.values() for i, blade in enumerate(blades)}
 
 
 _EXACT = (int, Fraction)
 
-# Blade -> mask for every blade that has passed ``_mask_of`` in this process.
-# Validation is a pure function of the blade, so each distinct blade is
-# checked once; only valid blades are ever added.
-_VALID_BLADES: dict[Blade, int] = {}
-
 
 def _mask_of(blade: Blade) -> int:
-    """The mask of a blade, validated on first sight."""
-    mask = _VALID_BLADES.get(blade)
-    if mask is not None:
-        return mask
+    """The mask of a blade, validated."""
     blade = tuple(blade)
     if any(nxt <= prev for nxt, prev in zip(blade[1:], blade)):
         raise ValueError(f"blade indices must be strictly increasing: {blade}")
@@ -100,7 +96,6 @@ def _mask_of(blade: Blade) -> int:
     mask = 0
     for i in blade:
         mask |= 1 << i
-    _VALID_BLADES[blade] = mask
     return mask
 
 

@@ -16,6 +16,7 @@ reports, never exceptions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations
@@ -137,14 +138,14 @@ def _cube_isomorphisms(ops: OperatorSet):
         (f"alpha={a}", anticommutator(ops.lam(a), ops.l(a)), ops.id_full) for a in ALPHAS
     ))
     # Sector dimension count: blades sorted by eta-pattern, the eta bits of
-    # the mask (eta_a at bit a - 1).
+    # the mask (eta_a at bit a - 1).  Every pattern is compared, so an empty
+    # sector is counted too.
     for k in ops.full.degrees():
-        counts: dict[int, int] = {}
-        for mask in ops.full._masks[k]:
-            pattern = mask >> dims.horizontal_dim
-            counts[pattern] = counts.get(pattern, 0) + 1
-        for pattern, count in counts.items():
-            expected = comb(dims.horizontal_dim, k - pattern.bit_count())
+        counts = Counter(mask >> dims.horizontal_dim for mask in ops.full._masks[k])
+        for pattern in range(1 << len(ALPHAS)):
+            weight = pattern.bit_count()
+            expected = comb(dims.horizontal_dim, k - weight) if k >= weight else 0
+            count = counts[pattern]
             if count != expected:
                 sector = tuple(pattern >> (a - 1) & 1 for a in ALPHAS)
                 yield f"k={k}, sector={sector}", k, "-", count, expected

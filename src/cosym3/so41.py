@@ -2,12 +2,15 @@
 
 The algebra is realized concretely: 5x5 matrices A with
 A E1 = -E1 A^t for E1 = diag(1, 1, 1, 1, -1), spanned by the ten integer
-basis elements t_ij.  A matrix is the dict ``{(row, col): entry}`` of its
-nonzero entries (0-based), the sparse vector format that ``linalg`` reads,
-so the basis rank and the image rank go through the same elimination core
-as the operator span.  The module check expresses each commutator of the
-materialized operators in the operator span by an exact linear solve and
-compares the result with the matrix-side bracket through the assignment
+basis elements t_ij, i < j.  One rule gives t_ij for every i != j, with
+t_ji = -t_ij, and the bracket table is the metric rule of so(4,1) checked
+on all 45 pairs of basis elements.  A matrix is the dict
+``{(row, col): entry}`` of its nonzero entries (0-based), the sparse vector
+format that ``linalg`` reads, so the basis rank and the image rank go
+through the same elimination core as the operator span.  The module check
+expresses each commutator of the materialized operators in the operator
+span by an exact linear solve and compares the result with the matrix-side
+bracket through the assignment
 
     H -> 2 t45,  L_a -> t_a5 + t_a4,  Lambda_a -> t_a5 - t_a4,  K_a -> 2 t_bc
 
@@ -56,28 +59,16 @@ def satisfies_defining_relation(a: Mat5) -> bool:
     return all(v * _E1[j] == -_E1[i] * a.get((j, i), 0) for (i, j), v in a.items())
 
 
-def basis_t(i: int, j: int) -> Mat5:
-    """Basis element t_ij for 1 <= i < j <= 5.
-
-    For j = 5 this is e_i5 + e_5i, otherwise e_ij - e_ji; the extended symbol
-    t_ji = -t_ij for i < j <= 4 is available through :func:`t`.
-    """
-    if not (1 <= i < j <= 5):
-        raise ValueError("basis_t requires 1 <= i < j <= 5")
-    if j == 5:
-        return {(i - 1, 4): 1, (4, i - 1): 1}
-    return {(i - 1, j - 1): 1, (j - 1, i - 1): -1}
-
-
 def t(i: int, j: int) -> Mat5:
-    """t_ij extended by antisymmetry to i > j (only off the fifth slot)."""
-    if i < j:
-        return basis_t(i, j)
-    if i > j:
-        if i == 5:
-            raise ValueError("t_5j is not defined; use basis_t(j, 5)")
-        return _combination((-1, basis_t(j, i)))
-    raise ValueError("t_ii is not defined")
+    """Basis element t_ij = g_i E_ij - g_j E_ji for i != j in 1..5, where E_ij
+    is the matrix unit and g_i the i-th diagonal entry of E1.
+
+    So t_ji = -t_ij; for i < j this is E_ij - E_ji off the fifth slot and
+    E_i5 + E_5i on it.
+    """
+    if i == j or not (1 <= i <= 5 and 1 <= j <= 5):
+        raise ValueError("t_ij requires i != j in 1..5")
+    return {(i - 1, j - 1): _E1[i - 1], (j - 1, i - 1): -_E1[j - 1]}
 
 
 def bracket(a: Mat5, b: Mat5) -> Mat5:
@@ -99,38 +90,23 @@ _IMAGES: dict[str, Mat5] = {
 GENERATOR_NAMES = list(_IMAGES)
 
 
+def _m(i: int, j: int) -> Mat5:
+    """M_ij = g_i g_j t_ij = (E_ij - E_ji) E1, the basis the metric rule is
+    stated in: t_ij negated when 5 is in {i, j}."""
+    return _combination((_E1[i - 1] * _E1[j - 1], t(i, j)))
+
+
 def bracket_table_checks() -> list[tuple[str, bool]]:
-    """All published bracket patterns of the t_ij basis, checked exactly."""
+    """[M_ij, M_kl] = g_jk M_il - g_ik M_jl - g_jl M_ik + g_il M_jk, g = E1,
+    checked exactly on each of the 45 unordered pairs of basis elements."""
     checks: list[tuple[str, bool]] = []
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            for k in range(j + 1, 5):
-                checks.append(
-                    (f"[t{i}{j}, t{i}{k}] = -t{j}{k}",
-                     bracket(basis_t(i, j), basis_t(i, k)) == t(k, j))
-                )
-                checks.append(
-                    (f"[t{i}{j}, t{j}{k}] = t{i}{k}",
-                     bracket(basis_t(i, j), basis_t(j, k)) == basis_t(i, k))
-                )
-                checks.append(
-                    (f"[t{i}{k}, t{j}{k}] = -t{i}{j}",
-                     bracket(basis_t(i, k), basis_t(j, k)) == t(j, i))
-                )
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            checks.append(
-                (f"[t{i}{j}, t{i}5] = -t{j}5",
-                 bracket(basis_t(i, j), basis_t(i, 5)) == _combination((-1, basis_t(j, 5))))
-            )
-            checks.append(
-                (f"[t{i}{j}, t{j}5] = t{i}5",
-                 bracket(basis_t(i, j), basis_t(j, 5)) == basis_t(i, 5))
-            )
-            checks.append(
-                (f"[t{i}5, t{j}5] = t{i}{j}",
-                 bracket(basis_t(i, 5), basis_t(j, 5)) == basis_t(i, j))
-            )
+    for idx, (i, j) in enumerate(BASIS_PAIRS):
+        for k, l in BASIS_PAIRS[idx + 1 :]:
+            # Each term sign * g_pq * M_rs; g is diagonal, so only p == q counts.
+            terms = ((1, j, k, i, l), (-1, i, k, j, l), (-1, j, l, i, k), (1, i, l, j, k))
+            rule = [(sign * _E1[p - 1], _m(r, s)) for sign, p, q, r, s in terms if p == q]
+            ok = bracket(_m(i, j), _m(k, l)) == _combination(*rule)
+            checks.append((f"[t{i}{j}, t{k}{l}]", ok))
     return checks
 
 
@@ -153,13 +129,13 @@ def _matrix_side_checks() -> tuple[bool, int, bool, int]:
     They depend on neither n nor the table, so one process computes them once,
     on first use.
     """
-    defining_ok = all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
+    defining_ok = all(satisfies_defining_relation(t(i, j)) for i, j in BASIS_PAIRS)
     defining_ok = defining_ok and all(
-        satisfies_defining_relation(bracket(basis_t(*p), basis_t(*q)))
+        satisfies_defining_relation(bracket(t(*p), t(*q)))
         for p in BASIS_PAIRS
         for q in BASIS_PAIRS
     )
-    basis_rank = sparse_rank([basis_t(i, j) for i, j in BASIS_PAIRS])
+    basis_rank = sparse_rank([t(i, j) for i, j in BASIS_PAIRS])
     table_ok = all(ok for _, ok in bracket_table_checks())
     image_rank = sparse_rank(list(_IMAGES.values()))
     return defining_ok, basis_rank, table_ok, image_rank

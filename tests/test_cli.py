@@ -38,6 +38,8 @@ PINNED_OUTPUTS = {
         "ca62159f453c1b5556b7bd158d5e99609442320e83d4f0a8ced08c75de75c3d0", 1),
     "so41-check --n 2 --inject-sign-error --json": (
         "6aa61b7af363da16cbe37e993e6146349afd9058595308c9fadbac12ec7c10b1", 1),
+    "so41-check --n 3 --json": (
+        "a56768de2f53fd8fa641ea2880da6c8d21c479e57a1304397b3b499425618bfe", 0),
     "betti --n 1 --bh 1,0,4,0,2 --json --strict": (
         "70be8f59afc8f3fff0162606023c6f86c32686c0ad99d578f604d00ed23074b0", 1),
     "report --n 2 --json": (

@@ -95,8 +95,8 @@ class TestCombine:
 
 
 class TestConstructor:
-    # Blade validation is cached per process, so each invalid blade is built
-    # both before and after a valid blade of its length has been seen.
+    # Each invalid blade is built both before and after a valid blade of its
+    # length has been seen: no blade is trusted for having been seen before.
     INVALID = [(41, 40, 42), (40, 40, 42), (-1, 40, 41)]
 
     def test_invalid_blades_always_raise(self):
@@ -338,6 +338,22 @@ class TestKernelAgainstTuples:
         assert repr(form) == "1*0^5 + 1*1^2"
         assert leading_blade(form) == (0, 5)
         assert leading_blade(Multivector({(3,): 2, (0, 1, 2): -1})) == (0, 1, 2)
+
+
+class TestBasis:
+    def test_masks_list_the_tuple_blades_in_order(self):
+        basis = Basis(range(6, 0, -1))
+        for k in basis.degrees():
+            blades = tuple(combinations(range(1, 7), k))
+            assert basis._masks[k] == tuple(sum(1 << i for i in b) for b in blades)
+            assert basis.blades(k) == blades
+            assert [basis.positions[b] for b in blades] == list(range(len(blades)))
+        assert basis.blades(7) == ()
+
+    @pytest.mark.parametrize("indices", [(1, 1), (0, -1)])
+    def test_invalid_indices_rejected(self, indices):
+        with pytest.raises(ValueError):
+            Basis(indices)
 
 
 class TestPullBack:

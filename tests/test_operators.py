@@ -17,6 +17,7 @@ from cosym3.operators import (
     _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, _replacements, anticommutator,
     commutator,
 )
+from cosym3.so41 import verify_module
 from helpers import (
     FAULT_FINGERPRINTS, coefficients, column_items, fingerprint, image_items, multivectors,
     on_forms, reference_k, reference_k_s, reference_lambda_star, reference_operator_differences,
@@ -182,6 +183,18 @@ class TestSector:
                     assert l1.apply(lam1.apply(mv)) == mv
                 else:
                     assert lam1.apply(l1.apply(mv)) == mv
+
+    def test_an_empty_sector_is_counted(self):
+        # Without the first three degree-5 blades, 0^1^2^3 ^ eta_a, each
+        # one-eta sector of degree 5 is empty against C(4, 4) = 1.
+        ops = OperatorSet(D1)
+        ops.full._masks[5] = ops.full._masks[5][3:]
+        sectors = [m for m in identities._cube_isomorphisms(ops) if m[0].startswith("k=")]
+        assert [(m[0], m[1], m[3], m[4]) for m in sectors] == [
+            ("k=5, sector=(1, 0, 0)", 5, 0, 1),
+            ("k=5, sector=(0, 1, 0)", 5, 0, 1),
+            ("k=5, sector=(0, 0, 1)", 5, 0, 1),
+        ]
 
 
 class TestLefschetzPair:
@@ -502,6 +515,18 @@ class TestVerifySuite:
         monkeypatch.setattr(GradedOperator, "apply", refuse)
         for n in (1, 2):
             assert all(r.passed for r in verify_identities(n)), n
+
+    def test_a_passing_suite_reads_masks_only(self, monkeypatch):
+        # The identity suite and the so(4,1) check walk Basis._masks; the
+        # tuple views are for the cellular complex and for tests.
+        def refuse(*_):
+            raise AssertionError("a passing suite read a tuple blade view")
+
+        monkeypatch.setattr(Basis, "blades", refuse)
+        monkeypatch.setattr(Basis, "_blades", property(refuse))
+        monkeypatch.setattr(Basis, "positions", property(refuse))
+        assert all(r.passed for r in verify_identities(2))
+        assert verify_module(2).passed
 
     def test_unsupported_rank_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """so(4,1): defining relations, bracket table, module isomorphism."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cosym3 import so41
 from cosym3.linalg import sparse_rank
 from cosym3.so41 import (
     _IMAGES,
@@ -11,7 +14,7 @@ from cosym3.so41 import (
     GENERATOR_NAMES,
     ModuleReport,
     PairCheck,
-    basis_t,
+    _matrix_side_checks,
     bracket,
     bracket_table_checks,
     mat_mul,
@@ -49,17 +52,17 @@ def lin(*terms):
 
 class TestDefiningRelation:
     def test_rotation_block(self):
-        t12 = dense(basis_t(1, 2))
+        t12 = dense(t(1, 2))
         lhs = dense_mul(t12, E1)
         rhs = dense_mul(E1, dense_transpose(t12))
         assert [[x + y for x, y in zip(r, s)] for r, s in zip(lhs, rhs)] == dense({})
 
     def test_boost_block(self):
-        t15 = basis_t(1, 5)
+        t15 = t(1, 5)
         assert satisfies_defining_relation(t15)
 
     def test_all_basis_elements(self):
-        assert all(satisfies_defining_relation(basis_t(i, j)) for i, j in BASIS_PAIRS)
+        assert all(satisfies_defining_relation(t(i, j)) for i, j in BASIS_PAIRS)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -74,63 +77,90 @@ class TestDefiningRelation:
         assert not satisfies_defining_relation({(3, 4): 2})
 
     def test_linear_independence(self):
-        assert sparse_rank([basis_t(a, b) for a, b in BASIS_PAIRS]) == 10
+        assert sparse_rank([t(a, b) for a, b in BASIS_PAIRS]) == 10
 
     def test_basis_elements_are_sparse(self):
-        assert basis_t(2, 4) == {(1, 3): 1, (3, 1): -1}
-        assert basis_t(3, 5) == {(2, 4): 1, (4, 2): 1}
+        assert t(2, 4) == {(1, 3): 1, (3, 1): -1}
+        assert t(3, 5) == {(2, 4): 1, (4, 2): 1}
         assert t(4, 2) == {(1, 3): -1, (3, 1): 1}
+        assert t(5, 3) == {(2, 4): -1, (4, 2): -1}
 
-    def test_invalid_indices(self):
+    def test_antisymmetric_on_every_pair(self):
+        # The fifth slot included: t_5j = -t_j5.
+        for i in range(1, 6):
+            for j in range(1, 6):
+                if i != j:
+                    assert t(j, i) == lin((-1, t(i, j))), (i, j)
+
+    @pytest.mark.parametrize("i, j", [(2, 2), (5, 5), (0, 5), (5, 0), (1, 6), (6, 1)])
+    def test_invalid_indices(self, i, j):
         with pytest.raises(ValueError):
-            basis_t(2, 2)
-        with pytest.raises(ValueError):
-            basis_t(0, 5)
-        with pytest.raises(ValueError):
-            t(5, 1)
+            t(i, j)
 
 
 class TestBracket:
     def test_shared_first_index(self):
-        assert bracket(basis_t(1, 2), basis_t(1, 3)) == lin((-1, basis_t(2, 3)))
+        assert bracket(t(1, 2), t(1, 3)) == lin((-1, t(2, 3)))
 
     def test_boost_pair(self):
-        assert bracket(basis_t(1, 5), basis_t(2, 5)) == basis_t(1, 2)
+        assert bracket(t(1, 5), t(2, 5)) == t(1, 2)
 
     def test_ladder_combination(self):
         lhs = bracket(
-            lin((1, basis_t(1, 5)), (1, basis_t(1, 4))),
-            lin((1, basis_t(1, 5)), (-1, basis_t(1, 4))),
+            lin((1, t(1, 5)), (1, t(1, 4))),
+            lin((1, t(1, 5)), (-1, t(1, 4))),
         )
-        assert lhs == lin((-2, basis_t(4, 5)))
+        assert lhs == lin((-2, t(4, 5)))
 
     def test_every_basis_pair_matches_dense_product(self):
         for p in BASIS_PAIRS:
             for q in BASIS_PAIRS:
-                a, b = dense(basis_t(*p)), dense(basis_t(*q))
+                a, b = dense(t(*p)), dense(t(*q))
                 ab, ba = dense_mul(a, b), dense_mul(b, a)
-                result = bracket(basis_t(*p), basis_t(*q))
+                result = bracket(t(*p), t(*q))
                 assert dense(result) == [
                     [x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)
                 ], (p, q)
                 assert all(result.values()), (p, q)
 
     def test_mat_mul_matches_dense_product(self):
-        a = lin((2, basis_t(1, 5)), (-1, basis_t(2, 3)), (3, basis_t(1, 4)))
-        b = lin((1, basis_t(3, 5)), (5, basis_t(1, 2)))
+        a = lin((2, t(1, 5)), (-1, t(2, 3)), (3, t(1, 4)))
+        b = lin((1, t(3, 5)), (5, t(1, 2)))
         assert dense(mat_mul(a, b)) == dense_mul(dense(a), dense(b))
         assert mat_mul(a, {}) == {} and mat_mul({}, b) == {}
 
-    def test_published_table(self):
-        for name, ok in bracket_table_checks():
+    def test_metric_rule_on_all_pairs(self):
+        checks = bracket_table_checks()
+        expected = [f"[t{i}{j}, t{k}{l}]" for (i, j), (k, l) in combinations(BASIS_PAIRS, 2)]
+        assert [name for name, _ in checks] == expected
+        assert len(checks) == 45
+        for name, ok in checks:
             assert ok, name
+
+    def test_wrong_bracket_on_a_disjoint_pair_is_flagged(self, monkeypatch):
+        # [t12, t34] = 0 follows from the rule alone; no pattern lists it.
+        right = so41.bracket
+
+        def wrong(a, b):
+            out = right(a, b)
+            return lin((1, out), (1, t(1, 3))) if (a, b) == (t(1, 2), t(3, 4)) else out
+
+        monkeypatch.setattr(so41, "bracket", wrong)
+        _matrix_side_checks.cache_clear()
+        try:
+            assert [name for name, ok in bracket_table_checks() if not ok] == ["[t12, t34]"]
+            report = verify_module(1)
+            assert not report.bracket_table_ok
+            assert report.failures() == ["bracket table"]
+        finally:
+            _matrix_side_checks.cache_clear()
 
     @given(
         p=st.sampled_from(BASIS_PAIRS),
         q=st.sampled_from(BASIS_PAIRS),
     )
     def test_closure_under_bracket(self, p, q):
-        assert satisfies_defining_relation(bracket(basis_t(*p), basis_t(*q)))
+        assert satisfies_defining_relation(bracket(t(*p), t(*q)))
 
 
 class TestIsoMap:
@@ -139,11 +169,11 @@ class TestIsoMap:
 
     def test_k_targets_use_extended_symbols(self):
         assert _IMAGES["K2"] == lin((2, t(3, 1)))
-        assert _IMAGES["K2"] == lin((-2, basis_t(1, 3)))
+        assert _IMAGES["K2"] == lin((-2, t(1, 3)))
 
     def test_ladder_targets(self):
-        assert _IMAGES["L3"] == lin((1, basis_t(3, 5)), (1, basis_t(3, 4)))
-        assert _IMAGES["Lambda3"] == lin((1, basis_t(3, 5)), (-1, basis_t(3, 4)))
+        assert _IMAGES["L3"] == lin((1, t(3, 5)), (1, t(3, 4)))
+        assert _IMAGES["Lambda3"] == lin((1, t(3, 5)), (-1, t(3, 4)))
 
     def test_generator_names_in_report_order(self):
         assert GENERATOR_NAMES == [
