@@ -2,7 +2,9 @@
 
 The full Betti numbers of a model of rank n are the (1, 3, 3, 1)-convolution
 of the horizontal ones (equivalently, multiplication of the Poincare series
-by (1+t)^3, the three Reeb circles).  Constraint checks carry margins rather
+by (1+t)^3, the three Reeb circles).  A full sequence is a plain tuple of
+ints: it is always such a convolution or a homology result, so it has no
+invariants of its own to check.  Constraint checks carry margins rather
 than bare booleans: the torus saturates several of the bounds and it is
 useful to see by how much everything else clears them.
 """
@@ -50,26 +52,11 @@ class HorizontalBettiSequence:
         return self.values == self.values[::-1]
 
 
-@dataclass(frozen=True)
-class BettiSequence:
-    """Full Betti numbers b_0 .. b_{4n+3}."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 4 or len(self.values) % 4:
-            raise ValueError("full sequence length must be 4n + 4")
-        if any(v < 0 for v in self.values):
-            raise ValueError("Betti numbers are nonnegative")
-
-
-def betti_from_horizontal(bh: HorizontalBettiSequence) -> BettiSequence:
-    """Convolve the horizontal sequence with (1, 3, 3, 1)."""
-    length = 4 * bh.n + 4
-    values = tuple(
-        sum(REEB_KERNEL[i] * bh.get(k - i) for i in range(4)) for k in range(length)
+def betti_from_horizontal(bh: HorizontalBettiSequence) -> tuple[int, ...]:
+    """b_0 .. b_{4n+3}: the horizontal sequence convolved with (1, 3, 3, 1)."""
+    return tuple(
+        sum(REEB_KERNEL[i] * bh.get(k - i) for i in range(4)) for k in range(4 * bh.n + 4)
     )
-    return BettiSequence(values)
 
 
 @dataclass
@@ -92,15 +79,8 @@ class ConstraintReport:
         return {**asdict(self), "passed": self.passed()}
 
 
-def _sequence_values(b) -> tuple[int, ...]:
-    if isinstance(b, BettiSequence):
-        return b.values
-    return tuple(int(v) for v in b)
-
-
-def check_divisibility(b) -> ConstraintReport:
+def check_divisibility(values: tuple[int, ...]) -> ConstraintReport:
     """b_{k-1} + b_k must be divisible by four for every odd k."""
-    values = _sequence_values(b)
     items = []
     for k in range(1, len(values), 2):
         total = values[k - 1] + values[k]
@@ -116,9 +96,8 @@ def check_divisibility(b) -> ConstraintReport:
     return ConstraintReport("divisibility", items)
 
 
-def check_bounds(b, n: int) -> ConstraintReport:
+def check_bounds(values: tuple[int, ...], n: int) -> ConstraintReport:
     """b_k >= C(k+2, 2) for 0 <= k <= 2n + 1, with margins."""
-    values = _sequence_values(b)
     items = []
     for k in range(0, min(2 * n + 1, len(values) - 1) + 1):
         bound = comb(k + 2, 2)

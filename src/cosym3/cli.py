@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__, betti, cellular, identities, so41
-from .betti import BettiSequence, HorizontalBettiSequence, betti_from_horizontal
+from .betti import HorizontalBettiSequence, betti_from_horizontal
 from .contact import PhiStarTable
 from .exterior import ModelDims
 from .operators import SUPPORTED_RANKS
@@ -138,8 +138,8 @@ def run_betti(bh: HorizontalBettiSequence) -> Report:
                 failures.append(f"{rep.name}: {item.name}")
     payload = {
         "bh": list(bh.values),
-        "betti": list(full.values),
-        "series": list(full.values),
+        "betti": list(full),
+        "series": list(full),
         "divisibility": divisibility.to_dict(),
         "bounds": bounds.to_dict(),
         "horizontal": horizontal.to_dict(),
@@ -199,14 +199,14 @@ def run_homology(
     # The paper twist's oracle on purpose: --inject-sign-error shows as a route disagreement.
     oracle = cellular.invariant_cohomology_oracle()
     payload["oracle_bh"] = list(oracle.values)
-    payload["oracle_betti"] = list(betti_from_horizontal(oracle).values)
+    payload["oracle_betti"] = list(betti_from_horizontal(oracle))
     check = cellular.cross_check(integral, oracle)
     payload["cross_check"] = check.to_dict()
     failures.extend(item.name for item in check.items if not item.ok)
 
     sequence_checks = [
-        betti.check_divisibility(BettiSequence(integral.betti)),
-        betti.check_bounds(BettiSequence(integral.betti), 1),
+        betti.check_divisibility(integral.betti),
+        betti.check_bounds(integral.betti, 1),
     ]
     payload["constraints"] = [rep.to_dict() for rep in sequence_checks]
     for rep in sequence_checks:

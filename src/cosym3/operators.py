@@ -462,14 +462,15 @@ class OperatorSet:
         """Lambda_a on the eta-free sector, which it preserves."""
         return _replacements(-2, self.hor, self._lambda_terms(a))
 
-    @_cached
-    def K(self, a: int) -> GradedOperator:
-        """Degree-0 wedge/contraction sum on the eta-free sector, arising as
-        [L_a, Lambda_b] pieces."""
+    def _k_terms(self, a: int) -> list[tuple[int, int, Coeff]]:
+        """K_a's 4n (contraction bit, wedge bit, sign) replacements: per s,
+        zeta_s and phi_a zeta_s replace each other, phi_c zeta_s replaces
+        phi_b zeta_s and minus phi_b zeta_s replaces phi_c zeta_s, each sign
+        negated once more on a negative frame slot."""
         dims = self.dims
         negative = contact._negative_slots(dims)
         _, b, c = cyclic(a)
-        terms = []  # (contraction bit, wedge bit, frame sign and scalar)
+        terms = []
         for s in range(1, dims.n + 1):
             z = zeta_index(dims, s)
             pa = phi_zeta_index(dims, a, s)
@@ -477,7 +478,13 @@ class OperatorSet:
             pc = phi_zeta_index(dims, c, s)
             for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
                 terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
-        return _replacements(0, self.hor, terms)
+        return terms
+
+    @_cached
+    def K(self, a: int) -> GradedOperator:
+        """Degree-0 wedge/contraction sum on the eta-free sector, arising as
+        [L_a, Lambda_b] pieces."""
+        return _replacements(0, self.hor, self._k_terms(a))
 
     @cached_property
     def H(self) -> GradedOperator:

@@ -119,19 +119,6 @@ def reference_replacements(shift, basis, terms):
     })
 
 
-def reference_k_terms(dims, a):
-    """K_a's (contraction bit, wedge bit, sign) replacement terms."""
-    negative = contact._negative_slots(dims)
-    _, b, c = contact.cyclic(a)
-    terms = []
-    for s in range(1, dims.n + 1):
-        z = contact.zeta_index(dims, s)
-        pa, pb, pc = (contact.phi_zeta_index(dims, x, s) for x in (a, b, c))
-        for factor, slot, odd in ((pa, z, 0), (z, pa, 0), (pc, pb, 0), (pb, pc, 1)):
-            terms.append((1 << slot, 1 << factor, -1 if odd ^ (negative >> slot & 1) else 1))
-    return terms
-
-
 def reference_tables(ops, a):
     """(name, operator) for l_a, lambda_a, L_full, L, Lambda_full, Lam, K_a and
     Lambda_star through ``from_function``: l_a and lambda_a read one ``wedge``
@@ -160,7 +147,7 @@ def reference_tables(ops, a):
         ("L", reference_replacements(+2, ops.hor, xi)),
         ("Lambda_full", reference_replacements(-2, ops.full, pairs)),
         ("Lam", reference_replacements(-2, ops.hor, pairs)),
-        ("K", reference_replacements(0, ops.hor, reference_k_terms(dims, a))),
+        ("K", reference_replacements(0, ops.hor, ops._k_terms(a))),
         ("Lambda_star", GradedOperator.from_function(-2, ops.full, lambda m: {
             full ^ t: signs[m] * c * signs[t]
             for t, c in l_full._images.get(full ^ m, {}).items()

@@ -1,5 +1,6 @@
 """The twisted seven-torus quotient: cells, boundaries, homology, oracle."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -24,7 +25,7 @@ from cosym3.cellular import (
     invariant_cohomology_oracle,
     unit_translation_twist,
 )
-from cosym3.betti import betti_from_horizontal
+from cosym3.betti import HorizontalBettiSequence, betti_from_horizontal
 from cosym3.exterior import Basis
 from cosym3.linalg import det, rank, smith_normal_form, sort_with_sign, sparse_rank
 from helpers import FINGERPRINTS, fingerprint
@@ -209,10 +210,11 @@ class TestCubeStructure:
         assert faces > 0
 
     def test_boundary_matches_tuple_reference(self):
-        # Every (cell, twist) pair of the 384 B4 twists, chain order included.
-        cells = [cell for k in self.CUBE.degrees() for cell in self.CUBE.blades(k)]
-        for twist in all_b4_twists():
-            for cell in cells:
+        # Every (cell, twist) pair of the 384 B4 twists, chain order included;
+        # the twist changes on every call, so no call reuses the one before.
+        twists = all_b4_twists()
+        for cell in (cell for k in self.CUBE.degrees() for cell in self.CUBE.blades(k)):
+            for twist in twists:
                 chain = boundary(cell, twist)
                 assert list(chain.items()) == list(_boundary_reference(cell, twist).items()), (
                     twist, cell
@@ -492,7 +494,7 @@ class TestOracle:
     def test_convolution_matches_cellular(self):
         oracle = invariant_cohomology_oracle()
         cellular_betti = homology(build_complex(), "integer").betti
-        assert betti_from_horizontal(oracle).values == cellular_betti
+        assert betti_from_horizontal(oracle) == cellular_betti
 
 
 class TestRouteAgreement:
@@ -510,7 +512,7 @@ class TestRouteAgreement:
             result = homology(cx, "integer")
             integral = result.betti
             assert homology(cx, "rational").betti == integral, twist
-            oracle = betti_from_horizontal(invariant_cohomology_oracle(twist)).values
+            oracle = betti_from_horizontal(invariant_cohomology_oracle(twist))
             assert oracle == integral, twist
             # Torsion has no second route yet; pin it to the recorded value.
             key = "".join(f"{img}{'+' if sign > 0 else '-'}" for img, sign in twist.images)
@@ -540,3 +542,22 @@ class TestCrossCheck:
             "betti sequence palindromic",
         ]
         assert failed[0].detail.startswith("first differing degree 1:")
+
+    def test_length_mismatch_fails(self):
+        # The quotient's sequence followed by zeros agrees with it on every
+        # shared degree: only the whole-sequence comparison sees the extra ones.
+        result = homology(build_complex(), "integer")
+        quotient = "[1, 3, 7, 13, 13, 7, 3, 1]"
+        long_oracle = HorizontalBettiSequence(2, (1, 0, 4, 0, 1, 0, 0, 0, 0))
+        long_result = dataclasses.replace(result, betti=result.betti + (0,))
+        for result, oracle, detail in (
+            (result, long_oracle,
+             f"cellular={quotient}, oracle=[1, 3, 7, 13, 13, 7, 3, 1, 0, 0, 0, 0]"),
+            (long_result, invariant_cohomology_oracle(),
+             f"cellular=[1, 3, 7, 13, 13, 7, 3, 1, 0], oracle={quotient}"),
+        ):
+            report = cross_check(result, oracle)
+            assert not report.passed
+            assert (report.items[0].ok, report.items[0].detail) == (
+                False, f"first differing degree 8: {detail}"
+            )
