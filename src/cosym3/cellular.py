@@ -27,7 +27,7 @@ invariants on the exterior algebra: ``cross_check`` is one table of
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .betti import HorizontalBettiSequence, betti_from_horizontal
@@ -148,6 +148,10 @@ def unit_translation_twist() -> TwistMap:
     return TwistMap.right_multiplication_by_i().inverse()
 
 
+# The twist of every ``None`` default, with its face images, made once.
+_PAPER_TWIST = unit_translation_twist()
+
+
 def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     """Integer boundary chain of a cell.
 
@@ -165,7 +169,7 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     image of q is again a quaternion blade in front of that same flat part:
     the sign is the image's alone.
     """
-    images = (twist if twist is not None else unit_translation_twist()).face_images
+    images = (twist if twist is not None else _PAPER_TWIST).face_images
     faces = _FACES.get(cell)
     if faces is None:
         raise ValueError(f"{cell} is not a cell of the unit 7-cube")
@@ -202,26 +206,27 @@ class ChainComplexZ:
 
 
 def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
-    """Key each boundary chain by face position once; check d^2 = 0 on those columns."""
-    twist = twist if twist is not None else unit_translation_twist()
+    """Key each boundary chain by face position and check d^2 = 0 on it, degree by degree."""
+    twist = twist if twist is not None else _PAPER_TWIST
     cells = [_CUBE.blades(k) for k in _CUBE.degrees()]
     position = _CUBE.positions
-    boundaries = [
-        [{position[face]: v for face, v in boundary(cell, twist).items()} for cell in layer]
-        for layer in cells
-    ]
-    # d(d(cell)) must vanish cell by cell: one multiply-accumulate pass each.
-    for k in range(2, TOTAL_DIM + 1):
-        lower = boundaries[k - 1]
-        for cell, column in zip(cells[k], boundaries[k]):
+    boundaries: list[list[dict[int, int]]] = []
+    for k, layer in enumerate(cells):
+        lower, columns = (boundaries[k - 1] if k else []), []
+        for cell in layer:
+            column: dict[int, int] = {}
             acc: dict[int, int] = {}
-            for i, value in column.items():
+            for face, value in boundary(cell, twist).items():
+                i = position[face]
+                column[i] = value
                 for m, inner in lower[i].items():
                     acc[m] = acc.get(m, 0) + value * inner
             if any(acc.values()):
                 raise ComplexConsistencyError(
                     cell, {cells[k - 2][m]: v for m, v in acc.items() if v}
                 )
+            columns.append(column)
+        boundaries.append(columns)
     return ChainComplexZ(cells, boundaries)
 
 
@@ -253,28 +258,34 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     """Homology of the chain complex.
 
     With integer coefficients the ranks and torsion come from Smith normal
-    forms over Z, computed by a sparse loop that drops the row of each +-1
-    pivot after clearing its column; with rational coefficients the ranks come
-    from the exact sparse elimination over Q (``linalg.sparse_rank``), which
-    keeps ``int`` quotients wherever a pivot divides exactly, and there is no
-    torsion.  Both take the boundary columns as the rows of the transpose,
-    which has the same rank and invariant factors.  The two routes must agree
-    on the free ranks (rank over Q equals the count of nonzero invariant
-    factors), which the tests pin down.
+    forms over Z (``linalg.smith_normal_form``); with rational coefficients
+    the ranks come from the exact sparse elimination over Q
+    (``linalg.sparse_rank``), and there is no torsion.  Both take the boundary
+    columns as the rows of the transpose, which has the same rank and
+    invariant factors, and must agree on the free ranks, which the tests pin.
+
+    Both walk k downward and clear (Chen and Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011): the k-cells that the elimination
+    of d_{k+1} pivoted on (its ``pivots``) are left out of d_k.  As d^2 = 0,
+    which ``build_complex`` checks, their columns are combinations of the
+    kept ones, so ranks and invariant factors stay.  Each route clears with
+    its own pivots only, so the two stay independent.
     """
     if coefficients not in ("integer", "rational"):
         raise ValueError("coefficients must be 'integer' or 'rational'")
     counts = complex_.cell_counts()
     ranks = [0] * (TOTAL_DIM + 2)
     torsion: list[tuple[int, ...]] = [()] * (TOTAL_DIM + 1)
-    for k in range(1, TOTAL_DIM + 1):
-        columns = complex_.boundaries[k]
+    cleared: set[int] = set()
+    for k in range(TOTAL_DIM, 0, -1):
+        columns = [col for j, col in enumerate(complex_.boundaries[k]) if j not in cleared]
+        cleared = set()
         if coefficients == "integer":
-            factors = smith_normal_form(columns)
+            factors = smith_normal_form(columns, cleared)
             ranks[k] = len(factors)
             torsion[k - 1] = tuple(f for f in factors if f > 1)
         else:
-            ranks[k] = sparse_rank(columns)
+            ranks[k] = sparse_rank(columns, cleared)
     betti = tuple(
         counts[k] - ranks[k] - ranks[k + 1] for k in range(TOTAL_DIM + 1)
     )
@@ -291,6 +302,12 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _exterior_subsets(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The k-subsets of range(n), in order, with their masks: Lambda^k's labels."""
+    return tuple((cols, sum(1 << c for c in cols)) for cols in combinations(range(n), k))
+
+
 def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
     """Induced matrix on the k-th exterior power, entries as k x k minors.
 
@@ -299,18 +316,19 @@ def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
     any other minor has an all-zero row and is 0.  For a signed permutation
     that leaves one minor per row subset.
     """
-    n = len(matrix)
-    subsets = list(combinations(range(n), k))
-    column_masks = [sum(1 << c for c in cols) for cols in subsets]
+    subsets = _exterior_subsets(len(matrix), k)
     support = [sum(1 << c for c, v in enumerate(row) if v) for row in matrix]
     out = []
-    for rows in subsets:
+    for rows, _ in subsets:
+        supports = [support[r] for r in rows]
         line = []
-        for cols, mask in zip(subsets, column_masks):
-            if all(support[r] & mask for r in rows):
-                line.append(int(det([[matrix[r][c] for c in cols] for r in rows])))
+        for cols, mask in subsets:
+            for row_support in supports:
+                if not row_support & mask:
+                    line.append(0)
+                    break
             else:
-                line.append(0)
+                line.append(int(det([[matrix[r][c] for c in cols] for r in rows])))
         out.append(line)
     return out
 
@@ -325,7 +343,7 @@ def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBett
     follow by the (1, 3, 3, 1) convolution, which the cross-check compares
     against the cellular computation.
     """
-    twist = twist if twist is not None else unit_translation_twist()
+    twist = twist if twist is not None else _PAPER_TWIST
     base = twist.matrix()
     values = []
     for k in range(len(base) + 1):

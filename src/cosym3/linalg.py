@@ -87,9 +87,15 @@ def _echelon(vectors: Sequence[Mapping[Hashable, Coeff]], combos: bool = False) 
     return pivots
 
 
-def sparse_rank(vectors: Sequence[Mapping[Hashable, Coeff]]) -> int:
-    """Rank of a family of sparse vectors (dicts with mutually comparable keys)."""
-    return len(_echelon(vectors))
+def sparse_rank(vectors: Sequence[Mapping[Hashable, Coeff]], pivots: set | None = None) -> int:
+    """Rank of a family of sparse vectors (dicts with mutually comparable keys).
+
+    The echelon's lead keys go into ``pivots`` when it is given: each echelon
+    vector combines the input ones and is zero past its lead."""
+    echelon = _echelon(vectors)
+    if pivots is not None:
+        pivots.update(echelon)
+    return len(echelon)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -138,7 +144,9 @@ def solve_in_span(
     return [-combo.get(i, 0) for i in range(len(vectors))]
 
 
-def smith_normal_form(vectors: Sequence[Mapping[Hashable, int]]) -> list[int]:
+def smith_normal_form(
+    vectors: Sequence[Mapping[Hashable, int]], pivots: set | None = None
+) -> list[int]:
     """Invariant factors of a sparse integer matrix, as a divisibility chain.
 
     Returns the nonnegative diagonal of the Smith normal form with
@@ -152,47 +160,61 @@ def smith_normal_form(vectors: Sequence[Mapping[Hashable, int]]) -> list[int]:
     reduces its row modulo itself by column operations; it is dropped once its
     row and column are clear, else a smaller remainder is the next pivot (Dumas,
     Saunders and Villard, J. Symbolic Comput. 32, 2001).  Arbitrary precision.
+
+    When ``pivots`` is given, the columns of the +-1 pivots taken before the
+    first column operation go into it.  Up to then each row combines input
+    rows over Z, and the pivot rows are a triangle with +-1 on its diagonal
+    at those columns.  A column operation mixes columns, so they no longer
+    name the input's keys and a unit found after one is not recorded.
     """
     # New dicts, reduced in place: C-level copies unless an entry is zero.
-    rows = [
-        dict(vec) if all(vec.values()) else {j: v for j, v in vec.items() if v}
-        for vec in vectors
-    ]
-    diag: list[int] = []
-    while rows := [row for row in rows if row]:
-        unit = next(
-            ((i, j) for i, row in enumerate(rows) for j, v in row.items() if v in (1, -1)),
-            None,
-        )
-        i0, j0 = unit or min(
-            ((i, j) for i, row in enumerate(rows) for j in row),
-            key=lambda ij: abs(rows[ij[0]][ij[1]]),
-        )
+    rows = [dict(vec) if all(vec.values()) else {j: v for j, v in vec.items() if v} for vec in vectors]
+    rows = [row for row in rows if row]
+    units, diag = 0, []  # the count of +-1 pivots, the other pivots' factors
+    while rows:
+        for i0, row in enumerate(rows):
+            if 1 in (values := row.values()) or -1 in values:
+                for j0, p in row.items():
+                    if p == 1 or p == -1:
+                        break
+                break
+        else:
+            least = None  # the first entry of least magnitude
+            for i, row in enumerate(rows):
+                for j, v in row.items():
+                    if least is None or abs(v) < least:
+                        least, i0, j0 = abs(v), i, j
         pivot_row = rows.pop(i0)
         p = pivot_row[j0]
+        unit = p == 1 or p == -1
+        kept = []
         for row in rows:
-            q = row.get(j0, 0) // p
+            q = row.get(j0)
             if q:
-                _subtract(row, q, pivot_row)
-        if unit is None:
-            quotients = {j: v // p for j, v in pivot_row.items() if j != j0 and v // p}
-            for row in rows + [pivot_row]:
-                if j0 in row:
-                    _subtract(row, row[j0], quotients)
-        if unit is not None or (len(pivot_row) == 1 and not any(j0 in row for row in rows)):
+                _subtract(row, q * p if unit else q // p, pivot_row)  # 1 / p = p for a unit
+            if row:
+                kept.append(row)
+        rows = kept
+        if unit:
+            units += 1
+            if pivots is not None:
+                pivots.add(j0)
+            continue
+        quotients = {j: v // p for j, v in pivot_row.items() if j != j0 and v // p}
+        if quotients:
+            pivots = None  # the column operations below rename the columns
+        for row in rows + [pivot_row]:
+            if j0 in row:
+                _subtract(row, row[j0], quotients)
+        if len(pivot_row) == 1 and not any(j0 in row for row in rows):
             diag.append(abs(p))
         else:
             rows.append(pivot_row)
-    # Normalize the diagonal into a divisibility chain: diag(a, b) and
-    # diag(gcd, lcm) are equivalent under unimodular operations.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = math.gcd(diag[i], diag[j])
-                    lcm = diag[i] * diag[j] // g
-                    diag[i], diag[j] = g, lcm
-                    changed = True
-    return diag
+    # Units lead the chain; one pass chains the rest, as diag(a, b) ~ diag(gcd,
+    # lcm) under unimodular operations and diag[i] ends as the gcd of diag[i:].
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i]:
+                g = math.gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return [1] * units + diag

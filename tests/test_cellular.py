@@ -374,6 +374,27 @@ class TestSmithNormalForm:
                 assert smith_normal_form(columns) == smith_normal_form(rows), (twist, k)
                 assert sparse_rank(columns) == sparse_rank(rows), (twist, k)
 
+    def test_pivot_columns(self):
+        # The only unit of [[2, 3]] appears after a column operation, where
+        # columns no longer name the input's keys: nothing is recorded.
+        pivots = set()
+        assert smith_normal_form(sparse_rows([[2, 3]]), pivots) == [1]
+        assert pivots == set()
+        assert smith_normal_form(sparse_rows([[2, 0], [0, 3]]), pivots) == [1, 6]
+        assert pivots == set()
+        # Unimodular: a unit in each row, by row operations alone.
+        assert smith_normal_form(sparse_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), pivots) == [1, 1, 1]
+        assert pivots == {0, 1, 2}
+
+    @given(integer_matrices())
+    @settings(deadline=None, max_examples=100)
+    def test_pivot_output_changes_no_factor(self, matrix):
+        pivots = set()
+        factors = smith_normal_form(sparse_rows(matrix), pivots)
+        assert factors == smith_normal_form(sparse_rows(matrix))
+        assert pivots <= {j for row in sparse_rows(matrix) for j in row}
+        assert len(pivots) <= factors.count(1)
+
     @given(diag=st.lists(st.integers(-9, 9), min_size=1, max_size=4))
     def test_diagonal_input(self, diag):
         size = len(diag)
@@ -517,6 +538,54 @@ class TestRouteAgreement:
             # Torsion has no second route yet; pin it to the recorded value.
             key = "".join(f"{img}{'+' if sign > 0 else '-'}" for img, sign in twist.images)
             assert fingerprint(result.to_dict()["torsion"]) == recorded[key], key
+
+
+class TestClearing:
+    def test_every_b4_twist_matches_the_uncleared_boundaries(self):
+        # The reference eliminates every column of every boundary: no clearing.
+        for twist in all_b4_twists():
+            cx = build_complex(twist)
+            factors = [smith_normal_form(cx.boundaries[k]) for k in range(1, 8)]
+            integral = homology(cx, "integer")
+            assert integral.boundary_ranks == tuple(map(len, factors)), twist
+            assert integral.torsion == (
+                *(tuple(f for f in layer if f > 1) for layer in factors), ()
+            ), twist
+            ranks = tuple(sparse_rank(cx.boundaries[k]) for k in range(1, 8))
+            assert homology(cx, "rational").boundary_ranks == ranks, twist
+
+    def test_a_unit_after_a_column_operation_clears_nothing(self):
+        # d e = 2a + 3b and d a = 3c, d b = -2c, so d^2 = 0.  Smith reaches the
+        # unit of d e only after a column operation (b - a); clearing b would
+        # leave d a alone and report Z/3 in degree zero, where there is none.
+        cx = cellular.ChainComplexZ(
+            [[()], [(1,), (2,)], [(1, 2)]] + [[]] * 5,
+            [[{}], [{0: 3}, {0: -2}], [{0: 2, 1: 3}]] + [[]] * 5,
+        )
+        for coefficients in ("integer", "rational"):
+            result = homology(cx, coefficients)
+            assert result.betti == (0,) * 8 and result.boundary_ranks == (1, 1) + (0,) * 5
+        assert homology(cx, "integer").torsion == ((),) * 8
+
+    def test_each_route_clears_its_own_pivots(self, monkeypatch):
+        # d_k reaches each route without the k-cells that its own elimination
+        # of d_{k+1} pivoted on: all rank(d_{k+1}) of them over Q, and over Z
+        # the units taken before the first column operation.
+        passed = {"smith_normal_form": [], "sparse_rank": []}
+        for name, lengths in passed.items():
+            real = getattr(cellular, name)
+            monkeypatch.setattr(
+                cellular, name,
+                lambda columns, pivots, real=real, lengths=lengths: (
+                    lengths.append(len(columns)) or real(columns, pivots)
+                ),
+            )
+        cx = build_complex()
+        counts = cx.cell_counts()
+        ranks = homology(cx, "rational").boundary_ranks + (0,)
+        assert passed["sparse_rank"] == [counts[k] - ranks[k] for k in range(7, 0, -1)]
+        assert homology(cx, "integer").boundary_ranks == ranks[:-1]
+        assert passed["smith_normal_form"] == [1, 7, 19, 29, 27, 15, 5]
 
 
 class TestCrossCheck:

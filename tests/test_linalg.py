@@ -292,6 +292,14 @@ class TestCallerInputs:
         assert det([[0, 2, 0], [0, 0, 3], [1, 0, 0]]) == 6
         assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
+    def test_rank_pivots_are_the_echelon_leads(self):
+        # v0 leads at 3; v1 at 2; v2 = 2 v0 + v1 adds no lead; v3 is zero.
+        pivots = set()
+        assert sparse_rank(copy.deepcopy(self.VECTORS), pivots) == 2
+        assert pivots == {3, 2}
+        assert sparse_rank([{0: 1, 2: 1}, {2: 1}], pivots) == 2
+        assert pivots == {3, 2, 0}  # added to, never cleared
+
     @pytest.mark.parametrize("zeros", [True, False])
     def test_inputs_are_unchanged(self, zeros):
         # Without zero entries a vector is copied whole; with them, filtered.
