@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Subcommands run the verification suites and print human-readable or JSON
-reports.  Exit codes are a stable contract: 0 success, 1 verification
-failure, 2 usage error.  JSON output carries ``schema_version`` and
-round-trips every number shown in text mode; item ordering is deterministic
-(sorted identity names, ascending degrees).  No environment variable is
-read; the aggregate ``report`` command runs its suites in sequence.
+reports.  Each subcommand is one entry in ``build_parser``'s table (flags,
+runner, text renderer); ``main`` only parses, runs and emits.  Exit codes
+are a stable contract: 0 success, 1 verification failure, 2 usage error.
+JSON output carries ``schema_version`` and round-trips every number shown in
+text mode; item ordering is deterministic (sorted identity names, ascending
+degrees).  ``--boundaries text`` prints the boundary triples in text mode;
+with ``--json`` either value embeds them.  No environment variable is read;
+``report`` runs its suites in sequence.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
+
+
+class _UsageError(Exception):
+    """A flag value argparse cannot check alone; ``main`` exits 2 on it."""
 
 
 @dataclass
@@ -55,6 +62,18 @@ class Report:
         }
 
 
+def _failed_items(reports) -> tuple[list[str], list[str]]:
+    """The failed items of constraint reports as ``"report: item"`` strings,
+    split into (failures, warnings) by each item's ``warning`` flag."""
+    failures: list[str] = []
+    warnings: list[str] = []
+    for rep in reports:
+        for item in rep.items:
+            if not item.ok:
+                (warnings if item.warning else failures).append(f"{rep.name}: {item.name}")
+    return failures, warnings
+
+
 # ---------------------------------------------------------------------------
 # verify-identities
 # ---------------------------------------------------------------------------
@@ -82,7 +101,6 @@ def _identities_text(report: Report) -> list[str]:
             )
             lines.append(f"        lhs = {w['lhs']}")
             lines.append(f"        rhs = {w['rhs']}")
-    lines.append(f"overall: {report.status().upper()}")
     return lines
 
 
@@ -112,7 +130,6 @@ def _so41_text(report: Report) -> list[str]:
         status = "PASS" if pair["ok"] else "FAIL"
         detail = f" ({pair['detail']})" if pair["detail"] else ""
         lines.append(f"  {status}  {pair['pair']}{detail}")
-    lines.append(f"overall: {report.status().upper()}")
     return lines
 
 
@@ -126,16 +143,7 @@ def run_betti(bh: HorizontalBettiSequence) -> Report:
     divisibility = betti.check_divisibility(full)
     bounds = betti.check_bounds(full, bh.n)
     horizontal = betti.check_horizontal_constraints(bh)
-    failures = []
-    warnings = []
-    for rep in (divisibility, bounds, horizontal):
-        for item in rep.items:
-            if item.ok:
-                continue
-            if item.warning:
-                warnings.append(f"{rep.name}: {item.name}")
-            else:
-                failures.append(f"{rep.name}: {item.name}")
+    failures, warnings = _failed_items((divisibility, bounds, horizontal))
     payload = {
         "bh": list(bh.values),
         "betti": list(full),
@@ -145,6 +153,19 @@ def run_betti(bh: HorizontalBettiSequence) -> Report:
         "horizontal": horizontal.to_dict(),
     }
     return Report("betti", bh.n, payload, failures, warnings)
+
+
+def _betti_command(args: argparse.Namespace) -> Report:
+    """The ``betti`` runner: ``--bh`` is checked against ``--n`` before the run."""
+    try:
+        values = [int(x) for x in args.bh.split(",") if x.strip() != ""]
+    except ValueError:
+        raise _UsageError("--bh must be a comma-separated integer list") from None
+    try:
+        bh = HorizontalBettiSequence(args.n, tuple(values))
+    except ValueError as err:  # wrong length or a negative entry
+        raise _UsageError(f"--bh: {err}") from None
+    return run_betti(bh)
 
 
 def _betti_text(report: Report) -> list[str]:
@@ -158,7 +179,6 @@ def _betti_text(report: Report) -> list[str]:
             status = "PASS" if item["ok"] else ("WARN" if item["warning"] else "FAIL")
             margin = f", margin {item['margin']}" if item["margin"] is not None else ""
             lines.append(f"    {status}  {item['name']} ({item['detail']}{margin})")
-    lines.append(f"overall: {report.status().upper()}")
     return lines
 
 
@@ -209,10 +229,8 @@ def run_homology(
         betti.check_bounds(integral.betti, 1),
     ]
     payload["constraints"] = [rep.to_dict() for rep in sequence_checks]
-    for rep in sequence_checks:
-        failures.extend(
-            f"{rep.name}: {item.name}" for item in rep.items if not item.ok
-        )
+    sequence_failures, warnings = _failed_items(sequence_checks)
+    failures.extend(sequence_failures)
 
     if include_boundaries:
         dumps = []
@@ -226,14 +244,13 @@ def run_homology(
             dumps.append(entry)
         payload["boundaries"] = dumps
         payload["boundaries_format"] = include_boundaries
-    return Report("homology", None, payload, failures)
+    return Report("homology", None, payload, failures, warnings)
 
 
 def _homology_text(report: Report) -> list[str]:
     lines = ["cellular homology of the twisted seven-torus quotient"]
     if not report.payload.get("boundary_squared_zero", True):
         lines.append("  FAIL  boundary squared nonzero")
-        lines.append(f"overall: {report.status().upper()}")
         return lines
     payload = report.payload
     lines.append(f"  cell counts: {payload['cell_counts']}")
@@ -266,7 +283,6 @@ def _homology_text(report: Report) -> list[str]:
             )
             for row, col, value in entry["entries"]:
                 lines.append(f"    {row} {col} {value}")
-    lines.append(f"overall: {report.status().upper()}")
     return lines
 
 
@@ -284,12 +300,9 @@ def run_report(n: int) -> Report:
         "homology": run_homology(),
     }
     ranks = [betti.s_k_rank(n, k) for k in range(0, n + 1)]
-    rank_failures = [f"power product rank k={r.k}" for r in ranks if not r.passed]
-
-    failures = list(rank_failures)
+    failures = [f"power product rank k={r.k}" for r in ranks if not r.passed]
     warnings: list[str] = []
-    for name in sorted(results):
-        sub = results[name]
+    for name, sub in sorted(results.items()):
         failures.extend(f"{name}: {f}" for f in sub.failures)
         warnings.extend(f"{name}: {w}" for w in sub.warnings)
     payload = {
@@ -313,12 +326,11 @@ def _report_text(report: Report) -> list[str]:
         lines.append("  failures:")
         for failure in report.failures:
             lines.append(f"    - {failure}")
-    lines.append(f"overall: {report.status().upper()}")
     return lines
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the subcommand table and dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -332,62 +344,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, ranks):
-        p.add_argument(
-            "--n", type=int, default=1, choices=ranks, help="quaternionic rank"
-        )
+    def command(name, help_text, run, render, ranks=(), hook=None, **flags):
+        """Declare one subcommand: ``--n`` when it has ranks, the shared ``--json``
+        and ``--strict``, its own flags, the ``--inject-sign-error`` self-test
+        hook when it has one, and its runner and text renderer."""
+        p = sub.add_parser(name, help=help_text)
+        if ranks:
+            p.add_argument(
+                "--n", type=int, default=1, choices=ranks, help="quaternionic rank"
+            )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument(
-            "--strict", action="store_true", help="treat warnings as failures"
-        )
+        p.add_argument("--strict", action="store_true", help="treat warnings as failures")
+        for flag, options in flags.items():
+            p.add_argument(f"--{flag}", **options)
+        if hook:
+            p.add_argument(
+                "--inject-sign-error", action="store_true", help=f"{hook} (self-test hook)"
+            )
+        p.set_defaults(run=run, render=render)
 
-    p_ident = sub.add_parser("verify-identities", help="run the operator identity suite")
-    add_common(p_ident, SUPPORTED_RANKS)
-    p_ident.add_argument(
-        "--inject-sign-error",
-        action="store_true",
-        help="flip one sign in the structure table (self-test hook)",
-    )
-
-    p_so41 = sub.add_parser("so41-check", help="verify the so(4,1) module structure")
-    add_common(p_so41, SUPPORTED_RANKS)
-    p_so41.add_argument(
-        "--inject-sign-error",
-        action="store_true",
-        help="negate the K3 generator (self-test hook)",
-    )
-
-    p_betti = sub.add_parser("betti", help="Betti arithmetic and constraint checks")
-    add_common(p_betti, (0, 1, 2, 3))
-    p_betti.add_argument(
-        "--bh",
-        required=True,
-        help="comma-separated horizontal Betti numbers, length 4n + 1",
-    )
-
-    p_hom = sub.add_parser("homology", help="cellular homology of the example")
-    p_hom.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_hom.add_argument(
-        "--strict", action="store_true", help="treat warnings as failures"
-    )
-    p_hom.add_argument(
-        "--integer",
-        action="store_true",
-        help="display integral homology (ranks and torsion via Smith forms)",
-    )
-    p_hom.add_argument(
-        "--boundaries",
-        choices=("text", "json"),
-        help="include the boundary matrices as sparse triples",
-    )
-    p_hom.add_argument(
-        "--inject-sign-error",
-        action="store_true",
-        help="flip one sign in the twist (self-test hook)",
-    )
-
-    p_rep = sub.add_parser("report", help="run every suite and aggregate")
-    add_common(p_rep, (1, 2))
+    command("verify-identities", "run the operator identity suite",
+            lambda a: run_identities(a.n, a.inject_sign_error), _identities_text,
+            SUPPORTED_RANKS, hook="flip one sign in the structure table")
+    command("so41-check", "verify the so(4,1) module structure",
+            lambda a: run_so41(a.n, a.inject_sign_error), _so41_text,
+            SUPPORTED_RANKS, hook="negate the K3 generator")
+    command("betti", "Betti arithmetic and constraint checks", _betti_command, _betti_text,
+            (0, 1, 2, 3), bh={"required": True,
+                              "help": "comma-separated horizontal Betti numbers, length 4n + 1"})
+    command("homology", "cellular homology of the example",
+            lambda a: run_homology(a.integer, a.inject_sign_error, a.boundaries),
+            _homology_text,
+            integer={"action": "store_true",
+                     "help": "display integral homology (ranks and torsion via Smith forms)"},
+            boundaries={"choices": ("text", "json"),
+                        "help": "include the boundary matrices as sparse triples"},
+            hook="flip one sign in the twist")
+    command("report", "run every suite and aggregate",
+            lambda a: run_report(a.n), _report_text, (1, 2))
     return parser
 
 
@@ -395,48 +389,21 @@ def _emit(report: Report, as_json: bool, strict: bool, text_lines) -> int:
     if as_json:
         print(json.dumps(report.to_dict(strict), indent=2, sort_keys=True))
     else:
-        print("\n".join(text_lines(report)))
+        print("\n".join([*text_lines(report), f"overall: {report.status().upper()}"]))
     return EXIT_OK if report.status(strict) == "pass" else EXIT_VERIFICATION_FAILURE
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else 0
-
-    if args.command == "verify-identities":
-        report = run_identities(args.n, args.inject_sign_error)
-        return _emit(report, args.json, args.strict, _identities_text)
-
-    if args.command == "so41-check":
-        report = run_so41(args.n, args.inject_sign_error)
-        return _emit(report, args.json, args.strict, _so41_text)
-
-    if args.command == "betti":
-        try:
-            values = [int(x) for x in args.bh.split(",") if x.strip() != ""]
-        except ValueError:
-            print("error: --bh must be a comma-separated integer list", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            bh = HorizontalBettiSequence(args.n, tuple(values))
-        except ValueError as err:  # wrong length or a negative entry
-            print(f"error: --bh: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        return _emit(run_betti(bh), args.json, args.strict, _betti_text)
-
-    if args.command == "homology":
-        report = run_homology(args.integer, args.inject_sign_error, args.boundaries)
-        return _emit(report, args.json, args.strict, _homology_text)
-
-    if args.command == "report":
-        report = run_report(args.n)
-        return _emit(report, args.json, args.strict, _report_text)
-
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
+        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    try:
+        report = args.run(args)
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    return _emit(report, args.json, args.strict, args.render)
 
 
 if __name__ == "__main__":

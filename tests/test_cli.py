@@ -4,16 +4,24 @@ import hashlib
 import json
 from pathlib import Path
 
-from cosym3 import cellular
+import pytest
+
+from cosym3 import cellular, cli
 from cosym3.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILURE,
     SCHEMA_VERSION,
+    Report,
     main,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# Exact stdout, stderr and exit code of every --help and of each usage error,
+# recorded once with COLUMNS=80 (argparse wraps to it) under Python 3.10 and
+# 3.11, which print the same bytes; never re-record them to make a change pass.
+USAGE_PINS = json.loads((GOLDEN / "cli_usage.json").read_text())
 
 # sha256 of stdout and the exit code, recorded once per command; never
 # re-record them to make a change pass.
@@ -131,6 +139,11 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("pin", USAGE_PINS, ids=[" ".join(p["argv"]) for p in USAGE_PINS])
+    def test_help_and_usage_errors_are_byte_stable(self, capsys, monkeypatch, pin):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, pin["argv"]) == (pin["code"], pin["stdout"], pin["stderr"])
+
 
 class TestBettiCommand:
     def test_quotient_sequence(self, capsys):
@@ -245,3 +258,23 @@ class TestReport:
         assert code == EXIT_OK
         assert payload["status"] == "pass"
         assert [r["k"] for r in payload["power_product_ranks"]] == [0, 1, 2]
+
+    def test_failure_list_precedes_overall(self, capsys, monkeypatch):
+        def failing_so41(n, inject_sign_error=False):
+            return Report("so41-check", n, {}, ["bracket [K1, K2]"])
+
+        monkeypatch.setattr(cli, "run_so41", failing_so41)
+        code, out, _ = run(capsys, ["report", "--n", "1"])
+        assert code == EXIT_VERIFICATION_FAILURE
+        assert out == (
+            "aggregate verification report, n = 1\n"
+            "  suite betti_torus: PASS\n"
+            "  suite homology: PASS\n"
+            "  suite identities: PASS\n"
+            "  suite so41: FAIL\n"
+            "  PASS  power product rank k=0: 1 (expected 1)\n"
+            "  PASS  power product rank k=1: 3 (expected 3)\n"
+            "  failures:\n"
+            "    - so41: bracket [K1, K2]\n"
+            "overall: FAIL\n"
+        )
