@@ -49,10 +49,10 @@ _QUATERNION_MASK = sum(1 << axis for axis in QUATERNION_AXES)
 _FLAT_BITS = tuple(1 << axis for axis in FLAT_AXES)
 
 # The faces of every cell, whatever the twist: per flat bit in ascending
-# order, (outer sign, face at 0, its quaternion part q, its flat part).
+# order, (outer sign, face at 0 as a cell, its quaternion part q, its flat part).
 _FACES = {
     cell: tuple(
-        (-1 if _contraction_parity(mask, bit) else 1, mask ^ bit,
+        (-1 if _contraction_parity(mask, bit) else 1, _CELL_OF[mask ^ bit],
          (mask ^ bit) & _QUATERNION_MASK, (mask ^ bit) & ~_QUATERNION_MASK)
         for bit in _FLAT_BITS
         if mask & bit
@@ -168,21 +168,26 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     below every flat slot, so the face is q times its flat part, and the
     image of q is again a quaternion blade in front of that same flat part:
     the sign is the image's alone.
+
+    Each face is written straight into the chain, the face at 1 before the
+    face at 0, flat bit by flat bit; nothing is accumulated.  The faces of
+    two flat bits differ in their flat part, so only the two faces of one
+    bit can meet, when the twist fixes q: they cancel when its sign is +1
+    and leave -2 times the outer sign when it is -1.
     """
     images = (twist if twist is not None else _PAPER_TWIST).face_images
     faces = _FACES.get(cell)
     if faces is None:
         raise ValueError(f"{cell} is not a cell of the unit 7-cube")
-    chain: dict[int, int] = {}
+    chain: dict[Cell, int] = {}
     for outer, rest, q, flat in faces:
         sign, image = images[q]
-        for face, value in ((image | flat, outer * sign), (rest, -outer)):  # at 1, at 0
-            new = chain.get(face, 0) + value
-            if new:
-                chain[face] = new
-            else:
-                del chain[face]
-    return {_CELL_OF[m]: v for m, v in chain.items()}
+        if image != q:
+            chain[_CELL_OF[image | flat]] = outer * sign  # at 1
+            chain[rest] = -outer  # at 0
+        elif sign < 0:
+            chain[rest] = -2 * outer
+    return chain
 
 
 @dataclass

@@ -156,9 +156,10 @@ def run_betti(bh: HorizontalBettiSequence) -> Report:
 
 
 def _betti_command(args: argparse.Namespace) -> Report:
-    """The ``betti`` runner: ``--bh`` is checked against ``--n`` before the run."""
+    """The ``betti`` runner: ``--bh`` is checked against ``--n`` before the run.
+    Every comma-separated field must be an integer; an empty one is a usage error."""
     try:
-        values = [int(x) for x in args.bh.split(",") if x.strip() != ""]
+        values = [int(x) for x in args.bh.split(",")]
     except ValueError:
         raise _UsageError("--bh must be a comma-separated integer list") from None
     try:
@@ -389,7 +390,7 @@ def _emit(report: Report, as_json: bool, strict: bool, text_lines) -> int:
     if as_json:
         print(json.dumps(report.to_dict(strict), indent=2, sort_keys=True))
     else:
-        print("\n".join([*text_lines(report), f"overall: {report.status().upper()}"]))
+        print("\n".join([*text_lines(report), f"overall: {report.status(strict).upper()}"]))
     return EXIT_OK if report.status(strict) == "pass" else EXIT_VERIFICATION_FAILURE
 
 

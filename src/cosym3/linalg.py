@@ -106,20 +106,26 @@ def rank(rows: Sequence[Sequence]) -> int:
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix over the rationals.
 
-    The empty matrix has determinant 1.  The rows are echelonized in order:
-    the pivot from row i is row i minus multiples of earlier pivots (a unit
-    lower triangular change, so the determinant is unchanged) and has entries
-    only at columns up to its lead, so the determinant is the sign of the
-    permutation row -> lead times the product of the pivot entries.  When
-    every row gives a pivot, the i-th pivot inserted is row i's, so the leads
-    in insertion order are that permutation.
+    The empty matrix has determinant 1.  The rows are echelonized in order
+    with ``_reduce``, each copied once into a sparse dict: the pivot from row
+    i is row i minus multiples of earlier pivots (a unit lower triangular
+    change, so the determinant is unchanged) and has entries only at columns
+    up to its lead, so the determinant is the sign of the permutation row ->
+    lead times the product of the pivot entries.  The i-th pivot inserted is
+    row i's, so the leads in insertion order are that permutation.  The
+    first row that reduces to zero makes the matrix singular, and the
+    elimination stops there with 0.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    pivots = _echelon([{j: v for j, v in enumerate(row) if v} for row in rows])
-    if len(pivots) < n:
-        return Fraction(0)
+    pivots: dict = {}
+    for row in rows:
+        cur = {j: v for j, v in enumerate(row) if v}
+        lead = _reduce(cur, pivots)
+        if lead is None:
+            return Fraction(0)
+        pivots[lead] = (cur, None)
     result = 1
     for lead, (vec, _) in pivots.items():
         result *= vec[lead]
@@ -153,7 +159,9 @@ def smith_normal_form(
     d1 | d2 | ... and trailing zeros stripped, so ``len(result)`` is the rank.
     The rows are dicts with hashable keys, as for ``sparse_rank``; columns do
     as well, since the transpose has the same invariant factors.  Each step
-    pivots on an entry of smallest magnitude (the first +-1 found, if any) and
+    pivots on an entry of smallest magnitude (the first +-1 found, if any;
+    else the first entry of least magnitude, the scan stopping at the first
+    +-2, as no smaller nonzero integer is left) and
     reduces the other rows' entries in its column modulo the pivot.  A +-1
     pivot clears its column, and then column operations would touch only its
     own row, so the row is dropped with a factor 1.  A larger pivot also
@@ -179,11 +187,15 @@ def smith_normal_form(
                         break
                 break
         else:
-            least = None  # the first entry of least magnitude
+            least = None  # the first entry of least magnitude; no +-1 is left, so a +-2 is least
             for i, row in enumerate(rows):
                 for j, v in row.items():
                     if least is None or abs(v) < least:
                         least, i0, j0 = abs(v), i, j
+                        if least == 2:
+                            break
+                if least == 2:
+                    break
         pivot_row = rows.pop(i0)
         p = pivot_row[j0]
         unit = p == 1 or p == -1

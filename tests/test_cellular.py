@@ -220,6 +220,62 @@ class TestCubeStructure:
                     twist, cell
                 )
 
+    # ``boundary`` writes each face once, with no accumulation: the faces of
+    # two flat bits differ in their flat part, and the two faces of one bit
+    # meet only when the twist fixes the cell's quaternion part q.
+
+    def test_flat_one_cell_pair_cancels(self):
+        # Both faces of a flat 1-cell are the empty cell, and every twist fixes it with +1.
+        for twist in all_b4_twists():
+            assert twist.face_images[0] == (1, 0)
+            for axis in FLAT_AXES:
+                assert boundary((axis,), twist) == {}, (twist, axis)
+
+    def test_top_quaternion_pair_meets_by_orientation(self):
+        # q = (1, 2, 3, 4) is fixed by every twist, with the sign of its determinant:
+        # the pair cancels when the twist keeps orientation and leaves -2 when it reverses it.
+        kept = reversed_ = 0
+        for twist in all_b4_twists():
+            chain = boundary((1, 2, 3, 4, 5), twist)
+            if det(twist.matrix()) == 1:
+                assert chain == {}, twist
+                kept += 1
+            else:
+                assert list(chain.items()) == [((1, 2, 3, 4), -2)], twist
+                reversed_ += 1
+        assert kept == reversed_ == 192
+
+    def test_meeting_and_apart_pairs_keep_order(self):
+        flip_4 = TwistMap(((1, 1), (2, 1), (3, 1), (4, -1)))
+        negate_3 = TwistMap(((2, 1), (1, 1), (3, -1), (4, 1)))
+        paper = unit_translation_twist()
+        cases = [
+            # Meeting pairs of three flat bits: three keys, one per bit, in bit order.
+            ((1, 2, 3, 4, 5, 6, 7), flip_4,
+             [((1, 2, 3, 4, 6, 7), -2), ((1, 2, 3, 4, 5, 7), 2), ((1, 2, 3, 4, 5, 6), -2)]),
+            # The paper twist fixes j ^ k with +1, so both pairs cancel.
+            ((3, 4, 5, 6), paper, []),
+            ((3, 4, 5, 6), negate_3, [((3, 4, 6), -2), ((3, 4, 5), 2)]),
+            ((3, 5, 6), negate_3, [((3, 6), 2), ((3, 5), -2)]),
+            # Pairs that stay apart: the face at 1, then the face at 0, per bit.
+            ((3, 5, 6), paper, [((4, 6), -1), ((3, 6), 1), ((4, 5), 1), ((3, 5), -1)]),
+        ]
+        for cell, twist, expected in cases:
+            chain = boundary(cell, twist)
+            assert list(chain.items()) == expected, (cell, twist)
+            assert chain == _boundary_reference(cell, twist)
+
+    def test_pairs_of_a_cell_all_meet_or_none(self):
+        # Every flat bit of a cell leaves the same q, so one chain never mixes
+        # a meeting pair with one that stays apart: it has 2, 1 or 0 faces per bit.
+        for twist in all_b4_twists():
+            for cell in (cell for k in self.CUBE.degrees() for cell in self.CUBE.blades(k)):
+                bits = len(set(cell) & set(FLAT_AXES))
+                q = tuple(a for a in cell if a in QUATERNION_AXES)
+                image, sign = _twist_cell_reference(q, twist)
+                expected = 2 * bits if image != q else (bits if sign < 0 else 0)
+                assert len(boundary(cell, twist)) == expected, (twist, cell)
+
     def test_quaternion_cells_are_cycles(self):
         for twist in SAMPLE_TWISTS:
             for k in range(len(QUATERNION_AXES) + 1):

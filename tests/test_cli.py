@@ -129,6 +129,13 @@ class TestExitCodes:
     def test_betti_bad_integer(self, capsys):
         assert main(["betti", "--n", "1", "--bh", "1,0,x,0,1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bh", ["1,,0,4,0,1", "1,0,4,0,1,", ",1,0,4,0,1", "1,0, ,4,0,1", ""])
+    def test_betti_empty_field(self, capsys, bh):
+        # An empty field is not dropped: "1,,0,4,0,1" is not the five values 1,0,4,0,1.
+        code, out, err = run(capsys, ["betti", "--n", "1", "--bh", bh])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --bh must be a comma-separated integer list\n"
+
     def test_betti_negative_entry(self, capsys):
         code, out, err = run(capsys, ["betti", "--n", "1", "--bh", "1,0,-4,0,1"])
         assert code == EXIT_USAGE
@@ -171,6 +178,19 @@ class TestBettiCommand:
         assert main(argv) == EXIT_OK
         capsys.readouterr()
         assert main(argv + ["--strict"]) == EXIT_VERIFICATION_FAILURE
+
+    def test_strict_overall_line_matches_exit_code(self, capsys):
+        # The text overall line follows --strict, as the JSON status does.
+        argv = ["betti", "--n", "1", "--bh", "1,0,4,0,2"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert "WARN" in out
+        assert out.splitlines()[-1] == "overall: PASS"
+        code, out, _ = run(capsys, argv + ["--strict"])
+        assert code == EXIT_VERIFICATION_FAILURE
+        assert out.splitlines()[-1] == "overall: FAIL"
+        code, payload = run_json(capsys, argv + ["--strict", "--json"])
+        assert (code, payload["status"]) == (EXIT_VERIFICATION_FAILURE, "fail")
 
 
 class TestJsonSchema:

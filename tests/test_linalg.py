@@ -2,13 +2,22 @@
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosym3.linalg import det, rank, solve_in_span, sort_with_sign, sparse_rank
+from cosym3 import linalg
+from cosym3.linalg import (
+    det,
+    rank,
+    smith_normal_form,
+    solve_in_span,
+    sort_with_sign,
+    sparse_rank,
+)
 
 
 def dense_rank(rows):
@@ -256,6 +265,35 @@ class TestDet:
         assert det([[1, 2], [2, 4]]) == 0
         assert det([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == 0
 
+    @pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["int", "Fraction"])
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["zero", "repeat", "combination"])
+    def test_singular_at_any_row(self, monkeypatch, scale, position, kind):
+        # The dependent row goes in at ``position``.  The elimination stops at
+        # the first row that reduces to zero: a zero row at once, a repeat of
+        # its neighbour at the later copy, a combination of the other four
+        # rows at the last row.
+        rows = [[scale * v for v in row] for row in
+                ([2, 1, 0, 3, 1], [1, 0, 4, 1, 2], [0, 5, 1, 2, 0], [3, 0, 0, 1, 1])]
+        dependent, stop = {
+            "zero": ([0] * 5, position),
+            "repeat": (list(rows[max(position - 1, 0)]), max(position, 1)),
+            "combination": ([a - 2 * b + c - d for a, b, c, d in zip(*rows)], 4),
+        }[kind]
+        rows.insert(position, dependent)
+        reduced = []  # the pivot count at each ``_reduce`` call
+
+        def counted(cur, pivots, combo=None):
+            reduced.append(len(pivots))
+            return real(cur, pivots, combo)
+
+        real = linalg._reduce
+        monkeypatch.setattr(linalg, "_reduce", counted)
+        result = det(rows)
+        assert type(result) is Fraction
+        assert result == 0 == leibniz_det(rows)
+        assert reduced == list(range(stop + 1))
+
     def test_empty_is_one(self):
         assert det([]) == 1
 
@@ -264,6 +302,36 @@ class TestDet:
             det([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             det([[1, 2], [3]])
+
+
+class TestSmithNormalFormWithoutUnits:
+    """With no +-1 entry the pivot is the first entry of least magnitude; the
+    scan stops at the first +-2, since no smaller nonzero integer is left."""
+
+    # (matrix, invariant factors, recorded unit-pivot columns)
+    CASES = [
+        ([[4, 2], [2, 6]], [2, 10], set()),
+        # The only unit comes from row operations alone, so its column is recorded.
+        ([[2], [3]], [1], {0}),
+        ([[2, 0], [3, 0]], [1], {0}),
+        ([[3, 6], [9, 3]], [3, 15], set()),  # no 2: the whole matrix is scanned
+        ([[6, 4, 0], [0, -2, 2], [2, 0, 6]], [2, 2, 14], set()),
+        ([[4, 6, 9], [3, 0, 2], [-2, 4, 0]], [1, 1, 52], set()),
+        ([[6, 9, 3], [4, 0, 8], [0, 3, 2]], [1, 1, 180], set()),
+        ([[4, 4, 0], [0, 6, 6], [2, 0, 2]], [2, 2, 24], set()),
+        ([[-2, 2, 0, 0], [0, -2, 2, 0], [0, 0, -2, 2], [2, 0, 0, -2]], [2, 2, 2], set()),
+    ]
+
+    @pytest.mark.parametrize("matrix, factors, units", CASES, ids=[str(c[0]) for c in CASES])
+    def test_factors_and_pivots(self, matrix, factors, units):
+        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        pivots = set()
+        assert smith_normal_form(rows, pivots) == factors
+        assert pivots == units
+        assert smith_normal_form(rows) == factors
+        assert len(factors) == rank(matrix)
+        if len(matrix) == len(matrix[0]) == len(factors):
+            assert math.prod(factors) == abs(leibniz_det(matrix))
 
 
 class TestCallerInputs:
