@@ -4,9 +4,10 @@ The full Betti numbers of a model of rank n are the (1, 3, 3, 1)-convolution
 of the horizontal ones (equivalently, multiplication of the Poincare series
 by (1+t)^3, the three Reeb circles).  A full sequence is a plain tuple of
 ints: it is always such a convolution or a homology result, so it has no
-invariants of its own to check.  Constraint checks carry margins rather
-than bare booleans: the torus saturates several of the bounds and it is
-useful to see by how much everything else clears them.
+invariants of its own to check.  Every constraint item comes from one of
+two builders: "value divisible by 4", or "value >= bound" with its margin
+rather than a bare boolean, since the torus saturates several of the bounds
+and it is useful to see by how much everything else clears them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class HorizontalBettiSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if self.n < 0:
             raise ValueError("rank must be nonnegative")
         if len(self.values) != 4 * self.n + 1:
@@ -72,81 +74,63 @@ class ConstraintReport:
     name: str
     items: list[ConstraintItem]
 
+    @property
     def passed(self) -> bool:
         return all(item.ok for item in self.items if not item.warning)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed()}
+        return {**asdict(self), "passed": self.passed}
+
+
+def _divisible_by_four(label: str, shown: str, value: int) -> ConstraintItem:
+    """``label divisible by 4``, no margin; the detail reads ``shown=value, remainder=r``."""
+    remainder = value % 4
+    return ConstraintItem(
+        f"{label} divisible by 4", remainder == 0, detail=f"{shown}={value}, remainder={remainder}"
+    )
+
+
+def _at_least(label: str, value: int, bound: int) -> ConstraintItem:
+    """``label >= bound`` with margin value - bound; the detail reads ``label=value``."""
+    margin = value - bound
+    return ConstraintItem(f"{label} >= {bound}", margin >= 0, margin, detail=f"{label}={value}")
 
 
 def check_divisibility(values: tuple[int, ...]) -> ConstraintReport:
     """b_{k-1} + b_k must be divisible by four for every odd k."""
-    items = []
-    for k in range(1, len(values), 2):
-        total = values[k - 1] + values[k]
-        remainder = total % 4
-        items.append(
-            ConstraintItem(
-                name=f"b{k - 1} + b{k} divisible by 4",
-                ok=remainder == 0,
-                margin=None,
-                detail=f"sum={total}, remainder={remainder}",
-            )
-        )
+    items = [
+        _divisible_by_four(f"b{k - 1} + b{k}", "sum", values[k - 1] + values[k])
+        for k in range(1, len(values), 2)
+    ]
     return ConstraintReport("divisibility", items)
 
 
-def check_bounds(values: tuple[int, ...], n: int) -> ConstraintReport:
-    """b_k >= C(k+2, 2) for 0 <= k <= 2n + 1, with margins."""
-    items = []
-    for k in range(0, min(2 * n + 1, len(values) - 1) + 1):
-        bound = comb(k + 2, 2)
-        margin = values[k] - bound
-        items.append(
-            ConstraintItem(
-                name=f"b{k} >= {bound}",
-                ok=margin >= 0,
-                margin=margin,
-                detail=f"b{k}={values[k]}",
-            )
-        )
+def check_bounds(values: tuple[int, ...]) -> ConstraintReport:
+    """b_k >= C(k+2, 2) over the lower half of the sequence, with margins.
+
+    For the 4n + 4 Betti numbers of rank n that is k = 0 .. 2n + 1.
+    """
+    items = [_at_least(f"b{k}", values[k], comb(k + 2, 2)) for k in range(len(values) // 2)]
     return ConstraintReport("lower bounds", items)
 
 
 def check_horizontal_constraints(bh: HorizontalBettiSequence) -> ConstraintReport:
-    """Odd horizontal numbers divisible by four; even ones bounded below.
+    """Odd horizontal numbers divisible by four; bh_{2p} >= C(p+2, 2) for p <= n.
 
     Palindromy of the horizontal sequence is reported as a warning item: it
     is expected of the models treated here but is not one of the hard
     constraints, so only strict mode escalates it.
     """
-    items = []
-    for k in range(1, len(bh.values), 2):
-        remainder = bh.values[k] % 4
-        items.append(
-            ConstraintItem(
-                name=f"bh{k} divisible by 4",
-                ok=remainder == 0,
-                detail=f"bh{k}={bh.values[k]}, remainder={remainder}",
-            )
-        )
-    for p in range(0, bh.n + 1):
-        bound = comb(p + 2, 2)
-        margin = bh.get(2 * p) - bound
-        items.append(
-            ConstraintItem(
-                name=f"bh{2 * p} >= {bound}",
-                ok=margin >= 0,
-                margin=margin,
-                detail=f"bh{2 * p}={bh.get(2 * p)}",
-            )
-        )
+    items = [
+        _divisible_by_four(f"bh{k}", f"bh{k}", bh.values[k]) for k in range(1, len(bh.values), 2)
+    ]
+    items += [
+        _at_least(f"bh{2 * p}", value, comb(p + 2, 2))
+        for p, value in enumerate(bh.values[: 2 * bh.n + 1 : 2])
+    ]
     items.append(
         ConstraintItem(
-            name="bh palindromic",
-            ok=bh.is_palindromic(),
-            warning=True,
-            detail=f"values={list(bh.values)}",
+            "bh palindromic", bh.is_palindromic(), warning=True, detail=f"values={list(bh.values)}"
         )
     )
     return ConstraintReport("horizontal constraints", items)
@@ -191,22 +175,12 @@ class PowerProductRank:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.rank == self.expected
-            and self.leading_distinct
-            and self.leading_match_predicted
-        )
+        return self.rank == self.expected and self.leading_distinct and self.leading_match_predicted
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "rank": self.rank,
-            "expected": self.expected,
-            "leading_distinct": self.leading_distinct,
-            "leading_match_predicted": self.leading_match_predicted,
-            "passed": self.passed,
-        }
+        data = asdict(self)
+        del data["leading_blades"]
+        return {**data, "passed": self.passed}
 
 
 def s_k_rank(n: int, k: int) -> PowerProductRank:
@@ -214,36 +188,25 @@ def s_k_rank(n: int, k: int) -> PowerProductRank:
 
     Also verifies the supporting mechanism: the lexicographically leading
     blades of the C(k+2, 2) products are pairwise distinct and equal the
-    predicted interleavings.  Requires k <= n, where the products are
-    nonzero and the leading-term argument applies.
+    predicted interleavings.  A zero product has no leading blade: it is
+    recorded as () and fails the prediction.  Requires k <= n, where the
+    products are nonzero and the leading-term argument applies.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > n:
         raise ValueError(f"k = {k} exceeds the rank n = {n}")
     dims = ModelDims(n)
-    vectors = []
-    leading: list[Blade] = []
-    predicted_ok = True
-    for k1 in range(k, -1, -1):
-        for k2 in range(k - k1, -1, -1):
-            powers = (k1, k2, k - k1 - k2)
-            product = _xi_power_product(dims, powers)
-            vectors.append(product._terms)
-            lead = leading_blade(product)
-            if lead is None:
-                lead = ()
-                predicted_ok = False
-            elif lead != predicted_leading_blade(dims, powers):
-                predicted_ok = False
-            leading.append(lead)
-    expected = comb(k + 2, 2)
+    powers = [(k1, k2, k - k1 - k2) for k1 in range(k, -1, -1) for k2 in range(k - k1, -1, -1)]
+    products = [_xi_power_product(dims, p) for p in powers]
+    leads = [leading_blade(product) for product in products]
+    leading = [() if lead is None else lead for lead in leads]
     return PowerProductRank(
         n=n,
         k=k,
-        rank=sparse_rank(vectors),
-        expected=expected,
+        rank=sparse_rank([product._terms for product in products]),
+        expected=comb(k + 2, 2),
         leading_blades=leading,
         leading_distinct=len(set(leading)) == len(leading),
-        leading_match_predicted=predicted_ok,
+        leading_match_predicted=leads == [predicted_leading_blade(dims, p) for p in powers],
     )

@@ -358,7 +358,7 @@ def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBett
             [m[i][j] - (1 if i == j else 0) for j in range(size)] for i in range(size)
         ]
         values.append(size - rank(shifted))
-    return HorizontalBettiSequence(1, tuple(values))
+    return HorizontalBettiSequence(1, values)
 
 
 @dataclass

@@ -141,7 +141,7 @@ def _so41_text(report: Report) -> list[str]:
 def run_betti(bh: HorizontalBettiSequence) -> Report:
     full = betti_from_horizontal(bh)
     divisibility = betti.check_divisibility(full)
-    bounds = betti.check_bounds(full, bh.n)
+    bounds = betti.check_bounds(full)
     horizontal = betti.check_horizontal_constraints(bh)
     failures, warnings = _failed_items((divisibility, bounds, horizontal))
     payload = {
@@ -163,7 +163,7 @@ def _betti_command(args: argparse.Namespace) -> Report:
     except ValueError:
         raise _UsageError("--bh must be a comma-separated integer list") from None
     try:
-        bh = HorizontalBettiSequence(args.n, tuple(values))
+        bh = HorizontalBettiSequence(args.n, values)
     except ValueError as err:  # wrong length or a negative entry
         raise _UsageError(f"--bh: {err}") from None
     return run_betti(bh)
@@ -227,7 +227,7 @@ def run_homology(
 
     sequence_checks = [
         betti.check_divisibility(integral.betti),
-        betti.check_bounds(integral.betti, 1),
+        betti.check_bounds(integral.betti),
     ]
     payload["constraints"] = [rep.to_dict() for rep in sequence_checks]
     sequence_failures, warnings = _failed_items(sequence_checks)

@@ -137,11 +137,11 @@ def test_criterion_5_betti_arithmetic():
     assert list(k3) == expected_k3
     assert k3[2] == 25
 
-    for fixture, n in ((torus, 1), (k3, 1), (QUOTIENT_BETTI, 1)):
-        assert check_divisibility(fixture).passed()
-        assert check_bounds(fixture, n).passed()
-    assert not check_divisibility((1, 2, 0, 0)).passed()
-    assert not check_bounds((1, 3, 5, 13, 13, 5, 3, 1), 1).passed()
+    for fixture in (torus, k3, QUOTIENT_BETTI):
+        assert check_divisibility(fixture).passed
+        assert check_bounds(fixture).passed
+    assert not check_divisibility((1, 2, 0, 0)).passed
+    assert not check_bounds((1, 3, 5, 13, 13, 5, 3, 1)).passed
     announce(5, "Betti arithmetic with positive and negative fixtures")
 
 

@@ -1,11 +1,13 @@
 """Betti arithmetic: the Reeb convolution, constraints, power-product ranks."""
 
+import dataclasses
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cosym3 import betti
 from cosym3.betti import (
     HorizontalBettiSequence,
     PowerProductRank,
@@ -15,7 +17,11 @@ from cosym3.betti import (
     check_horizontal_constraints,
     s_k_rank,
 )
-from cosym3.exterior import ModelDims
+from cosym3.cellular import HomologyResult, cross_check, invariant_cohomology_oracle
+from cosym3.contact import PhiStarTable
+from cosym3.exterior import ModelDims, Multivector
+from cosym3.identities import verify_identities
+from cosym3.so41 import verify_module
 
 
 class TestConvolution:
@@ -37,7 +43,7 @@ class TestConvolution:
     def test_delta_input_spreads_kernel(self, j):
         values = [0] * 5
         values[j] = 1
-        b = betti_from_horizontal(HorizontalBettiSequence(1, tuple(values)))
+        b = betti_from_horizontal(HorizontalBettiSequence(1, values))
         expected = [0] * 8
         for offset, weight in enumerate((1, 3, 3, 1)):
             if j + offset < 8:
@@ -49,9 +55,9 @@ class TestConvolution:
         b=st.lists(st.integers(0, 9), min_size=5, max_size=5),
     )
     def test_linear(self, a, b):
-        ha = HorizontalBettiSequence(1, tuple(a))
-        hb = HorizontalBettiSequence(1, tuple(b))
-        hsum = HorizontalBettiSequence(1, tuple(x + y for x, y in zip(a, b)))
+        ha = HorizontalBettiSequence(1, a)
+        hb = HorizontalBettiSequence(1, b)
+        hsum = HorizontalBettiSequence(1, (x + y for x, y in zip(a, b)))
         assert betti_from_horizontal(hsum) == tuple(
             x + y for x, y in zip(betti_from_horizontal(ha), betti_from_horizontal(hb))
         )
@@ -60,45 +66,62 @@ class TestConvolution:
         with pytest.raises(ValueError):
             HorizontalBettiSequence(1, (1, 0, 4))
 
+    def test_values_kept_as_a_tuple(self):
+        # A list is stored as a tuple, so the sequence equals and hashes like
+        # one built from a tuple.
+        from_list = HorizontalBettiSequence(1, [1, 0, 4, 0, 1])
+        from_tuple = HorizontalBettiSequence(1, (1, 0, 4, 0, 1))
+        assert from_list.values == (1, 0, 4, 0, 1)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
 
 class TestDivisibility:
     def test_torus_passes(self):
         b = betti_from_horizontal(HorizontalBettiSequence.from_sector_counts(ModelDims(1)))
         report = check_divisibility(b)
-        assert report.passed()
+        assert report.passed
         assert report.items[0].detail.startswith("sum=8")
 
     def test_quotient_passes(self):
         report = check_divisibility((1, 3, 7, 13, 13, 7, 3, 1))
-        assert report.passed()
+        assert report.passed
 
     def test_negative_control(self):
         report = check_divisibility((1, 2, 0, 0))
-        assert not report.passed()
+        assert not report.passed
         assert not report.items[0].ok
 
 
 class TestBounds:
     def test_quotient_margins(self):
-        report = check_bounds((1, 3, 7, 13, 13, 7, 3, 1), 1)
-        assert report.passed()
+        report = check_bounds((1, 3, 7, 13, 13, 7, 3, 1))
+        assert report.passed
         assert [item.margin for item in report.items] == [0, 0, 1, 3]
 
     def test_torus_passes(self):
         b = betti_from_horizontal(HorizontalBettiSequence.from_sector_counts(ModelDims(1)))
-        assert check_bounds(b, 1).passed()
+        assert check_bounds(b).passed
 
     def test_negative_control(self):
-        report = check_bounds((1, 3, 5, 13, 13, 5, 3, 1), 1)
-        assert not report.passed()
+        report = check_bounds((1, 3, 5, 13, 13, 5, 3, 1))
+        assert not report.passed
         failing = [item for item in report.items if not item.ok]
         assert failing[0].name == "b2 >= 6"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_checks_degrees_up_to_2n_plus_1(self, n):
+        # The lower half of the 4n + 4 numbers: k = 0 .. 2n + 1.
+        b = betti_from_horizontal(HorizontalBettiSequence.from_sector_counts(ModelDims(n)))
+        names = [item.name for item in check_bounds(b).items]
+        assert len(names) == 2 * n + 2 == min(2 * n + 1, len(b) - 1) + 1
+        assert names[-1] == f"b{2 * n + 1} >= {comb(2 * n + 3, 2)}"
 
 
 class TestHorizontalConstraints:
     def test_quotient_passes(self):
         report = check_horizontal_constraints(HorizontalBettiSequence(1, (1, 0, 4, 0, 1)))
-        assert report.passed()
+        assert report.passed
 
     def test_divisible_odd_entry_passes(self):
         report = check_horizontal_constraints(HorizontalBettiSequence(1, (1, 4, 6, 4, 1)))
@@ -107,11 +130,11 @@ class TestHorizontalConstraints:
 
     def test_negative_control(self):
         report = check_horizontal_constraints(HorizontalBettiSequence(1, (1, 2, 6, 4, 1)))
-        assert not report.passed()
+        assert not report.passed
 
     def test_palindromy_is_warning_only(self):
         report = check_horizontal_constraints(HorizontalBettiSequence(1, (1, 0, 4, 0, 2)))
-        assert report.passed()
+        assert report.passed
         palindromy = next(i for i in report.items if i.name == "bh palindromic")
         assert palindromy.warning and not palindromy.ok
 
@@ -146,6 +169,25 @@ class TestPowerProductRank:
         result = s_k_rank(1, 1)
         assert result.leading_blades[0] == (0, 1)
 
+    def test_zero_product_records_empty_blade_and_fails(self, monkeypatch):
+        # Powers run (2,0,0), (1,1,0), (1,0,1), (0,2,0), ...: (1,0,1) is third.
+        real = betti._xi_power_product
+        monkeypatch.setattr(
+            betti,
+            "_xi_power_product",
+            lambda dims, powers: Multivector() if powers == (1, 0, 1) else real(dims, powers),
+        )
+        result = s_k_rank(2, 2)
+        assert result.leading_blades[2] == ()
+        assert all(lead != () for i, lead in enumerate(result.leading_blades) if i != 2)
+        assert result.leading_match_predicted is False
+        assert result.passed is False
+
+    def test_to_dict_keys(self):
+        assert list(s_k_rank(1, 1).to_dict()) == [
+            "n", "k", "rank", "expected", "leading_distinct", "leading_match_predicted", "passed"
+        ]
+
 
 class TestTorusConsistencyLoop:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -154,8 +196,40 @@ class TestTorusConsistencyLoop:
         bh = HorizontalBettiSequence.from_sector_counts(dims)
         b = betti_from_horizontal(bh)
         assert b == tuple(comb(4 * n + 3, p) for p in range(4 * n + 4))
-        assert check_divisibility(b).passed()
-        assert check_bounds(b, n).passed()
+        assert check_divisibility(b).passed
+        assert check_bounds(b).passed
         report = check_horizontal_constraints(bh)
-        assert report.passed()
+        assert report.passed
         assert next(i for i in report.items if i.name == "bh palindromic").ok
+
+
+class TestPassedIsPlainBool:
+    """``passed`` is a bool on every result type, never a bound method that
+    ``if report.passed:`` would read as true."""
+
+    def test_constraint_report(self):
+        assert check_divisibility((1, 2, 0, 0)).passed is False
+
+    def test_cross_check_report(self):
+        result = HomologyResult((1, 3, 7, 13, 13, 7, 3, 2), (), (), "integer")
+        assert cross_check(result, invariant_cohomology_oracle()).passed is False
+
+    def test_module_report(self):
+        assert verify_module(1, corrupt_generator="K3").passed is False
+
+    def test_power_product_rank(self):
+        result = dataclasses.replace(s_k_rank(1, 1), rank=2)
+        assert result.passed is False
+
+    def test_identity_report(self):
+        dims = ModelDims(1)
+        alpha, index = next(
+            (alpha, index)
+            for alpha, entries in sorted(PhiStarTable.build(dims).entries.items())
+            for index, entry in enumerate(entries)
+            if entry is not None
+        )
+        reports = verify_identities(1, PhiStarTable.build(dims).with_sign_flip(alpha, index))
+        failed = [r for r in reports if not r.passed]
+        assert failed
+        assert all(r.passed is False for r in failed)
