@@ -37,8 +37,11 @@ class HorizontalBettiSequence:
             raise ValueError(
                 f"length must be 4n + 1 = {4 * self.n + 1}, got {len(self.values)}"
             )
-        if any(v < 0 for v in self.values):
-            raise ValueError("Betti numbers are nonnegative")
+        for v in self.values:
+            if type(v) is not int:
+                raise ValueError(f"Betti numbers are integers, got {v!r}")
+            if v < 0:
+                raise ValueError("Betti numbers are nonnegative")
 
     @classmethod
     def from_sector_counts(cls, dims: ModelDims) -> "HorizontalBettiSequence":

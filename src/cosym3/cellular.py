@@ -26,7 +26,7 @@ invariants on the exterior algebra: ``cross_check`` is one table of
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -148,11 +148,11 @@ def unit_translation_twist() -> TwistMap:
     return TwistMap.right_multiplication_by_i().inverse()
 
 
-# The twist of every ``None`` default, with its face images, made once.
+# The default twist of every function, with its face images, made once.
 _PAPER_TWIST = unit_translation_twist()
 
 
-def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
+def boundary(cell: Cell, twist: TwistMap = _PAPER_TWIST) -> dict[Cell, int]:
     """Integer boundary chain of a cell.
 
     Faces are taken per coordinate in ascending order with alternating signs,
@@ -175,7 +175,7 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
     bit can meet, when the twist fixes q: they cancel when its sign is +1
     and leave -2 times the outer sign when it is -1.
     """
-    images = (twist if twist is not None else _PAPER_TWIST).face_images
+    images = twist.face_images
     faces = _FACES.get(cell)
     if faces is None:
         raise ValueError(f"{cell} is not a cell of the unit 7-cube")
@@ -192,14 +192,42 @@ def boundary(cell: Cell, twist: TwistMap | None = None) -> dict[Cell, int]:
 
 @dataclass
 class ChainComplexZ:
-    """Integer cellular chain complex of the quotient."""
+    """Integer cellular chain complex over the cells of a ``Basis``.
 
-    cells: list[tuple[Cell, ...]]  # the cube's blades, the same for every twist
-    # boundaries[k][j]: sparse column of cells[k][j], keyed by face position
-    boundaries: list[list[dict[int, int]]]
+    ``chains[k][j]`` is the boundary chain of ``basis.blades(k)[j]``, keyed
+    by face cell, as ``boundary`` returns it.  The constructor, the one way
+    to build a complex, keys each chain by face position (``basis.positions``)
+    and checks d^2 = 0 on it in the same pass, degree by degree: the first
+    cell whose boundary has a nonzero boundary raises ``ComplexConsistencyError``.
+    """
+
+    basis: Basis  # the cells: basis.blades(k) in degree k
+    chains: InitVar[list[list[dict[Cell, int]]]]
+    # boundaries[k][j]: sparse column of basis.blades(k)[j], keyed by face position
+    boundaries: list[list[dict[int, int]]] = field(init=False)
+
+    def __post_init__(self, chains: list[list[dict[Cell, int]]]) -> None:
+        position, blades = self.basis.positions, self.basis.blades
+        self.boundaries = []
+        for k, layer in zip(self.basis.degrees(), chains, strict=True):
+            lower, columns = (self.boundaries[k - 1] if k else []), []
+            for cell, chain in zip(blades(k), layer, strict=True):
+                column: dict[int, int] = {}
+                acc: dict[int, int] = {}
+                for face, value in chain.items():
+                    i = position[face]
+                    column[i] = value
+                    for m, inner in lower[i].items():
+                        acc[m] = acc.get(m, 0) + value * inner
+                if any(acc.values()):
+                    raise ComplexConsistencyError(
+                        cell, {blades(k - 2)[m]: v for m, v in acc.items() if v}
+                    )
+                columns.append(column)
+            self.boundaries.append(columns)
 
     def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.cells)
+        return tuple(len(self.basis.blades(k)) for k in self.basis.degrees())
 
     def triples(self, k: int) -> list[tuple[int, int, int]]:
         """Sparse (row, col, value) triples of the k-th boundary matrix, row-major."""
@@ -210,29 +238,11 @@ class ChainComplexZ:
         )
 
 
-def build_complex(twist: TwistMap | None = None) -> ChainComplexZ:
-    """Key each boundary chain by face position and check d^2 = 0 on it, degree by degree."""
-    twist = twist if twist is not None else _PAPER_TWIST
-    cells = [_CUBE.blades(k) for k in _CUBE.degrees()]
-    position = _CUBE.positions
-    boundaries: list[list[dict[int, int]]] = []
-    for k, layer in enumerate(cells):
-        lower, columns = (boundaries[k - 1] if k else []), []
-        for cell in layer:
-            column: dict[int, int] = {}
-            acc: dict[int, int] = {}
-            for face, value in boundary(cell, twist).items():
-                i = position[face]
-                column[i] = value
-                for m, inner in lower[i].items():
-                    acc[m] = acc.get(m, 0) + value * inner
-            if any(acc.values()):
-                raise ComplexConsistencyError(
-                    cell, {cells[k - 2][m]: v for m, v in acc.items() if v}
-                )
-            columns.append(column)
-        boundaries.append(columns)
-    return ChainComplexZ(cells, boundaries)
+def build_complex(twist: TwistMap = _PAPER_TWIST) -> ChainComplexZ:
+    """The twist's complex on the cube's cells: one ``boundary`` call per cell."""
+    return ChainComplexZ(
+        _CUBE, [[boundary(cell, twist) for cell in _CUBE.blades(k)] for k in _CUBE.degrees()]
+    )
 
 
 @dataclass
@@ -260,7 +270,7 @@ class HomologyResult:
 
 
 def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> HomologyResult:
-    """Homology of the chain complex.
+    """Homology of the chain complex, in each degree of its ``cell_counts``.
 
     With integer coefficients the ranks and torsion come from Smith normal
     forms over Z (``linalg.smith_normal_form``); with rational coefficients
@@ -272,17 +282,18 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
     Both walk k downward and clear (Chen and Kerber, "Persistent homology
     computation with a twist", EuroCG 2011): the k-cells that the elimination
     of d_{k+1} pivoted on (its ``pivots``) are left out of d_k.  As d^2 = 0,
-    which ``build_complex`` checks, their columns are combinations of the
-    kept ones, so ranks and invariant factors stay.  Each route clears with
-    its own pivots only, so the two stay independent.
+    which every ``ChainComplexZ`` checks when it is built, their columns are
+    combinations of the kept ones, so ranks and invariant factors stay.  Each
+    route clears with its own pivots only, so the two stay independent.
     """
     if coefficients not in ("integer", "rational"):
         raise ValueError("coefficients must be 'integer' or 'rational'")
     counts = complex_.cell_counts()
-    ranks = [0] * (TOTAL_DIM + 2)
-    torsion: list[tuple[int, ...]] = [()] * (TOTAL_DIM + 1)
+    top = len(counts) - 1
+    ranks = [0] * (top + 2)
+    torsion: list[tuple[int, ...]] = [()] * (top + 1)
     cleared: set[int] = set()
-    for k in range(TOTAL_DIM, 0, -1):
+    for k in range(top, 0, -1):
         columns = [col for j, col in enumerate(complex_.boundaries[k]) if j not in cleared]
         cleared = set()
         if coefficients == "integer":
@@ -291,13 +302,11 @@ def homology(complex_: ChainComplexZ, coefficients: str = "integer") -> Homology
             torsion[k - 1] = tuple(f for f in factors if f > 1)
         else:
             ranks[k] = sparse_rank(columns, cleared)
-    betti = tuple(
-        counts[k] - ranks[k] - ranks[k + 1] for k in range(TOTAL_DIM + 1)
-    )
+    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     return HomologyResult(
         betti=betti,
         torsion=tuple(torsion),
-        boundary_ranks=tuple(ranks[1 : TOTAL_DIM + 1]),
+        boundary_ranks=tuple(ranks[1 : top + 1]),
         coefficients=coefficients,
     )
 
@@ -338,7 +347,7 @@ def exterior_power_matrix(matrix: list[list[int]], k: int) -> list[list[int]]:
     return out
 
 
-def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBettiSequence:
+def invariant_cohomology_oracle(twist: TwistMap = _PAPER_TWIST) -> HorizontalBettiSequence:
     """Fixed-subspace dimensions of the twist acting on the exterior algebra.
 
     For each degree k the induced matrix on the k-th exterior power of the
@@ -348,7 +357,6 @@ def invariant_cohomology_oracle(twist: TwistMap | None = None) -> HorizontalBett
     follow by the (1, 3, 3, 1) convolution, which the cross-check compares
     against the cellular computation.
     """
-    twist = twist if twist is not None else _PAPER_TWIST
     base = twist.matrix()
     values = []
     for k in range(len(base) + 1):

@@ -234,16 +234,11 @@ def run_homology(
     failures.extend(sequence_failures)
 
     if include_boundaries:
-        dumps = []
-        for k in range(1, cellular.TOTAL_DIM + 1):
-            entry = {
-                "k": k,
-                "rows": len(complex_.cells[k - 1]),
-                "cols": len(complex_.cells[k]),
-                "entries": [list(t) for t in complex_.triples(k)],
-            }
-            dumps.append(entry)
-        payload["boundaries"] = dumps
+        counts = complex_.cell_counts()
+        payload["boundaries"] = [
+            {"k": k, "rows": rows, "cols": cols, "entries": [list(t) for t in complex_.triples(k)]}
+            for k, (rows, cols) in enumerate(zip(counts, counts[1:]), start=1)
+        ]
         payload["boundaries_format"] = include_boundaries
     return Report("homology", None, payload, failures, warnings)
 

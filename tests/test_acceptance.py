@@ -185,9 +185,8 @@ def test_criterion_7_negative_controls():
     announce(7, "negative controls detect injected sign errors")
 
 
-@pytest.mark.slow
 def test_operator_identity_suite_rank_three():
-    """Optional expensive tier: the full identity suite at n = 3."""
+    """The full identity suite at n = 3."""
     reports = verify_identities(3)
     failed = [r for r in reports if not r.passed]
     assert not failed, [(r.name, r.witness) for r in failed]

@@ -1,6 +1,7 @@
 """Betti arithmetic: the Reeb convolution, constraints, power-product ranks."""
 
 import dataclasses
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -65,6 +66,12 @@ class TestConvolution:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             HorizontalBettiSequence(1, (1, 0, 4))
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, "1", None, True, Fraction(1)])
+    def test_non_integer_entries_rejected(self, entry):
+        # A float once convolved to (1, 3.5, 8.5, ...) and passed the checks.
+        with pytest.raises(ValueError, match="integers"):
+            HorizontalBettiSequence(1, [1, entry, 4, 0, 1])
 
     def test_values_kept_as_a_tuple(self):
         # A list is stored as a tuple, so the sequence equals and hashes like

@@ -283,14 +283,18 @@ class TestCubeStructure:
                     assert boundary(cell, twist) == {}, (twist, cell)
 
     def test_cells_are_the_blade_basis(self):
-        expected = [self.CUBE.blades(k) for k in self.CUBE.degrees()]
+        # Every twist's complex reads its cells from the one cube Basis.
+        cube = build_complex().basis
+        assert [cube.blades(k) for k in cube.degrees()] == [
+            self.CUBE.blades(k) for k in self.CUBE.degrees()
+        ]
         for twist in SAMPLE_TWISTS:
-            assert build_complex(twist).cells == expected
+            assert build_complex(twist).basis is cube
 
     def test_consistency_error_names_cells(self, monkeypatch):
         real = cellular.boundary
 
-        def flipped(cell, twist=None):
+        def flipped(cell, twist):
             chain = real(cell, twist)
             if cell == (3, 5):
                 chain[(4,)] = -chain[(4,)]
@@ -302,6 +306,8 @@ class TestCubeStructure:
         # The first 3-cell with (3, 5) as a face; its d^2 lands on the 1-cell (4,).
         assert caught.value.cell == (3, 5, 6)
         assert caught.value.chain == {(4,): -2}
+        # The constructor checks d^2 = 0, not build_complex.
+        assert caught.traceback[-1].name == "__post_init__"
 
 
 class TestComplex:
@@ -315,7 +321,7 @@ class TestComplex:
             cx = build_complex(twist)
             for k in range(2, 8):
                 lower = cx.boundaries[k - 1]
-                assert len(lower) == len(cx.cells[k - 1])
+                assert len(lower) == cx.cell_counts()[k - 1]
                 for j, column in enumerate(cx.boundaries[k]):
                     product = {}
                     for i, value in column.items():
@@ -336,7 +342,7 @@ class TestComplex:
         assert all(len(t) == 3 and t[2] for t in triples)
         # Row-major: strictly increasing (row, col).
         assert all(a[:2] < b[:2] for a, b in zip(triples, triples[1:]))
-        rebuilt = [{} for _ in cx.cells[2]]
+        rebuilt = [{} for _ in range(cx.cell_counts()[2])]
         for row, col, value in triples:
             rebuilt[col][row] = value
         assert rebuilt == cx.boundaries[2]
@@ -423,7 +429,7 @@ class TestSmithNormalForm:
             cx = build_complex(twist)
             for k in range(1, 8):
                 columns = cx.boundaries[k]
-                rows = [{} for _ in cx.cells[k - 1]]
+                rows = [{} for _ in range(cx.cell_counts()[k - 1])]
                 for j, column in enumerate(columns):
                     for i, value in column.items():
                         rows[i][j] = value
@@ -615,13 +621,20 @@ class TestClearing:
         # unit of d e only after a column operation (b - a); clearing b would
         # leave d a alone and report Z/3 in degree zero, where there is none.
         cx = cellular.ChainComplexZ(
-            [[()], [(1,), (2,)], [(1, 2)]] + [[]] * 5,
-            [[{}], [{0: 3}, {0: -2}], [{0: 2, 1: 3}]] + [[]] * 5,
+            Basis(range(1, 3)), [[{}], [{(): 3}, {(): -2}], [{(1,): 2, (2,): 3}]]
         )
         for coefficients in ("integer", "rational"):
             result = homology(cx, coefficients)
-            assert result.betti == (0,) * 8 and result.boundary_ranks == (1, 1) + (0,) * 5
-        assert homology(cx, "integer").torsion == ((),) * 8
+            assert result.betti == (0, 0, 0) and result.boundary_ranks == (1, 1)
+        assert homology(cx, "integer").torsion == ((), (), ())
+
+    def test_a_hand_built_complex_is_checked(self):
+        # d e = a and d a = c, d b = 0: d^2 e = c.  Clearing would take a,
+        # the pivot of d e, out of d_1 and report rank d_1 = 0, not 1.
+        with pytest.raises(ComplexConsistencyError) as caught:
+            cellular.ChainComplexZ(Basis(range(1, 3)), [[{}], [{(): 1}, {}], [{(1,): 1}]])
+        assert caught.value.cell == (1, 2)
+        assert caught.value.chain == {(): 1}
 
     def test_each_route_clears_its_own_pivots(self, monkeypatch):
         # d_k reaches each route without the k-cells that its own elimination

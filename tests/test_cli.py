@@ -106,7 +106,7 @@ class TestExitCodes:
         # No signed-permutation twist breaks d^2 = 0, so corrupt one face sign.
         real = cellular.boundary
 
-        def flipped(cell, twist=None):
+        def flipped(cell, twist):
             chain = real(cell, twist)
             if cell == (3, 5):
                 chain[(4,)] = -chain[(4,)]
