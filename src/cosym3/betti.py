@@ -31,8 +31,8 @@ class HorizontalBettiSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if self.n < 0:
-            raise ValueError("rank must be nonnegative")
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"rank must be a nonnegative int, got {self.n!r}")
         if len(self.values) != 4 * self.n + 1:
             raise ValueError(
                 f"length must be 4n + 1 = {4 * self.n + 1}, got {len(self.values)}"

@@ -40,9 +40,9 @@ QUATERNION_AXES = (1, 2, 3, 4)
 FLAT_AXES = (5, 6, 7)
 TOTAL_DIM = len(QUATERNION_AXES) + len(FLAT_AXES)
 
-# The cells of every twist.  A face of a k-cell is a (k-1)-cell, so the one
-# position table of the basis keys every boundary column.  A cell's mask has
-# bit ``axis`` set per axis; ``_CELL_OF`` converts back.
+# The cells of every twist.  A face of a k-cell is a (k-1)-cell, so the
+# basis's degree k - 1 position table keys the boundary columns of degree k.
+# A cell's mask has bit ``axis`` set per axis; ``_CELL_OF`` converts back.
 _CUBE = Basis(range(1, TOTAL_DIM + 1))
 _CELL_OF = {m: cell for k in _CUBE.degrees() for m, cell in zip(_CUBE._masks[k], _CUBE.blades(k))}
 _QUATERNION_MASK = sum(1 << axis for axis in QUATERNION_AXES)
@@ -196,9 +196,11 @@ class ChainComplexZ:
 
     ``chains[k][j]`` is the boundary chain of ``basis.blades(k)[j]``, keyed
     by face cell, as ``boundary`` returns it.  The constructor, the one way
-    to build a complex, keys each chain by face position (``basis.positions``)
-    and checks d^2 = 0 on it in the same pass, degree by degree: the first
-    cell whose boundary has a nonzero boundary raises ``ComplexConsistencyError``.
+    to build a complex, keys each chain of a degree-k cell by face position
+    among the degree k - 1 cells (``basis.positions[k - 1]``; any other face
+    raises ``ValueError``) and checks d^2 = 0 on it in the same pass, degree
+    by degree: the first cell whose boundary has a nonzero boundary raises
+    ``ComplexConsistencyError``.
     """
 
     basis: Basis  # the cells: basis.blades(k) in degree k
@@ -207,15 +209,21 @@ class ChainComplexZ:
     boundaries: list[list[dict[int, int]]] = field(init=False)
 
     def __post_init__(self, chains: list[list[dict[Cell, int]]]) -> None:
-        position, blades = self.basis.positions, self.basis.blades
+        positions, blades = self.basis.positions, self.basis.blades
         self.boundaries = []
         for k, layer in zip(self.basis.degrees(), chains, strict=True):
             lower, columns = (self.boundaries[k - 1] if k else []), []
+            faces = positions.get(k - 1, {})
             for cell, chain in zip(blades(k), layer, strict=True):
                 column: dict[int, int] = {}
                 acc: dict[int, int] = {}
                 for face, value in chain.items():
-                    i = position[face]
+                    try:
+                        i = faces[face]
+                    except KeyError:
+                        raise ValueError(
+                            f"face {face} of cell {cell} is not a cell of degree {k - 1}"
+                        ) from None
                     column[i] = value
                     for m, inner in lower[i].items():
                         acc[m] = acc.get(m, 0) + value * inner

@@ -77,10 +77,10 @@ class Basis:
         return self._blades.get(k, ())
 
     @cached_property
-    def positions(self) -> dict[Blade, int]:
-        """Blade -> index in its degree's column list; blades of different
-        degrees are different keys, so one dict serves every degree."""
-        return {blade: i for blades in self._blades.values() for i, blade in enumerate(blades)}
+    def positions(self) -> dict[int, dict[Blade, int]]:
+        """Per degree k, blade -> index in the degree-k column list: a blade
+        of another degree is no key of that table."""
+        return {k: {b: i for i, b in enumerate(blades)} for k, blades in self._blades.items()}
 
 
 _EXACT = (int, Fraction)

@@ -8,12 +8,12 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from cosym3 import contact
+from cosym3 import contact, so41
 from cosym3.exterior import (
     Multivector, _combine, _flips, _interior, hodge_star, interior, wedge,
 )
-from cosym3.linalg import sort_with_sign
-from cosym3.operators import GradedOperator
+from cosym3.linalg import solve_in_span, sort_with_sign
+from cosym3.operators import GradedOperator, commutator
 
 
 def blades(dim: int, degree: int | None = None):
@@ -225,3 +225,24 @@ def fingerprint(obj) -> str:
     """First 16 hex digits of the sha256 of the compact sorted JSON of obj."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def reference_pairs(gens):
+    """The pair checks of ``so41.verify_module`` as its report dicts, each
+    commutator solved against the full flattened generators: one full-length
+    ``linalg.solve_in_span`` per pair, whose None is the escape verdict."""
+    names = so41.GENERATOR_NAMES
+    flat = [so41._flatten(gens[name]) for name in names]
+    pairs = []
+    for left, right in combinations(names, 2):
+        coeffs = solve_in_span(flat, so41._flatten(commutator(gens[left], gens[right])))
+        if coeffs is None:
+            ok, detail = False, "commutator escapes the span"
+        else:
+            expected = so41._combination(*zip(coeffs, so41._IMAGES.values()))
+            ok = so41.bracket(so41._IMAGES[left], so41._IMAGES[right]) == expected
+            detail = "" if ok else "matrix bracket disagrees with the span expansion: " + ", ".join(
+                f"{name}:{c}" for name, c in zip(names, coeffs) if c
+            )
+        pairs.append({"pair": f"[{left}, {right}]", "ok": ok, "detail": detail})
+    return pairs

@@ -73,6 +73,13 @@ class TestConvolution:
         with pytest.raises(ValueError, match="integers"):
             HorizontalBettiSequence(1, [1, entry, 4, 0, 1])
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, -1, "1", None, True])
+    def test_rank_must_be_a_nonnegative_int(self, n):
+        # n = 0.5 once passed with 4n + 1 = 3 values, and the convolution
+        # then raised TypeError.
+        with pytest.raises(ValueError, match="rank must be a nonnegative int"):
+            HorizontalBettiSequence(n, [1, 2, 3])
+
     def test_values_kept_as_a_tuple(self):
         # A list is stored as a tuple, so the sequence equals and hashes like
         # one built from a tuple.

@@ -636,6 +636,17 @@ class TestClearing:
         assert caught.value.cell == (1, 2)
         assert caught.value.chain == {(): 1}
 
+    @pytest.mark.parametrize("chains, message", [
+        # d a = a: a face of degree 1 on a 1-cell, once built with rational
+        # Betti numbers (0, 1, 1).
+        ([[{}], [{(1,): 1}, {}], [{}]], r"face \(1,\) of cell \(1,\) is not a cell of degree 0"),
+        ([[{(): 1}], [{}, {}], [{}]], r"face \(\) of cell \(\) is not a cell of degree -1"),
+        ([[{}], [{}, {}], [{(3,): 1}]], r"face \(3,\) of cell \(1, 2\) is not a cell of degree 1"),
+    ], ids=["degree 1 face of a 1-cell", "face of a 0-cell", "no cell"])
+    def test_a_face_of_the_wrong_degree_is_rejected(self, chains, message):
+        with pytest.raises(ValueError, match=message):
+            cellular.ChainComplexZ(Basis(range(1, 3)), chains)
+
     def test_each_route_clears_its_own_pivots(self, monkeypatch):
         # d_k reaches each route without the k-cells that its own elimination
         # of d_{k+1} pivoted on: all rank(d_{k+1}) of them over Q, and over Z

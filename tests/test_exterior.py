@@ -347,7 +347,7 @@ class TestBasis:
             blades = tuple(combinations(range(1, 7), k))
             assert basis._masks[k] == tuple(sum(1 << i for i in b) for b in blades)
             assert basis.blades(k) == blades
-            assert [basis.positions[b] for b in blades] == list(range(len(blades)))
+            assert [basis.positions[k][b] for b in blades] == list(range(len(blades)))
         assert basis.blades(7) == ()
 
     @pytest.mark.parametrize("indices", [(1, 1), (0, -1)])

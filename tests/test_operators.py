@@ -689,7 +689,7 @@ def reference_apply(op: GradedOperator, mv: Multivector) -> Multivector:
     """``op`` applied through the tuple view of its columns, blade by blade."""
     acc: dict = {}
     for blade, coeff in mv.terms.items():
-        column = op.blocks[len(blade)][op.basis.positions[blade]]
+        column = op.blocks[len(blade)][op.basis.positions[len(blade)][blade]]
         for image, c in column.terms.items():
             acc[image] = acc.get(image, 0) + coeff * c
     return Multivector(acc)
@@ -764,7 +764,10 @@ class TestProductsAgainstReference:
         ]
         basis = ops.hor
         once = {
-            label: {x: reference_apply(op, Multivector.blade(x)) for x in basis.positions}
+            label: {
+                x: reference_apply(op, Multivector.blade(x))
+                for k in basis.degrees() for x in basis.blades(k)
+            }
             for label, op in generators
         }
         for (la, a), (lb, b) in itertools.product(generators, repeat=2):

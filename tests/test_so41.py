@@ -17,12 +17,14 @@ from cosym3.so41 import (
     _matrix_side_checks,
     bracket,
     bracket_table_checks,
+    build_generators,
     mat_mul,
     satisfies_defining_relation,
     t,
     verify_module,
 )
-from helpers import FAULT_FINGERPRINTS, FINGERPRINTS, fingerprint
+from cosym3.operators import GradedOperator
+from helpers import FAULT_FINGERPRINTS, FINGERPRINTS, fingerprint, reference_pairs
 
 # A dense reference for the sparse matrices: lists of rows, multiplied by the
 # textbook triple loop.
@@ -240,3 +242,93 @@ class TestModule:
         assert not report.passed
         clean = ModuleReport(1, True, 10, True, 10, 10, pairs[1:])
         assert clean.failures() == [] and clean.passed
+
+
+def rank_deficient_generators(n):
+    """The generators with L2 := L1 and K3 := 3 K1: rank 8, and two of them
+    dependent on earlier ones."""
+    gens = build_generators(n)
+    gens["L2"] = gens["L1"]
+    gens["K3"] = gens["K1"].scale(3)
+    return gens
+
+
+class TestCertifiedMembership:
+    @pytest.mark.parametrize("corrupt", [None, *GENERATOR_NAMES])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pairs_match_the_full_solve(self, n, corrupt):
+        gens = build_generators(n)
+        if corrupt is not None:
+            gens[corrupt] = gens[corrupt].scale(-1)
+        assert verify_module(n, corrupt).to_dict()["pairs"] == reference_pairs(gens)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rank_deficient_generators_match_the_full_solve(self, n, monkeypatch):
+        # The dependent generators get coefficient 0 on the lead keys as in
+        # the full solve; both failure verdicts occur.
+        monkeypatch.setattr(so41, "build_generators", rank_deficient_generators)
+        report = verify_module(n)
+        assert report.operator_span_rank == 8
+        pairs = report.to_dict()["pairs"]
+        assert pairs == reference_pairs(rank_deficient_generators(n))
+        details = {p["detail"].split(":")[0] for p in pairs if not p["ok"]}
+        assert details == {
+            "commutator escapes the span", "matrix bracket disagrees with the span expansion",
+        }
+
+    def test_every_solve_reads_the_ten_lead_keys(self, monkeypatch):
+        calls = []
+        real = so41.solve_in_span
+
+        def spy(vectors, target):
+            calls.append((vectors, target))
+            return real(vectors, target)
+
+        monkeypatch.setattr(so41, "solve_in_span", spy)
+        assert verify_module(2).passed
+        assert len(calls) == 45
+        leads = set().union(*calls[0][0])
+        assert len(leads) == 10
+        for vectors, target in calls:
+            assert len(vectors) == 10 and set().union(*vectors) == leads
+            assert set(target) <= leads
+
+    def test_a_solver_that_skips_an_escaping_entry_is_caught(self, monkeypatch):
+        # [H, L1] gets one extra entry, top blade -> scalar, that no generator
+        # has, and the solver drops every key outside the generators: it
+        # answers [H, L1]'s true expansion (L1: -2).  Only the residue over the
+        # full tables sees the extra entry.
+        made = {}
+        real_commutator, real_solve = so41.commutator, so41.solve_in_span
+
+        def build(n):
+            made.update(build_generators(n))
+            return made
+
+        def commutator(a, b):
+            out = real_commutator(a, b)
+            if a is made["H"] and b is made["L1"]:
+                top = out.basis._masks[out.basis.max_degree][0]
+                images = {m: dict(column) for m, column in out._images.items()}
+                images.setdefault(top, {})[0] = 1
+                out = GradedOperator(out.shift, out.basis, images)
+            return out
+
+        def solver(vectors, target):
+            keys = set().union(*vectors)
+            return real_solve(vectors, {k: v for k, v in target.items() if k in keys})
+
+        monkeypatch.setattr(so41, "build_generators", build)
+        monkeypatch.setattr(so41, "commutator", commutator)
+        monkeypatch.setattr(so41, "solve_in_span", solver)
+        report = verify_module(1)
+        extra = so41._flatten(commutator(made["H"], made["L1"])).keys() - so41._flatten(
+            real_commutator(made["H"], made["L1"])
+        ).keys()
+        assert len(extra) == 1
+        assert not extra & set().union(*(so41._flatten(op).keys() for op in made.values()))
+        assert solver([so41._flatten(op) for op in made.values()], so41._flatten(
+            commutator(made["H"], made["L1"])
+        )) == [0, -2, 0, 0, 0, 0, 0, 0, 0, 0]
+        failing = [(p.name, p.detail) for p in report.pairs if not p.ok]
+        assert failing == [("[H, L1]", "commutator escapes the span")]
