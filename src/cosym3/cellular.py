@@ -404,12 +404,15 @@ def cross_check(
     early differs at its first missing degree; on top of it the second Betti
     number must differ from both product candidates (21 for the plain
     seven-torus, 25 for the K3 pattern), which is the non-product conclusion
-    for this example.  Each claim is one (name, ok, detail) row.
+    for this example, and fails when the cellular side has no degree 2.
+    Each claim is one (name, ok, detail) row.
     """
     expected, betti = betti_from_horizontal(oracle), result.betti
     degrees = range(max(len(expected), len(betti)))
     mismatch = next((k for k in degrees if expected[k : k + 1] != betti[k : k + 1]), None)
     chi = result.euler_characteristic()
+    b2 = betti[2] if len(betti) > 2 else None
+    b2_detail = f"b2={b2}" if b2 is not None else f"degree 2 missing: cellular={list(betti)}"
     rows = [
         (
             "cellular betti = convolved oracle",
@@ -418,8 +421,8 @@ def cross_check(
             if mismatch is not None
             else f"both equal {list(betti)}",
         ),
-        ("b2 < 21 (not the seven-torus product)", betti[2] < 21, f"b2={betti[2]}"),
-        ("b2 != 25 (not the K3 product)", betti[2] != 25, f"b2={betti[2]}"),
+        ("b2 < 21 (not the seven-torus product)", b2 is not None and b2 < 21, b2_detail),
+        ("b2 != 25 (not the K3 product)", b2 is not None and b2 != 25, b2_detail),
         ("euler characteristic 0", chi == 0, f"chi={chi}"),
         ("betti sequence palindromic", result.is_palindromic(), f"betti={list(betti)}"),
         ("b0 = 1 (connected)", betti[0] == 1, f"b0={betti[0]}"),

@@ -1,16 +1,18 @@
 """Exhaustive operator-identity verification on exact graded matrices.
 
-Each identity family is a lazy stream of mismatches: a generator that yields
-``(member, degree, blade_label, got, expected)`` for every place where the
-identity fails, in a fixed order, and nothing where it holds.  The first
-mismatch of a family is its witness, so a family stops building operators as
-soon as it fails.  Every operator identity is stated one way, as a
-(description, lhs, rhs) triple of whole operators, and compared by one
-comparator, ``_operator_differences``: by image tables first, and the
-columns of unequal ones blade by blade.  Triples that must be searched
-together form a group, whose members are compared on each blade in turn.
-What is not an operator statement (dimension counts, forms and tables) is a
-data check.  The suite is total: a corrupted structure table produces fail
+Each identity family is a generator of statements, in a fixed order, and
+every statement goes through one comparator, ``_differences``, which yields a
+``(member, degree, blade_label, got, expected)`` mismatch for every place
+where a statement fails.  The first mismatch of a family is its witness, and
+the statements are consumed lazily, so a family stops building operators as
+soon as it fails.  An operator identity is a (description, lhs, rhs) triple of
+whole operators, compared by image tables first and the columns of unequal
+ones blade by blade; triples that must be searched together form a group,
+whose members are compared on each blade in turn.  What is not an operator
+statement (dimension counts, forms and tables) is a value row, already in
+the mismatch form, that fails when its two values differ; a condition check
+is a row yielded only on failure, whose expected value is the condition's
+name.  The suite is total: a corrupted structure table produces fail
 reports, never exceptions.
 """
 
@@ -58,21 +60,26 @@ def _column(op: GradedOperator, mask: int) -> Multivector:
     return op.apply(Multivector(_masks={mask: 1}))
 
 
-def _operator_differences(ops: OperatorSet, groups):
-    """Differing columns of operator identities, each a (description, lhs,
-    rhs) triple.
+def _differences(ops: OperatorSet, statements):
+    """Mismatches of a stream of statements, in order.
 
-    ``groups`` holds triples and lists of triples.  A list is one group,
+    A statement is a value row (description, degree, blade label, got,
+    expected), yielded unchanged when ``got != expected``; an operator triple
+    (description, lhs, rhs); or a list of triples.  A list is one group,
     searched blade by blade in basis order with every member compared on each
-    blade in turn; a triple alone is a group of one.  A description is a
-    string, or a function of the witness degree such as a bound
+    blade in turn; a triple alone is a group of one.  A triple's description
+    is a string, or a function of the witness degree such as a bound
     ``str.format``.  Equal operators, the usual case, are told apart by one
-    comparison of their tables; only unequal ones are searched.  ``groups``
-    is consumed lazily, so the operators of later groups are not built once
-    the caller has its witness.
+    comparison of their tables; only unequal ones are searched.
+    ``statements`` is consumed lazily, so nothing after the caller's witness
+    is evaluated.
     """
-    for group in groups:
-        members = group if isinstance(group, list) else [group]
+    for statement in statements:
+        if isinstance(statement, tuple) and len(statement) == 5:
+            if statement[3] != statement[4]:
+                yield statement
+            continue
+        members = statement if isinstance(statement, list) else [statement]
         basis = members[0][1].basis
         for _, lhs, rhs in members:
             if lhs.shift != rhs.shift:
@@ -93,12 +100,6 @@ def _operator_differences(ops: OperatorSet, groups):
                         )
 
 
-def _operator_family(members):
-    """Family stream of a generator of (description, lhs, rhs) operator triples."""
-    return lambda ops: _operator_differences(ops, members(ops))
-
-
-@_operator_family
 def _lambda_l(ops: OperatorSet):
     for a in ALPHAS:
         for b in ALPHAS:
@@ -106,7 +107,6 @@ def _lambda_l(ops: OperatorSet):
             yield f"{{lambda_{a}, l_{b}}}", anticommutator(ops.lam(a), ops.l(b)), target
 
 
-@_operator_family
 def _wedge_contraction_nilpotence(ops: OperatorSet):
     for a in ALPHAS:
         for b in ALPHAS:
@@ -118,7 +118,6 @@ def _wedge_contraction_nilpotence(ops: OperatorSet):
             )
 
 
-@_operator_family
 def _projections(ops: OperatorSet):
     for a in ALPHAS:
         yield f"e_{a}^2 = e_{a}", ops.e(a).compose(ops.e(a)), ops.e(a)
@@ -134,9 +133,8 @@ def _cube_isomorphisms(ops: OperatorSet):
     eta_a-free and eta_a-containing sectors, which therefore have the
     binomial dimensions."""
     dims = ops.dims
-    yield from _operator_differences(ops, (
-        (f"alpha={a}", anticommutator(ops.lam(a), ops.l(a)), ops.id_full) for a in ALPHAS
-    ))
+    for a in ALPHAS:
+        yield f"alpha={a}", anticommutator(ops.lam(a), ops.l(a)), ops.id_full
     # Sector dimension count: blades sorted by eta-pattern, the eta bits of
     # the mask (eta_a at bit a - 1).  Every pattern is compared, so an empty
     # sector is counted too.
@@ -145,19 +143,15 @@ def _cube_isomorphisms(ops: OperatorSet):
         for pattern in range(1 << len(ALPHAS)):
             weight = pattern.bit_count()
             expected = comb(dims.horizontal_dim, k - weight) if k >= weight else 0
-            count = counts[pattern]
-            if count != expected:
-                sector = tuple(pattern >> (a - 1) & 1 for a in ALPHAS)
-                yield f"k={k}, sector={sector}", k, "-", count, expected
+            sector = tuple(pattern >> (a - 1) & 1 for a in ALPHAS)
+            yield f"k={k}, sector={sector}", k, "-", counts[pattern], expected
 
 
-@_operator_family
 def _lambda_routes(ops: OperatorSet):
     for a in ALPHAS:
         yield f"alpha={a}", ops.Lambda_star(a), ops.Lambda_full(a)
 
 
-@_operator_family
 def _projection_commutation(ops: OperatorSet):
     for a in ALPHAS:
         for m in ALPHAS:
@@ -169,7 +163,6 @@ def _projection_commutation(ops: OperatorSet):
             )
 
 
-@_operator_family
 def _wedge_pairs_commute(ops: OperatorSet):
     for a in ALPHAS:
         for b in ALPHAS:
@@ -198,13 +191,11 @@ def _sector_preservation(ops: OperatorSet):
                         yield f"{prefix}_{a}", k, label, _column(op, mask), "eta-free image"
 
 
-@_operator_family
 def _l_lambda_h(ops: OperatorSet):
     for a in ALPHAS:
         yield f"alpha={a}", commutator(ops.L(a), ops.Lam(a)), -ops.H
 
 
-@_operator_family
 def _l_lambda_k(ops: OperatorSet):
     for a in ALPHAS:
         _, b, c = cyclic(a)
@@ -212,7 +203,6 @@ def _l_lambda_k(ops: OperatorSet):
         yield f"[L_{a}, Lambda_{c}] = -K_{b}", commutator(ops.L(a), ops.Lam(c)), -ops.K(b)
 
 
-@_operator_family
 def _h_weights(ops: OperatorSet):
     for a in ALPHAS:
         yield f"[K_{a}, H]", commutator(ops.K(a), ops.H), ops.zero_hor(0)
@@ -220,7 +210,6 @@ def _h_weights(ops: OperatorSet):
         yield f"[Lambda_{a}, H]", commutator(ops.Lam(a), ops.H), ops.Lam(a).scale(-2)
 
 
-@_operator_family
 def _bracket_closure(ops: OperatorSet):
     for a in ALPHAS:
         _, b, c = cyclic(a)
@@ -234,7 +223,6 @@ def _bracket_closure(ops: OperatorSet):
         yield f"[K_{a}, K_{b}]", commutator(K, ops.K(b)), ops.K(c).scale(-2)
 
 
-@_operator_family
 def _substitution_recursion(ops: OperatorSet):
     """K_a K_{a,s} = (s+1) K_{a,s+1} - K_{a,s-1} D_s, where D_s is k - s + 1
     on degree k.  Both sides vanish below degree s.  Each D_s is built once,
@@ -253,7 +241,6 @@ def _substitution_recursion(ops: OperatorSet):
             )
 
 
-@_operator_family
 def _substitution_endpoints(ops: OperatorSet):
     """Zero substitutions is the identity, one substitution is K_a, and
     substituting every factor of a degree-k blade is the full pullback:
@@ -271,7 +258,6 @@ def _substitution_endpoints(ops: OperatorSet):
             yield f"K_{a},{k} = I_{a}", ops.K_s(a, k).compose(E(k)), ops.I(a).compose(E(k))
 
 
-@_operator_family
 def _quaternion_relations(ops: OperatorSet):
     """On odd degrees the full substitutions generate the quaternions.
 
@@ -298,15 +284,10 @@ def _xi_consistency(ops: OperatorSet):
     dims = ops.dims
     for a in ALPHAS:
         explicit = contact.xi_form(dims, a, ops.table)
-        via_phi = contact.xi_form_from_fundamental(dims, a)
-        if explicit != via_phi:
-            yield f"alpha={a}", 2, "-", explicit, via_phi
+        yield f"alpha={a}", 2, "-", explicit, contact.xi_form_from_fundamental(dims, a)
         for m in ALPHAS:
-            contracted = contact.frame_interior(
-                dims, contact.eta_index(dims, m), explicit
-            )
-            if contracted:
-                yield f"i_xi_{m} Xi_{a}", 2, "-", contracted, 0
+            contracted = contact.frame_interior(dims, contact.eta_index(dims, m), explicit)
+            yield f"i_xi_{m} Xi_{a}", 2, "-", contracted, Multivector.zero()
         if any(m >> dims.horizontal_dim for m in explicit._terms):
             yield f"alpha={a}", 2, "-", explicit, "eta-free form"
 
@@ -326,16 +307,13 @@ def _fundamental_pairings(ops: OperatorSet):
         listed = contact.structure_pairs(dims, a)
         for i, j in listed:
             kvec = wedge(Multivector.blade((i,)), Multivector.blade((j,)))
-            value = contact.pair_frame(dims, phi, kvec)
-            if value != -1:
-                yield f"alpha={a}, pair=({i},{j})", 2, "-", value, -1
+            yield f"alpha={a}, pair=({i},{j})", 2, "-", contact.pair_frame(dims, phi, kvec), -1
         listed_sets = {frozenset(p) for p in listed}
         for i, j in combinations(range(dims.dim), 2):
             if frozenset((i, j)) in listed_sets:
                 continue
             value = contact.pair_frame(dims, phi, Multivector.blade((i, j)))
-            if value != 0:
-                yield f"alpha={a}, pair=({i},{j})", 2, "-", value, 0
+            yield f"alpha={a}, pair=({i},{j})", 2, "-", value, 0
 
 
 def _frame_evaluation(ops: OperatorSet):
@@ -347,11 +325,8 @@ def _frame_evaluation(ops: OperatorSet):
         rho = Multivector.blade((i,))
         for j in range(dims.dim):
             value = contact.frame_interior(dims, j, rho)
-            expected = (
-                Multivector.scalar(diag[i]) if i == j else Multivector.zero()
-            )
-            if value != expected:
-                yield f"rho={i}, V={j}", 1, "-", value, expected
+            expected = Multivector.scalar(diag[i]) if i == j else Multivector.zero()
+            yield f"rho={i}, V={j}", 1, "-", value, expected
 
 
 def _pullback_composition(ops: OperatorSet):
@@ -366,26 +341,20 @@ def _pullback_composition(ops: OperatorSet):
         for idx in range(dims.horizontal_dim):
             one_form = Multivector.blade((idx,))
             image_c = contact.phi_star(table, c, one_form)
-            checks = [
-                # phi_a* after phi_b*, then phi_b* after phi_a*, then phi_a* twice.
-                (f"phi_{a}* phi_{b}* on slot {idx}", apply2(b, a, one_form), -image_c),
-                (f"phi_{b}* phi_{a}* on slot {idx}", apply2(a, b, one_form), image_c),
-                (f"phi_{a}*^2 on slot {idx}", apply2(a, a, one_form), -one_form),
-            ]
-            for desc, got, expected in checks:
-                if got != expected:
-                    yield desc, 1, contact.coframe_label(dims, idx), got, expected
+            label = contact.coframe_label(dims, idx)
+            # phi_a* after phi_b*, then phi_b* after phi_a*, then phi_a* twice.
+            yield f"phi_{a}* phi_{b}* on slot {idx}", 1, label, apply2(b, a, one_form), -image_c
+            yield f"phi_{b}* phi_{a}* on slot {idx}", 1, label, apply2(a, b, one_form), image_c
+            yield f"phi_{a}*^2 on slot {idx}", 1, label, apply2(a, a, one_form), -one_form
     # eta_a o phi_b = sum_c eps(a, b, c) eta_c, slot by slot.
     for a in ALPHAS:
         for b in ALPHAS:
             eta_a = Multivector.blade((contact.eta_index(dims, a),))
-            got = contact.phi_star(table, b, eta_a)
             expected = _combine(
                 (epsilon(a, b, g), Multivector.blade((contact.eta_index(dims, g),)))
                 for g in ALPHAS
             )
-            if got != expected:
-                yield f"phi_{b}* eta_{a}", 1, f"eta{a}", got, expected
+            yield f"phi_{b}* eta_{a}", 1, f"eta{a}", contact.phi_star(table, b, eta_a), expected
 
 
 def _frame_duality(ops: OperatorSet):
@@ -402,10 +371,8 @@ def _frame_duality(ops: OperatorSet):
                 pull[j][i] = sign
         for i in range(dims.dim):
             for j in range(dims.dim):
-                got = pull[j][i] * diag[j]
                 expected = diag[i] * contact.frame_phi_coefficient(dims, a, i, j)
-                if got != expected:
-                    yield f"alpha={a}, (i,j)=({i},{j})", 1, "-", got, expected
+                yield f"alpha={a}, (i,j)=({i},{j})", 1, "-", pull[j][i] * diag[j], expected
 
 
 # One row per family: (name, statement, max_degree, stream).  max_degree is a
@@ -477,7 +444,7 @@ def verify_identities(n: int, table: PhiStarTable | None = None) -> list[Identit
     for name, statement, max_degree, stream in _FAMILIES:
         if isinstance(max_degree, str):
             max_degree = getattr(ops, max_degree).max_degree
-        mismatch = next(stream(ops), None)
+        mismatch = next(_differences(ops, stream(ops)), None)
         witness = None
         if mismatch is not None:
             member, degree, blade, got, expected = mismatch

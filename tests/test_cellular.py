@@ -710,3 +710,24 @@ class TestCrossCheck:
             assert (report.items[0].ok, report.items[0].detail) == (
                 False, f"first differing degree 8: {detail}"
             )
+
+    @pytest.mark.parametrize(
+        "basis, chains, betti",
+        [(Basis(range(1, 2)), [[{}], [{}]], [1, 1]), (Basis(()), [[{}]], [1])],
+        ids=["one-cell", "empty"],
+    )
+    def test_a_sequence_without_degree_two_fails_both_b2_claims(self, basis, chains, betti):
+        # The b2 claims read degree 2 of the cellular side; a shorter side
+        # fails them with a detail, as the degreewise row does, never raises.
+        report = cross_check(
+            homology(cellular.ChainComplexZ(basis, chains)), invariant_cohomology_oracle()
+        )
+        rows = {item.name: (item.ok, item.detail) for item in report.items}
+        assert not report.passed
+        assert rows["cellular betti = convolved oracle"][1].startswith(
+            f"first differing degree 1: cellular={betti}"
+        )
+        missing = (False, f"degree 2 missing: cellular={betti}")
+        assert rows["b2 < 21 (not the seven-torus product)"] == missing
+        assert rows["b2 != 25 (not the K3 product)"] == missing
+        assert rows["b0 = 1 (connected)"] == (True, "b0=1")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cosym3 import contact, exterior, identities, operators
 from cosym3.contact import ALPHAS, PhiStarTable
 from cosym3.exterior import Basis, ModelDims, Multivector, _mask_of, interior, wedge
-from cosym3.identities import _operator_differences, verify_identities
+from cosym3.identities import Witness, _differences, verify_identities
 from cosym3.operators import (
     _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, _replacements, anticommutator,
     commutator,
@@ -189,7 +189,8 @@ class TestSector:
         # one-eta sector of degree 5 is empty against C(4, 4) = 1.
         ops = OperatorSet(D1)
         ops.full._masks[5] = ops.full._masks[5][3:]
-        sectors = [m for m in identities._cube_isomorphisms(ops) if m[0].startswith("k=")]
+        stream = identities._differences(ops, identities._cube_isomorphisms(ops))
+        sectors = [m for m in stream if m[0].startswith("k=")]
         assert [(m[0], m[1], m[3], m[4]) for m in sectors] == [
             ("k=5, sector=(1, 0, 0)", 5, 0, 1),
             ("k=5, sector=(0, 1, 0)", 5, 0, 1),
@@ -528,6 +529,33 @@ class TestVerifySuite:
         assert all(r.passed for r in verify_identities(2))
         assert verify_module(2).passed
 
+    @pytest.mark.parametrize("n, eta_pair", [(1, "4^5"), (2, "8^9")])
+    def test_value_rows_no_table_fault_reaches_are_pinned(self, monkeypatch, n, eta_pair):
+        # No sign flip of the table reaches the frame evaluation, i_xi Xi_a = 0
+        # or the eta-free images of the full-basis operators.  One more scalar
+        # term on every frame contraction fails the first two; an L_full that
+        # wedges with eta_1 ^ eta_2 fails the third.
+        frame_interior = contact.frame_interior
+        monkeypatch.setattr(
+            contact, "frame_interior",
+            lambda dims, slot, omega: frame_interior(dims, slot, omega) + Multivector.scalar(1),
+        )
+        reports = {r.name: r for r in verify_identities(n)}
+        assert {name for name, r in reports.items() if not r.passed} == {
+            "frame_evaluation_table", "xi_form_consistency"}
+        assert reports["frame_evaluation_table"].witness == Witness(
+            "rho=0, V=0", 1, "-", "2*1", "1*1")
+        assert reports["xi_form_consistency"].witness == Witness(
+            "i_xi_1 Xi_1", 2, "-", "1*1", "0")
+        monkeypatch.undo()
+        monkeypatch.setattr(OperatorSet, "L_full", lambda self, a: self.l(1).compose(self.l(2)))
+        reports = {r.name: r for r in verify_identities(n)}
+        assert {name for name, r in reports.items() if not r.passed} == {
+            "adjoint_via_star_equals_contraction", "horizontal_sector_preserved",
+            "wedge_adjoint_commute_with_projections"}
+        assert reports["horizontal_sector_preserved"].witness == Witness(
+            "L_1", 0, "1", f"1*{eta_pair}", "eta-free image")
+
     def test_unsupported_rank_rejected(self):
         with pytest.raises(ValueError):
             verify_identities(9)
@@ -586,8 +614,8 @@ class TestGradedOperatorPlumbing:
             lambda: _product((1, OPS.K(1), OPS.K(2)), (1, OPS.l(1), OPS.lam(1))),
             # A sum of products of different shifts is not graded.
             lambda: _product((1, OPS.l(1), OPS.lam(1)), (1, OPS.l(1), OPS.l(2))),
-            lambda: list(_operator_differences(OPS, [("", OPS.L_full(1), OPS.L(1))])),
-            lambda: list(_operator_differences(OPS, [("", OPS.l(1), OPS.lam(1))])),
+            lambda: list(_differences(OPS, [("", OPS.L_full(1), OPS.L(1))])),
+            lambda: list(_differences(OPS, [("", OPS.l(1), OPS.lam(1))])),
         ):
             with pytest.raises(ValueError):
                 combination()
@@ -945,8 +973,54 @@ def one_column_changed(op: GradedOperator):
     ]
 
 
+class TestValueRows:
+    """A value row (description, degree, blade, got, expected) comes out of
+    ``_differences`` unchanged when its two values differ, and not at all
+    when they are equal."""
+
+    def test_an_equal_row_yields_nothing(self):
+        form = Multivector.blade((0, 4))
+        rows = [
+            ("count", 3, "-", 5, 5),
+            ("form", 2, "-", form, Multivector.blade((0, 4))),
+            ("zero", 2, "-", Multivector.zero(), Multivector.zero()),
+        ]
+        assert list(_differences(OPS, rows)) == []
+
+    def test_an_unequal_row_yields_itself(self):
+        rows = [
+            ("count", 3, "-", 4, 5),
+            ("equal", 1, "-", 1, 1),
+            ("form", 1, "eta1", Multivector.blade((0,)), Multivector.blade((1,))),
+            ("zero", 2, "-", Multivector.scalar(1), Multivector.zero()),
+        ]
+        got = list(_differences(OPS, rows))
+        assert len(got) == 3 and all(g is r for g, r in zip(got, rows[:1] + rows[2:]))
+
+    def test_a_form_against_a_string_is_a_mismatch(self):
+        # A condition check states its condition as the expected value.
+        for form in (Multivector.zero(), Multivector.scalar(1), Multivector.blade((4,))):
+            row = ("condition", 2, "-", form, "eta-free form")
+            assert list(_differences(OPS, [row])) == [row]
+
+    @pytest.mark.parametrize("first", [
+        ("row", 1, "-", 1, 2),
+        ("operator", OPS.L(1), OPS.L(2)),
+        [("same", OPS.L(1), OPS.L(1)), ("group", OPS.K(1), OPS.K(2))],
+    ], ids=["row", "triple", "group"])
+    def test_no_statement_after_the_first_mismatch_is_evaluated(self, first):
+        def statements():
+            yield "equal", 0, "-", 1, 1
+            yield "same", OPS.L(1), OPS.L(1)
+            yield first
+            raise AssertionError("a statement after the witness was evaluated")
+
+        witness = next(_differences(OPS, statements()))
+        assert witness[0] == (first[0] if isinstance(first, tuple) else first[1][0])
+
+
 class TestWholeTableFastPath:
-    """``_operator_differences`` compares two whole image tables first and
+    """``_differences`` compares two whole image tables first and
     searches block by block only when they differ: the witness stream must be
     the blockwise comparator's."""
 
@@ -961,19 +1035,19 @@ class TestWholeTableFastPath:
                     [("same", op, op), (label, op, changed), ("again", changed, changed)],
                     [(f"{label}, k={{}}".format, op, changed)],
                 ):
-                    got = witnesses(_operator_differences(OPS, members))
+                    got = witnesses(_differences(OPS, members))
                     assert got == witnesses(reference_operator_differences(OPS, members)), label
                     assert len(got) == 1 and got[0][0] in (label, f"{label}, k={got[0][1]}")
                 # A group: two members that differ on the same blade come out
                 # in member order, the equal member not at all.
                 members = [[(label, op, changed), ("same", op, op), ("again", changed, op)]]
-                got = witnesses(_operator_differences(OPS, members))
+                got = witnesses(_differences(OPS, members))
                 assert got == witnesses(reference_operator_differences(OPS, members)), label
                 assert [w[0] for w in got] == [label, "again"] and got[0][1:3] == got[1][1:3]
             # A reversed group of every change comes out blade by blade, each
             # member on its own blade.
             members = [[(f"change {i}, k={{}}".format, op, c) for i, c in enumerate(changes)][::-1]]
-            got = witnesses(_operator_differences(OPS, members))
+            got = witnesses(_differences(OPS, members))
             assert got == witnesses(reference_operator_differences(OPS, members)), label
             assert len(got) == len(changes), label
 
@@ -986,7 +1060,7 @@ class TestWholeTableFastPath:
         for label, op, expected in (("H", weight, OPS.H), ("id", identity, OPS.id_hor)):
             members = [(label, op, expected), (label, expected, op)]
             assert op == expected
-            assert witnesses(_operator_differences(OPS, members)) == []
+            assert witnesses(_differences(OPS, members)) == []
             assert witnesses(reference_operator_differences(OPS, members)) == []
 
     def test_products_of_the_rank_two_generators(self):
@@ -1012,7 +1086,7 @@ class TestWholeTableFastPath:
             label = f"{la} {lb}"
             for other in (reference, reversed_order):
                 members = [(label, product, other)]
-                got = witnesses(_operator_differences(ops, members))
+                got = witnesses(_differences(ops, members))
                 assert got == witnesses(reference_operator_differences(ops, members)), label
                 assert (product == other) == (product.blocks == other.blocks) == (not got)
             assert product == reference, label
