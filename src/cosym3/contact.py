@@ -133,15 +133,27 @@ class PhiStarTable:
     dims: ModelDims
     entries: dict[int, tuple[tuple[int, int] | None, ...]]
 
+    def __post_init__(self) -> None:
+        """A malformed table raises here, not deep inside a pullback."""
+        dim = self.dims.dim
+        if set(self.entries) != set(ALPHAS):
+            raise ValueError(f"a table has one row per alpha in {ALPHAS}, got {list(self.entries)}")
+        for alpha, row in self.entries.items():
+            if type(row) is not tuple or len(row) != dim:
+                raise ValueError(f"row {alpha} is not a tuple of {dim} entries: {row!r}")
+            for slot, entry in enumerate(row):
+                if entry is not None and not (
+                    type(entry) is tuple and list(map(type, entry)) == [int, int]
+                    and 0 <= entry[0] < dim and entry[1] in (1, -1)
+                ):
+                    raise ValueError(
+                        f"row {alpha}, slot {slot}: {entry!r} is neither None nor an (image, sign)"
+                        f" pair of ints with 0 <= image < {dim} and sign +-1"
+                    )
+
     @classmethod
     def build(cls, dims: ModelDims) -> "PhiStarTable":
-        entries: dict[int, tuple[tuple[int, int] | None, ...]] = {}
-        for alpha in ALPHAS:
-            row: list[tuple[int, int] | None] = []
-            for i in range(dims.dim):
-                row.append(cls._image(dims, alpha, i))
-            entries[alpha] = tuple(row)
-        return cls(dims, entries)
+        return cls(dims, {a: tuple(cls._image(dims, a, i) for i in range(dims.dim)) for a in ALPHAS})
 
     @staticmethod
     def _image(dims: ModelDims, alpha: int, index: int) -> tuple[int, int] | None:

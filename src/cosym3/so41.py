@@ -3,8 +3,9 @@
 The algebra is realized concretely: 5x5 matrices A with
 A E1 = -E1 A^t for E1 = diag(1, 1, 1, 1, -1), spanned by the ten integer
 basis elements t_ij, i < j.  One rule gives t_ij for every i != j, with
-t_ji = -t_ij, and the bracket table is the metric rule of so(4,1) checked
-on all 45 pairs of basis elements.  A matrix is the dict
+t_ji = -t_ij, and the bracket table is the metric rule of so(4,1) on that
+basis, checked on all 45 pairs of basis elements in both orders: in one
+order the rule's last term never applies.  A matrix is the dict
 ``{(row, col): entry}`` of its nonzero entries (0-based), the sparse vector
 format that ``linalg`` reads, so the basis rank and the image rank go
 through the same elimination core as the operator span.  The module check
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .contact import ALPHAS, cyclic
 from .exterior import ModelDims
@@ -96,24 +98,32 @@ _IMAGES: dict[str, Mat5] = {
 GENERATOR_NAMES = list(_IMAGES)
 
 
-def _m(i: int, j: int) -> Mat5:
-    """M_ij = g_i g_j t_ij = (E_ij - E_ji) E1, the basis the metric rule is
-    stated in: t_ij negated when 5 is in {i, j}."""
-    return _combination((_E1[i - 1] * _E1[j - 1], t(i, j)))
+# The metric rule [t_ij, t_kl] = d_jk g_j t_il - d_ik g_i t_jl - d_jl g_j t_ik
+# + d_il g_i t_jk, g = E1, as terms (sign, p, q, r, s) over the positions of
+# (i, j, k, l): the term sign * d_pq g_p t_rs.
+_RULE = ((1, 1, 2, 0, 3), (-1, 0, 2, 1, 3), (-1, 1, 3, 0, 2), (1, 0, 3, 1, 2))
+
+
+def _rule_bracket(*x: int) -> Mat5:
+    """[t_ij, t_kl] for x = (i, j, k, l) by the metric rule."""
+    return _combination(*(
+        (sign * _E1[x[p] - 1], t(x[r], x[s])) for sign, p, q, r, s in _RULE if x[p] == x[q]
+    ))
 
 
 def bracket_table_checks() -> list[tuple[str, bool]]:
-    """[M_ij, M_kl] = g_jk M_il - g_ik M_jl - g_jl M_ik + g_il M_jk, g = E1,
-    checked exactly on each of the 45 unordered pairs of basis elements."""
-    checks: list[tuple[str, bool]] = []
-    for idx, (i, j) in enumerate(BASIS_PAIRS):
-        for k, l in BASIS_PAIRS[idx + 1 :]:
-            # Each term sign * g_pq * M_rs; g is diagonal, so only p == q counts.
-            terms = ((1, j, k, i, l), (-1, i, k, j, l), (-1, j, l, i, k), (1, i, l, j, k))
-            rule = [(sign * _E1[p - 1], _m(r, s)) for sign, p, q, r, s in terms if p == q]
-            ok = bracket(_m(i, j), _m(k, l)) == _combination(*rule)
-            checks.append((f"[t{i}{j}, t{k}{l}]", ok))
-    return checks
+    """The metric rule checked exactly on each of the 45 unordered pairs of
+    basis elements, in both orders.
+
+    For (i, j) before (k, l) in ``BASIS_PAIRS`` order i = l never holds, so
+    one order alone never reaches the rule's last term.
+    """
+    return [
+        ("[t{}{}, t{}{}]".format(*p, *q), all(
+            bracket(t(*a), t(*b)) == _rule_bracket(*a, *b) for a, b in ((p, q), (q, p))
+        ))
+        for p, q in combinations(BASIS_PAIRS, 2)
+    ]
 
 
 def _flatten(op: GradedOperator) -> dict[int, Coeff]:
@@ -128,23 +138,23 @@ def _flatten(op: GradedOperator) -> dict[int, Coeff]:
 
 
 @cache
-def _matrix_side_checks() -> tuple[bool, int, bool, int]:
-    """Defining relations, basis rank and bracket table of the t_ij basis, and
-    the rank of the generator images.
+def _matrix_side_checks() -> dict[str, bool | int]:
+    """The report's matrix-side facts, by field name: the defining relations,
+    basis rank and bracket table of the t_ij basis, and the rank of the
+    generator images.
 
     They depend on neither n nor the table, so one process computes them once,
     on first use.
     """
-    defining_ok = all(satisfies_defining_relation(t(i, j)) for i, j in BASIS_PAIRS)
-    defining_ok = defining_ok and all(
-        satisfies_defining_relation(bracket(t(*p), t(*q)))
-        for p in BASIS_PAIRS
-        for q in BASIS_PAIRS
-    )
-    basis_rank = sparse_rank([t(i, j) for i, j in BASIS_PAIRS])
-    table_ok = all(ok for _, ok in bracket_table_checks())
-    image_rank = sparse_rank(list(_IMAGES.values()))
-    return defining_ok, basis_rank, table_ok, image_rank
+    basis = [t(i, j) for i, j in BASIS_PAIRS]
+    return {
+        "defining_relations_ok": all(map(satisfies_defining_relation, basis + [
+            bracket(a, b) for a in basis for b in basis
+        ])),
+        "basis_rank": sparse_rank(basis),
+        "bracket_table_ok": all(ok for _, ok in bracket_table_checks()),
+        "image_rank": sparse_rank(list(_IMAGES.values())),
+    }
 
 
 def build_generators(n: int) -> dict[str, GradedOperator]:
@@ -199,15 +209,8 @@ class ModuleReport:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "defining_relations_ok": self.defining_relations_ok,
-            "basis_rank": self.basis_rank,
-            "bracket_table_ok": self.bracket_table_ok,
-            "operator_span_rank": self.operator_span_rank,
-            "image_rank": self.image_rank,
-            "pairs": [
-                {"pair": p.name, "ok": p.ok, "detail": p.detail} for p in self.pairs
-            ],
+            **vars(self),
+            "pairs": [{"pair": p.name, "ok": p.ok, "detail": p.detail} for p in self.pairs],
             "passed": self.passed,
         }
 
@@ -227,8 +230,6 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
         raise ValueError(
             f"corrupt_generator must be one of {GENERATOR_NAMES}, got {corrupt_generator!r}"
         )
-    defining_ok, basis_rank, table_ok, image_rank = _matrix_side_checks()
-
     gens = build_generators(n)
     if corrupt_generator is not None:
         gens[corrupt_generator] = gens[corrupt_generator].scale(-1)
@@ -238,36 +239,20 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     restricted = [{k: flat[name][k] for k in leads if k in flat[name]} for name in GENERATOR_NAMES]
 
     pairs: list[PairCheck] = []
-    for idx, left in enumerate(GENERATOR_NAMES):
-        for right in GENERATOR_NAMES[idx + 1 :]:
-            residue = _flatten(commutator(gens[left], gens[right]))
-            # On the lead keys the independent generators span every vector,
-            # so the solve always answers; the residue decides the verdict.
-            coeffs = solve_in_span(restricted, {k: residue[k] for k in leads if k in residue})
-            for c, name in zip(coeffs, GENERATOR_NAMES):
-                if c:
-                    _subtract(residue, c, flat[name])
-            if residue:
-                pairs.append(
-                    PairCheck(left, right, False, "commutator escapes the span")
-                )
-                continue
-            matrix_side = bracket(_IMAGES[left], _IMAGES[right])
-            expected = _combination(*zip(coeffs, _IMAGES.values()))
-            ok = matrix_side == expected
-            detail = "" if ok else (
-                "matrix bracket disagrees with the span expansion: "
-                + ", ".join(
-                    f"{name}:{c}" for name, c in zip(GENERATOR_NAMES, coeffs) if c
-                )
-            )
-            pairs.append(PairCheck(left, right, ok, detail))
-    return ModuleReport(
-        n=n,
-        defining_relations_ok=defining_ok,
-        basis_rank=basis_rank,
-        bracket_table_ok=table_ok,
-        operator_span_rank=span_rank,
-        image_rank=image_rank,
-        pairs=pairs,
-    )
+    for left, right in combinations(GENERATOR_NAMES, 2):
+        residue = _flatten(commutator(gens[left], gens[right]))
+        # On the lead keys the independent generators span every vector,
+        # so the solve always answers; the residue decides the verdict.
+        coeffs = solve_in_span(restricted, {k: residue[k] for k in leads if k in residue})
+        for c, name in zip(coeffs, GENERATOR_NAMES):
+            if c:
+                _subtract(residue, c, flat[name])
+        if residue:
+            pairs.append(PairCheck(left, right, False, "commutator escapes the span"))
+            continue
+        ok = bracket(_IMAGES[left], _IMAGES[right]) == _combination(*zip(coeffs, _IMAGES.values()))
+        detail = "" if ok else "matrix bracket disagrees with the span expansion: " + ", ".join(
+            f"{name}:{c}" for name, c in zip(GENERATOR_NAMES, coeffs) if c
+        )
+        pairs.append(PairCheck(left, right, ok, detail))
+    return ModuleReport(n=n, **_matrix_side_checks(), operator_span_rank=span_rank, pairs=pairs)

@@ -8,6 +8,7 @@ import pytest
 from cosym3 import contact
 from cosym3.contact import ALPHAS, PhiStarTable, epsilon
 from cosym3.exterior import ModelDims, Multivector, wedge, wedge_all
+from cosym3.identities import verify_identities
 
 D1 = ModelDims(1)
 D2 = ModelDims(2)
@@ -97,6 +98,50 @@ class TestPhiStarTable:
         for alpha, index, named in ((1, -1, "0..6"), (1, 99, "0..6"), (4, 0, "[1, 2, 3]")):
             with pytest.raises(ValueError, match=re.escape(named)):
                 table.with_sign_flip(alpha, index)
+
+
+ROWS = PhiStarTable.build(D1).entries
+
+
+def with_entry(alpha, slot, entry):
+    """The n = 1 rows with one entry replaced."""
+    return {**ROWS, alpha: ROWS[alpha][:slot] + (entry,) + ROWS[alpha][slot + 1:]}
+
+
+# Each malformed n = 1 table, with what its error names.
+MALFORMED = {
+    "image out of range": (with_entry(1, 0, (40, 1)), "row 1, slot 0: (40, 1)"),
+    "negative image": (with_entry(1, 2, (-1, 1)), "row 1, slot 2: (-1, 1)"),
+    "float image": (with_entry(1, 2, (1.0, 1)), "row 1, slot 2: (1.0, 1)"),
+    "sign 2": (with_entry(3, 0, (1, 2)), "row 3, slot 0: (1, 2)"),
+    "bool sign": (with_entry(3, 0, (1, True)), "row 3, slot 0: (1, True)"),
+    "triple": (with_entry(2, 1, (1, 1, 1)), "row 2, slot 1: (1, 1, 1)"),
+    "list entry": (with_entry(2, 1, [1, 1]), "row 2, slot 1: [1, 1]"),
+    "short row": ({**ROWS, 1: ROWS[1][:-1]}, "row 1 is not a tuple of 7 entries"),
+    "long row": ({**ROWS, 1: ROWS[1] + (None,)}, "row 1 is not a tuple of 7 entries"),
+    "list row": ({**ROWS, 2: list(ROWS[2])}, "row 2 is not a tuple of 7 entries"),
+    "missing row": ({1: ROWS[1], 2: ROWS[2]}, "one row per alpha in (1, 2, 3), got [1, 2]"),
+    "extra row": ({**ROWS, 4: ROWS[1]}, "got [1, 2, 3, 4]"),
+}
+
+
+class TestTableShape:
+    """A malformed table raises ValueError when built; a well-formed but wrong
+    one builds, and the identity suite reports it as failures."""
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_table_raises_naming_the_entry(self, name):
+        entries, named = MALFORMED[name]
+        with pytest.raises(ValueError, match=re.escape(named)):
+            PhiStarTable(D1, entries)
+
+    @pytest.mark.parametrize("slot, entry", [
+        (0, (1, -1)), (0, None), (0, (4, 1)), (0, (3, -1)), (0, (0, 1)), (4, (4, 1)),
+    ], ids=["sign flip", "killed slot", "moved image", "repeated image", "self image",
+            "unkilled eta"])
+    def test_wrong_table_gives_failure_reports(self, slot, entry):
+        reports = verify_identities(1, PhiStarTable(D1, with_entry(1, slot, entry)))
+        assert any(not r.passed for r in reports)
 
 
 class TestFrameEvaluation:

@@ -139,6 +139,17 @@ class TestBracket:
         for name, ok in checks:
             assert ok, name
 
+    @pytest.mark.parametrize("term", range(4))
+    def test_each_rule_term_decides_ten_rows(self, term, monkeypatch):
+        # For (i, j) before (k, l) the last term, d_il g_i t_jk, never applies;
+        # with both orders checked every term is reached.
+        negated = tuple(
+            (-sign, *rest) if m == term else (sign, *rest)
+            for m, (sign, *rest) in enumerate(so41._RULE)
+        )
+        monkeypatch.setattr(so41, "_RULE", negated)
+        assert sum(not ok for _, ok in bracket_table_checks()) == 10
+
     def test_wrong_bracket_on_a_disjoint_pair_is_flagged(self, monkeypatch):
         # [t12, t34] = 0 follows from the rule alone; no pattern lists it.
         right = so41.bracket
@@ -203,6 +214,14 @@ class TestModule:
         pinned = {p["pair"]: fingerprint(p) for p in module.pop("pairs")}
         pinned["module"] = fingerprint(module)
         assert pinned == FINGERPRINTS["so41-n2"]
+
+    def test_to_dict_keys(self):
+        module = verify_module(1).to_dict()
+        assert list(module) == [
+            "n", "defining_relations_ok", "basis_rank", "bracket_table_ok",
+            "operator_span_rank", "image_rank", "pairs", "passed",
+        ]
+        assert list(module["pairs"][0]) == ["pair", "ok", "detail"]
 
     def test_corrupted_k3_fails_naming_k3(self):
         report = verify_module(1, corrupt_generator="K3")
