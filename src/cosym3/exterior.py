@@ -40,8 +40,8 @@ class ModelDims:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("rank n must be nonnegative")
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"rank must be a nonnegative int, got {self.n!r}")
 
     @property
     def dim(self) -> int:

@@ -16,17 +16,18 @@ cached flag, found from the table on first use, records it.  ``_product`` is
 the one sum-of-products routine: it takes (scalar, outer, inner) terms, so
 ``compose``, both brackets and any sum of composites are one call.  When
 every term is an operator times a diagonal it is one scaling pass over each
-such operator's table; otherwise it works entry-wise over the nonzero
-columns.  ``_replacements`` is the one slot-replacement rule of L_a, Lambda_a
-and K_a: a (r, w, c) term writes a blade as r times the kept slots, r's
-slots in ascending order, drops r and puts w in front, times c; each term
-checks its degree once and adds into the table on just the blades it reads,
-so columns come in the order of the terms.  I_a, which replaces every
-factor of a blade, goes through ``_pull_back``; the K_{a,s}, which replace s
-of them, share no code with it, as one recursion over each blade's lowest
-factor writes all of them.  l_a, lambda_a and the star send distinct blades
-to distinct blades, so their signs come from one ``wedge``, ``interior`` or
-``hodge_star`` of a sum of blades.
+such operator's table; otherwise it splits into columns the ``_packed_sum``,
+under the one key source << width | target that ``_flatten`` also writes and
+the so(4,1) check reads directly.  ``_replacements`` is the one
+slot-replacement rule of L_a, Lambda_a and K_a: a (r, w, c) term writes a
+blade as r times the kept slots, r's slots in ascending order, drops r and
+puts w in front, times c; each term checks its degree once and adds into the
+table on just the blades it reads, so columns come in the order of the terms.
+I_a, which replaces every factor of a blade, goes through ``_pull_back``; the
+K_{a,s}, which replace s of them, share no code with it, as one recursion over
+each blade's lowest factor writes all of them.  l_a, lambda_a and the star
+send distinct blades to distinct blades, so their signs come from one
+``wedge``, ``interior`` or ``hodge_star`` of a sum of blades.
 
 ``blocks`` (the ``Multivector`` columns of each degree, in basis order) is a
 read-only view built on first read.  Only the tests and the benchmark's
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from functools import cached_property, wraps
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import contact
 from .contact import PhiStarTable, cyclic, phi_zeta_index, zeta_index
@@ -163,10 +164,8 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
 
     When every term is an operator times a diagonal, the result is one
     scaling pass per such operator's table (``_scaled_copy``).  Otherwise it
-    is built entry by entry over the nonzero columns only: every product
-    term adds to one dict for the whole operator, keyed by source mask
-    shifted past the basis width, OR target mask.  The nonzero entries are
-    then split back into per-source columns, the result's image table.
+    is the ``_packed_sum`` of the terms, its nonzero entries split back into
+    per-source columns, the result's image table.
     """
     _, first, second = terms[0]
     basis, shift = first.basis, first.shift + second.shift
@@ -178,7 +177,28 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
     scaled = _scaled_copy(terms)
     if scaled is not None:
         return GradedOperator(shift, basis, scaled)
-    width = max(basis.indices, default=-1) + 1
+    width = _width(basis)
+    low = (1 << width) - 1
+    columns: dict[int, dict[int, Coeff]] = {}
+    for key, c in _packed_sum(terms, width).items():
+        if c:
+            source = key >> width
+            if source in columns:
+                columns[source][key & low] = c
+            else:
+                columns[source] = {key & low: c}
+    return GradedOperator(shift, basis, columns)
+
+
+def _width(basis: Basis) -> int:
+    """The bits of a target mask, below the source in a packed key."""
+    return max(basis.indices, default=-1) + 1
+
+
+def _packed_sum(terms: Iterable[tuple], width: int) -> dict[int, Coeff]:
+    """The sum of the (scalar, outer, inner) terms' ``scalar * outer inner`` as
+    one dict keyed source << width | target, which orders as the (source,
+    target) pairs; entries whose terms cancel stay, as 0."""
     acc: dict[int, Coeff] = {}
     get = acc.get
     for scalar, outer, inner in terms:
@@ -192,16 +212,13 @@ def _product(*terms: tuple[Coeff, GradedOperator, GradedOperator]) -> GradedOper
                     for target, c in image.items():
                         key = source | target
                         acc[key] = get(key, 0) + coeff * c
-    low = (1 << width) - 1
-    columns: dict[int, dict[int, Coeff]] = {}
-    for key, c in acc.items():
-        if c:
-            source = key >> width
-            if source in columns:
-                columns[source][key & low] = c
-            else:
-                columns[source] = {key & low: c}
-    return GradedOperator(shift, basis, columns)
+    return acc
+
+
+def _flatten(op: GradedOperator) -> dict[int, Coeff]:
+    """The operator's entries as one sparse vector under the packed key."""
+    width = _width(op.basis)
+    return {m << width | t: c for m, column in op._images.items() for t, c in column.items()}
 
 
 def _is_diagonal(op: GradedOperator) -> bool:

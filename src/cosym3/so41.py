@@ -19,11 +19,11 @@ so the structure constants are extracted once from each side rather than
 trusted twice.  The generators are eliminated once, for their rank and
 echelon lead keys; on those keys they are independent exactly when the
 full ones are, so a solve over the generators cut down to the keys gives
-the full solve's coefficients.  Its residue over the full tables certifies
-the answer (McConnell et al., "Certifying algorithms", Comput. Sci. Rev.
-5, 2011): zero proves membership, nonzero that the commutator escapes the
-span.  Every matrix here is integer; the only rationals are the solved
-coefficients.
+the full solve's coefficients.  Each commutator stays one packed sum,
+never an operator; its residue over every entry certifies the answer
+(McConnell et al., "Certifying algorithms", Comput. Sci. Rev. 5, 2011):
+zero proves membership, nonzero that the commutator escapes the span.
+Every matrix here is integer; the only rationals are the solved coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import combinations
 from .contact import ALPHAS, cyclic
 from .exterior import ModelDims
 from .linalg import Coeff, _subtract, solve_in_span, sparse_rank
-from .operators import SUPPORTED_RANKS, GradedOperator, OperatorSet, commutator
+from .operators import SUPPORTED_RANKS, GradedOperator, OperatorSet, _flatten, _packed_sum, _width
 
 Mat5 = dict[tuple[int, int], Coeff]
 
@@ -126,17 +126,6 @@ def bracket_table_checks() -> list[tuple[str, bool]]:
     ]
 
 
-def _flatten(op: GradedOperator) -> dict[int, Coeff]:
-    """The operator's entries as one sparse vector keyed source << width |
-    target, as ``_product`` packs them: ordered as the (source, target) pairs."""
-    width = max(op.basis.indices, default=-1) + 1
-    return {
-        source << width | target: coeff
-        for source, column in op._images.items()
-        for target, coeff in column.items()
-    }
-
-
 @cache
 def _matrix_side_checks() -> dict[str, bool | int]:
     """The report's matrix-side facts, by field name: the defining relations,
@@ -155,6 +144,12 @@ def _matrix_side_checks() -> dict[str, bool | int]:
         "bracket_table_ok": all(ok for _, ok in bracket_table_checks()),
         "image_rank": sparse_rank(list(_IMAGES.values())),
     }
+
+
+@cache
+def _image_bracket(left: str, right: str) -> Mat5:
+    """The matrix bracket of two generator images, once per pair and process."""
+    return bracket(_IMAGES[left], _IMAGES[right])
 
 
 def build_generators(n: int) -> dict[str, GradedOperator]:
@@ -218,10 +213,10 @@ class ModuleReport:
 def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     """Check that the operator span carries the so(4,1) structure.
 
-    For every unordered generator pair the commutator of the materialized
-    operators is solved exactly on the generators' lead keys, and its
-    residue against that combination must be zero (else it escapes the
-    span); the same coefficients must reproduce the matrix bracket.
+    For every unordered generator pair, XY - YX is one packed sum whose
+    nonzero values on the generators' lead keys are solved exactly; that
+    combination subtracted in place must leave every value zero (else it
+    escapes the span), and must reproduce the matrix bracket.
     ``corrupt_generator`` negates one operator first (negative-control hook).
     """
     if n not in SUPPORTED_RANKS:
@@ -237,22 +232,23 @@ def verify_module(n: int, corrupt_generator: str | None = None) -> ModuleReport:
     leads: set = set()
     span_rank = sparse_rank([flat[name] for name in GENERATOR_NAMES], leads)
     restricted = [{k: flat[name][k] for k in leads if k in flat[name]} for name in GENERATOR_NAMES]
+    width = _width(gens["H"].basis)
 
     pairs: list[PairCheck] = []
     for left, right in combinations(GENERATOR_NAMES, 2):
-        residue = _flatten(commutator(gens[left], gens[right]))
+        residue = _packed_sum(((1, gens[left], gens[right]), (-1, gens[right], gens[left])), width)
         # On the lead keys the independent generators span every vector,
         # so the solve always answers; the residue decides the verdict.
-        coeffs = solve_in_span(restricted, {k: residue[k] for k in leads if k in residue})
-        for c, name in zip(coeffs, GENERATOR_NAMES):
-            if c:
-                _subtract(residue, c, flat[name])
-        if residue:
+        coeffs = solve_in_span(restricted, {k: v for k in leads if (v := residue.get(k))})
+        used = [(c, name) for c, name in zip(coeffs, GENERATOR_NAMES) if c]
+        for c, name in used:
+            _subtract(residue, c, flat[name])
+        if any(residue.values()):  # the sum keeps its cancelled entries, as 0
             pairs.append(PairCheck(left, right, False, "commutator escapes the span"))
             continue
-        ok = bracket(_IMAGES[left], _IMAGES[right]) == _combination(*zip(coeffs, _IMAGES.values()))
+        ok = _image_bracket(left, right) == _combination(*((c, _IMAGES[name]) for c, name in used))
         detail = "" if ok else "matrix bracket disagrees with the span expansion: " + ", ".join(
-            f"{name}:{c}" for name, c in zip(GENERATOR_NAMES, coeffs) if c
+            f"{name}:{c}" for c, name in used
         )
         pairs.append(PairCheck(left, right, ok, detail))
     return ModuleReport(n=n, **_matrix_side_checks(), operator_span_rank=span_rank, pairs=pairs)

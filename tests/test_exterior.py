@@ -340,6 +340,14 @@ class TestKernelAgainstTuples:
         assert leading_blade(Multivector({(3,): 2, (0, 1, 2): -1})) == (0, 1, 2)
 
 
+class TestModelDims:
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None, -1])
+    def test_rank_must_be_a_nonnegative_int(self, n):
+        # ModelDims(1.5) was accepted, and True made a rank-1 model.
+        with pytest.raises(ValueError, match="rank must be a nonnegative int"):
+            ModelDims(n)
+
+
 class TestBasis:
     def test_masks_list_the_tuple_blades_in_order(self):
         basis = Basis(range(6, 0, -1))

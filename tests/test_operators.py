@@ -17,7 +17,7 @@ from cosym3.operators import (
     _EMPTY_COLUMN, GradedOperator, OperatorSet, _product, _replacements, anticommutator,
     commutator,
 )
-from cosym3.so41 import verify_module
+from cosym3.so41 import build_generators, verify_module
 from helpers import (
     FAULT_FINGERPRINTS, coefficients, column_items, fingerprint, image_items, multivectors,
     on_forms, reference_k, reference_k_s, reference_lambda_star, reference_operator_differences,
@@ -560,6 +560,12 @@ class TestVerifySuite:
         with pytest.raises(ValueError):
             verify_identities(9)
 
+    def test_float_rank_rejected(self):
+        # 1.0 == 1 passes the SUPPORTED_RANKS guard; it then raised TypeError
+        # in the basis build.
+        with pytest.raises(ValueError, match="rank must be a nonnegative int"):
+            verify_identities(1.0)
+
     @pytest.mark.parametrize("n, table_n", [(2, 1), (1, 2)])
     def test_table_of_another_rank_rejected(self, n, table_n):
         with pytest.raises(ValueError) as err:
@@ -810,6 +816,20 @@ class TestProductsAgainstReference:
                 for cols in op.blocks.values():
                     for col in cols:
                         assert all(type(c) is int for c in col.terms.values()), (la, lb)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_packed_sums_of_the_so41_generators(self, n):
+        # The 90 ordered products of two generators and the 45 commutators,
+        # H's diagonal included: the packed sum without its zeros is the
+        # product's table under the packed key.
+        gens = list(build_generators(n).values())
+        width = operators._width(gens[0].basis)
+        sums = [((1, a, b),) for a, b in itertools.permutations(gens, 2)]
+        sums += [((1, a, b), (-1, b, a)) for a, b in itertools.combinations(gens, 2)]
+        assert len(sums) == 135
+        for terms in sums:
+            packed = operators._packed_sum(terms, width)
+            assert {k: c for k, c in packed.items() if c} == operators._flatten(_product(*terms))
 
     def test_sums_of_products_match_the_reference_route(self):
         # Three terms, scalars other than 1 and -1, and a diagonal weight: on

@@ -251,6 +251,13 @@ class TestModule:
         with pytest.raises(ValueError):
             verify_module(4)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rank_must_be_an_int(self, n):
+        # Both pass the SUPPORTED_RANKS guard, as 2.0 == 2 and True == 1: 2.0
+        # then raised TypeError in the basis build, and True ran as n = 1.
+        with pytest.raises(ValueError, match="rank must be a nonnegative int"):
+            verify_module(n)
+
     def test_failures_list_conditions_then_pairs(self):
         pairs = [PairCheck("H", "K1", False, "escapes"), PairCheck("H", "K2", True)]
         report = ModuleReport(1, False, 9, False, 9, 9, pairs)
@@ -280,6 +287,30 @@ class TestCertifiedMembership:
         if corrupt is not None:
             gens[corrupt] = gens[corrupt].scale(-1)
         assert verify_module(n, corrupt).to_dict()["pairs"] == reference_pairs(gens)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("corrupt", [None, "K3"])
+    def test_rank_three_pairs_match_the_full_solve(self, corrupt):
+        gens = build_generators(3)
+        if corrupt is not None:
+            gens[corrupt] = gens[corrupt].scale(-1)
+        assert verify_module(3, corrupt).to_dict()["pairs"] == reference_pairs(gens)
+
+    @pytest.mark.parametrize("corrupt, built", [(None, 10), ("K3", 11)])
+    def test_no_commutator_table_is_built(self, corrupt, built, monkeypatch):
+        # The ten generators and the negated copy: each bracket is solved and
+        # certified on its packed sum.
+        count = 0
+        real_init = GradedOperator.__init__
+
+        def init(self, *args):
+            nonlocal count
+            count += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(GradedOperator, "__init__", init)
+        verify_module(2, corrupt)
+        assert count == built
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rank_deficient_generators_match_the_full_solve(self, n, monkeypatch):
@@ -316,21 +347,20 @@ class TestCertifiedMembership:
         # [H, L1] gets one extra entry, top blade -> scalar, that no generator
         # has, and the solver drops every key outside the generators: it
         # answers [H, L1]'s true expansion (L1: -2).  Only the residue over the
-        # full tables sees the extra entry.
+        # full commutator sees the extra entry.
         made = {}
-        real_commutator, real_solve = so41.commutator, so41.solve_in_span
+        real_sum, real_solve = so41._packed_sum, so41.solve_in_span
 
         def build(n):
             made.update(build_generators(n))
             return made
 
-        def commutator(a, b):
-            out = real_commutator(a, b)
-            if a is made["H"] and b is made["L1"]:
-                top = out.basis._masks[out.basis.max_degree][0]
-                images = {m: dict(column) for m, column in out._images.items()}
-                images.setdefault(top, {})[0] = 1
-                out = GradedOperator(out.shift, out.basis, images)
+        def packed_sum(terms, width):
+            out = real_sum(terms, width)
+            (_, x, y), _ = terms
+            if x is made["H"] and y is made["L1"]:
+                top = x.basis._masks[x.basis.max_degree][0]
+                out[top << width] = out.get(top << width, 0) + 1
             return out
 
         def solver(vectors, target):
@@ -338,16 +368,17 @@ class TestCertifiedMembership:
             return real_solve(vectors, {k: v for k, v in target.items() if k in keys})
 
         monkeypatch.setattr(so41, "build_generators", build)
-        monkeypatch.setattr(so41, "commutator", commutator)
+        monkeypatch.setattr(so41, "_packed_sum", packed_sum)
         monkeypatch.setattr(so41, "solve_in_span", solver)
         report = verify_module(1)
-        extra = so41._flatten(commutator(made["H"], made["L1"])).keys() - so41._flatten(
-            real_commutator(made["H"], made["L1"])
-        ).keys()
+        h, l1 = made["H"], made["L1"]
+        terms, width = ((1, h, l1), (-1, l1, h)), so41._width(h.basis)
+        injected = {k: v for k, v in packed_sum(terms, width).items() if v}
+        extra = injected.keys() - {k for k, v in real_sum(terms, width).items() if v}
         assert len(extra) == 1
         assert not extra & set().union(*(so41._flatten(op).keys() for op in made.values()))
-        assert solver([so41._flatten(op) for op in made.values()], so41._flatten(
-            commutator(made["H"], made["L1"])
-        )) == [0, -2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert solver([so41._flatten(op) for op in made.values()], injected) == [
+            0, -2, 0, 0, 0, 0, 0, 0, 0, 0,
+        ]
         failing = [(p.name, p.detail) for p in report.pairs if not p.ok]
         assert failing == [("[H, L1]", "commutator escapes the span")]
